@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+import hostspeed
 import tracing
 import workloads
 
@@ -42,21 +43,18 @@ def layer_unit(name):
     return "count"
 
 
-def import_seconds():
-    """Median wall time of a fresh interpreter importing mmfuse.
+def import_seconds(clock):
+    """Median time of a fresh interpreter importing mmfuse, in reference seconds.
 
     Interpreter start and imports happen once per process, so they are timed
     in child processes to get several samples.
     """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    samples = []
-    for _ in range(SETUP_REPEATS):
-        start = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-c", "import numpy, mmfuse.cli"],
-            env=env, cwd=ROOT, check=True, timeout=60,
-        )
-        samples.append(time.perf_counter() - start)
+    argv = [sys.executable, "-c", "import numpy, mmfuse.cli"]
+    samples = [
+        clock.measure(lambda: subprocess.run(argv, env=env, cwd=ROOT, check=True, timeout=60)).ref_s
+        for _ in range(SETUP_REPEATS)
+    ]
     return float(np.median(samples))
 
 
@@ -111,13 +109,16 @@ def run(args):
 
 
 def measure(args, workload, work_root):
+    # Traced runs compare traced with untraced wall time, so they run no
+    # reference kernel (see hostspeed).
+    clock = hostspeed.Clock(enabled=not args.trace)
     setup_start = time.perf_counter()
     prepare_s = []
     for _ in range(SETUP_REPEATS):
-        start = time.perf_counter()
-        state = workload.prepare(args.seed, work_root)
-        prepare_s.append(time.perf_counter() - start)
-    setup_s = import_seconds() + float(np.median(prepare_s))
+        timing = clock.measure(lambda: workload.prepare(args.seed, work_root))
+        state = timing.result
+        prepare_s.append(timing.ref_s)
+    setup_s = import_seconds(clock) + float(np.median(prepare_s))
 
     ops = workloads.OpCounter()
     recorder = tracing.SpanRecorder()
@@ -128,7 +129,7 @@ def measure(args, workload, work_root):
 
     def cycle():
         try:
-            return workload.cycle(state, ops)
+            return workload.cycle(state, ops, clock)
         except Exception as exc:  # an output check could not run; the loop goes on
             ops.record("cycle", [f"{type(exc).__name__}: {exc}"])
             return None
@@ -182,6 +183,10 @@ def measure(args, workload, work_root):
     print("env " + json.dumps(environment(args), sort_keys=True))
     print(f"cycles {len(cycle_walls)} ({len(traced_samples)} traced), "
           f"set-up wall {setup_wall:.2f} s, measured wall {sum(cycle_walls):.2f} s")
+    if clock.reference_runs:
+        print(f"reference kernel: {len(clock.reference_runs)} runs, median "
+              f"{float(np.median(clock.reference_runs)):.4f} s against "
+              f"{hostspeed.REFERENCE_S} s unloaded; timings below are in reference seconds")
     for message in ops.messages:
         print("FAILED " + message)
     for name, value in metrics.items():
