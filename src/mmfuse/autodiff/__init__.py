@@ -4,12 +4,11 @@ from .tensor import (
     AutodiffError,
     ShapeMismatch,
     Tensor,
-    UnknownPrimitive,
     as_tensor,
     backward,
 )
 from . import ops
-from .ops import BatchNormState, PRIMITIVES, eval_primitive
+from .ops import BatchNormState
 from .optim import AdamState, adam_step
 from .gradcheck import check_gradients
 from .checkpoint import CheckpointError, MAGIC, file_sha256, load_arrays, save_arrays
@@ -18,13 +17,10 @@ __all__ = [
     "AutodiffError",
     "ShapeMismatch",
     "Tensor",
-    "UnknownPrimitive",
     "as_tensor",
     "backward",
     "ops",
     "BatchNormState",
-    "PRIMITIVES",
-    "eval_primitive",
     "AdamState",
     "adam_step",
     "check_gradients",

@@ -38,9 +38,18 @@ def save_arrays(path, arrays):
 
 
 def load_arrays(path):
-    """Read a checkpoint back into a name -> ndarray dict."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    """Read a checkpoint back into a name -> ndarray dict.
+
+    Every malformed header, non-numeric or non-finite value, value count
+    mismatch and duplicate name raises CheckpointError naming its line.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: not a text checkpoint ({exc.reason})") from None
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from None
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"{path}: missing {MAGIC} header")
     arrays = {}
@@ -50,17 +59,27 @@ def load_arrays(path):
             i += 1
             continue
         header = lines[i].split()
-        if len(header) < 2:
-            raise CheckpointError(f"{path}: malformed record header at line {i + 1}")
-        name, ndim = header[0], int(header[1])
-        if len(header) != 2 + ndim:
-            raise CheckpointError(f"{path}: header dim count mismatch at line {i + 1}")
-        shape = tuple(int(d) for d in header[2:])
+        try:
+            name, ndim, shape = header[0], int(header[1]), tuple(int(d) for d in header[2:])
+        except (IndexError, ValueError):
+            raise CheckpointError(f"{path}:{i + 1}: malformed record header") from None
+        if len(shape) != ndim or any(d < 0 for d in shape):
+            raise CheckpointError(f"{path}:{i + 1}: bad shape in header for {name!r}")
+        if name in arrays:
+            raise CheckpointError(f"{path}:{i + 1}: duplicate record {name!r}")
         if i + 1 >= len(lines):
             raise CheckpointError(f"{path}: truncated record for {name!r}")
-        values = np.array([float(v) for v in lines[i + 1].split()])
+        try:
+            values = np.array([float(v) for v in lines[i + 1].split()])
+        except ValueError:
+            raise CheckpointError(f"{path}:{i + 2}: non-numeric value for {name!r}") from None
         if values.size != int(np.prod(shape)):
-            raise CheckpointError(f"{path}: value count mismatch for {name!r}")
+            raise CheckpointError(
+                f"{path}:{i + 2}: value count mismatch for {name!r}: "
+                f"{values.size} values for shape {shape}"
+            )
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}:{i + 2}: non-finite value for {name!r}")
         arrays[name] = values.reshape(shape)
         i += 2
     return arrays

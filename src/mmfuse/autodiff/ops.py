@@ -14,7 +14,6 @@ import numpy as np
 from .tensor import (
     ShapeMismatch,
     Tensor,
-    UnknownPrimitive,
     accumulate_grad,
     as_tensor,
     from_op,
@@ -463,42 +462,3 @@ def softmax_cross_entropy(logits, labels, class_weights=None):
         accumulate_grad(logits, float(grad) * dlogits)
 
     return from_op(data, (logits,), backprop)
-
-
-# ---------------------------------------------------------------------------
-# primitive registry
-
-PRIMITIVES = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "power": power,
-    "matmul": matmul,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "sum": sum_,
-    "mean": mean_,
-    "reshape": reshape,
-    "concat": concat,
-    "tile_spatial": tile_spatial,
-    "conv2d": conv2d,
-    "dynamic_conv1x1": dynamic_conv1x1,
-    "avg_pool_spatial": avg_pool_spatial,
-    "batch_norm": batch_norm,
-    "dropout": dropout,
-    "embedding": embedding,
-    "softmax": softmax,
-    "softmax_cross_entropy": softmax_cross_entropy,
-}
-
-
-def eval_primitive(name, *inputs, **attrs):
-    """Apply a primitive by name; unknown names are rejected."""
-    try:
-        fn = PRIMITIVES[name]
-    except KeyError:
-        raise UnknownPrimitive(f"no primitive named {name!r}")
-    return fn(*inputs, **attrs)

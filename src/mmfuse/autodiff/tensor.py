@@ -17,10 +17,6 @@ class ShapeMismatch(AutodiffError):
         super().__init__(f"{primitive}: {detail}")
 
 
-class UnknownPrimitive(AutodiffError):
-    pass
-
-
 class Tensor:
     """A dense n-dimensional float64 value, optionally tracked on a tape.
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import dataset, evaluation, synth
-from .autodiff import AutodiffError, file_sha256, load_arrays, save_arrays
+from .autodiff import AutodiffError, CheckpointError, file_sha256, load_arrays, save_arrays
 from .config import ConfigError
 from .encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig, preprocess_tweet_text
 from .encoders.text import Vocabulary
@@ -38,6 +39,15 @@ ABLATION_MASKS = ("TT", "TT,IT", "I", "TT,IT,I")
 
 class DataError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _reraise(kind, prefix=""):
+    """Re-raise a ValueError from the block as ``kind`` (ConfigError or DataError)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise kind(f"{prefix}{exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -69,36 +79,41 @@ def load_manifest_config(path):
 # model construction from config
 
 
+def build_text_config(cfg):
+    return TextEncoderConfig(
+        embedding_dim=cfgmod.get_int(cfg, "model.embedding_dim", 16),
+        hidden_dim=cfgmod.get_int(cfg, "model.hidden_dim", 32),
+    )
+
+
 def build_model_config(cfg):
     channels = cfgmod.get_ints(cfg, "model.backbone_channels", "8,16")
     image_side = cfgmod.get_int(cfg, "model.image_side", 16)
     backbone = VisionBackboneConfig(input_side=image_side, channels=channels)
+    text = build_text_config(cfg)
     fusion = FusionModelConfig(
         variant=cfgmod.get_str(cfg, "model.variant", "TKM"),
         visual_dim=backbone.map_channels,
         map_side=backbone.map_side,
-        hidden_dim=cfgmod.get_int(cfg, "model.hidden_dim", 32),
+        hidden_dim=text.hidden_dim,
         tweet_kernels=cfgmod.get_int(cfg, "model.tweet_kernels", 4),
         imgtext_kernels=cfgmod.get_int(cfg, "model.imgtext_kernels", 2),
         fc_plan=cfgmod.get_ints(cfg, "model.fc_plan", "32,16,2"),
         fusion_channels=cfgmod.get_int(cfg, "model.fusion_channels", 16),
         dropout_rate=cfgmod.get_float(cfg, "model.dropout_rate", 0.5),
     )
-    text = TextEncoderConfig(
-        embedding_dim=cfgmod.get_int(cfg, "model.embedding_dim", 16),
-        hidden_dim=fusion.hidden_dim,
-    )
     return backbone, fusion, text
 
 
 def build_model(cfg, vocab_size):
-    variant = cfgmod.get_str(cfg, "model.variant", "TKM")
+    """The configured model; ``model.variant=LSTM`` is the text-only baseline."""
     seed = cfgmod.get_seed(cfg, "model.seed", 0)
-    backbone, fusion, text = build_model_config(cfg)
-    if variant == "LSTM":
-        model = TextOnlyModel(TextEncoder(vocab_size, text, np.random.default_rng(seed)))
-    else:
-        model = MultimodalModel(
+    with _reraise(ConfigError):
+        if cfgmod.get_str(cfg, "model.variant", "TKM") == "LSTM":
+            rng = np.random.default_rng(seed)
+            return TextOnlyModel(TextEncoder(vocab_size, build_text_config(cfg), rng), rng)
+        backbone, fusion, text = build_model_config(cfg)
+        return MultimodalModel(
             vocab_size,
             fusion,
             backbone_config=backbone,
@@ -106,7 +121,6 @@ def build_model(cfg, vocab_size):
             seed=seed,
             share_text_encoder=cfgmod.get_bool(cfg, "model.share_text_encoder", True),
         )
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +135,8 @@ def load_split(data_dir, split, vocab):
     records, diagnostics = dataset.import_corpus(path)
     if diagnostics:
         raise DataError(f"{path}: {len(diagnostics)} malformed lines, first: {diagnostics[0][1]}")
-    examples, unlabelable = dataset.label_corpus(records)
+    with _reraise(DataError, f"{path}: "):  # a record without annotations
+        examples, unlabelable = dataset.label_corpus(records)
     if unlabelable:
         raise DataError(f"{path}: {len(unlabelable)} unlabelable records (all-fast votes)")
     by_id = {r.id: r for r in records}
@@ -131,15 +146,20 @@ def load_split(data_dir, split, vocab):
     for ex in examples:
         record = by_id[ex.id]
         if record.image_ref:
-            images.append(np.load(image_dir / record.image_ref))
+            try:
+                images.append(np.load(image_dir / record.image_ref))
+            except ValueError as exc:  # not a plain .npy array
+                raise DataError(f"{image_dir / record.image_ref}: {exc}") from exc
         tweet_ids.append(vocab.encode(preprocess_tweet_text(record.tweet_text)))
         imgtext_ids.append(vocab.encode(preprocess_tweet_text(record.image_text)))
         labels.append(1 if ex.hate else 0)
         ids.append(ex.id)
     if images and len(images) != len(examples):
         raise DataError(f"{path}: some records have images and some do not")
+    with _reraise(DataError, f"{path}: "):  # images of different shapes
+        images = np.stack(images) if images else np.zeros((len(examples), 0, 0, 3))
     return ModelData(
-        images=np.stack(images) if images else np.zeros((len(examples), 0, 0, 3)),
+        images=images,
         tweet_ids=tweet_ids,
         imgtext_ids=imgtext_ids,
         labels=np.array(labels, dtype=np.int64),
@@ -151,7 +171,8 @@ def load_data_dir(data_dir, splits=("train", "val", "test")):
     vocab_path = Path(data_dir) / "vocab.txt"
     if not vocab_path.exists():
         raise DataError(f"missing vocabulary file {vocab_path}")
-    vocab = Vocabulary.load(vocab_path)
+    with _reraise(DataError):
+        vocab = Vocabulary.load(vocab_path)
     return vocab, {split: load_split(data_dir, split, vocab) for split in splits}
 
 
@@ -163,12 +184,15 @@ def cmd_prepare(args, cfg):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records, diagnostics = dataset.import_corpus(args.corpus)
-    rules = dataset.FilterRuleSet(
-        min_word_count=cfgmod.get_int(cfg, "dataset.min_word_count", 3),
-        banned_terms=cfgmod.get_strs(cfg, "dataset.banned_terms", ""),
-        keyword_list=cfgmod.get_strs(cfg, "dataset.keywords", ""),
-        text_probability_threshold=cfgmod.get_float(cfg, "dataset.text_probability_threshold", 0.3),
-    )
+    with _reraise(ConfigError):
+        rules = dataset.FilterRuleSet(
+            min_word_count=cfgmod.get_int(cfg, "dataset.min_word_count", 3),
+            banned_terms=cfgmod.get_strs(cfg, "dataset.banned_terms", ""),
+            keyword_list=cfgmod.get_strs(cfg, "dataset.keywords", ""),
+            text_probability_threshold=cfgmod.get_float(
+                cfg, "dataset.text_probability_threshold", 0.3
+            ),
+        )
     kept, filter_log = [], []
     for record in records:
         reason = dataset.filter_tweet(record, rules)
@@ -181,17 +205,15 @@ def cmd_prepare(args, cfg):
             continue
         kept.append(record)
 
-    examples, unlabelable = dataset.label_corpus(
-        kept, min_duration=cfgmod.get_float(cfg, "dataset.min_duration", 3.0)
-    )
+    min_duration = cfgmod.get_float(cfg, "dataset.min_duration", 3.0)
+    with _reraise(DataError, f"{args.corpus}: "):
+        examples, unlabelable = dataset.label_corpus(kept, min_duration=min_duration)
     seed = cfgmod.get_seed(cfg, "dataset.seed", 0)
     val_size = cfgmod.get_int(cfg, "dataset.val_size", 0)
     test_size = cfgmod.get_int(cfg, "dataset.test_size", 0)
     if val_size or test_size:
-        try:
+        with _reraise(DataError):
             dataset.build_splits(examples, val_size, test_size, seed)
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
     else:
         for ex in examples:
             ex.split = "train"
@@ -230,16 +252,17 @@ def cmd_prepare(args, cfg):
 def cmd_synth(args, cfg):
     out = Path(args.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
-    spec = synth.SynthSpec(
-        mode=cfgmod.get_str(cfg, "synth.mode", "crossmodal_xor"),
-        n_train=cfgmod.get_int(cfg, "synth.n_train", 8000),
-        n_val=cfgmod.get_int(cfg, "synth.n_val", 1000),
-        n_test=cfgmod.get_int(cfg, "synth.n_test", 2000),
-        noise_rate=cfgmod.get_float(cfg, "synth.noise_rate", 0.0),
-        multimodal_fraction=cfgmod.get_float(cfg, "synth.multimodal_fraction", 1.0),
-        image_side=cfgmod.get_int(cfg, "synth.image_side", 16),
-        seed=cfgmod.get_seed(cfg, "synth.seed", 0),
-    )
+    with _reraise(ConfigError):
+        spec = synth.SynthSpec(
+            mode=cfgmod.get_str(cfg, "synth.mode", "crossmodal_xor"),
+            n_train=cfgmod.get_int(cfg, "synth.n_train", 8000),
+            n_val=cfgmod.get_int(cfg, "synth.n_val", 1000),
+            n_test=cfgmod.get_int(cfg, "synth.n_test", 2000),
+            noise_rate=cfgmod.get_float(cfg, "synth.noise_rate", 0.0),
+            multimodal_fraction=cfgmod.get_float(cfg, "synth.multimodal_fraction", 1.0),
+            image_side=cfgmod.get_int(cfg, "synth.image_side", 16),
+            seed=cfgmod.get_seed(cfg, "synth.seed", 0),
+        )
     splits = synth.generate(spec)
     vocab = synth.build_vocabulary()
     vocab.save(out / "vocab.txt")
@@ -264,18 +287,20 @@ def cmd_train(args, cfg):
     if data_manifest.exists() and "model.image_side" not in cfg:
         cfg["model.image_side"] = load_manifest_config(data_manifest).get("model.image_side", "16")
     vocab, splits = load_data_dir(args.data, ("train", "val"))
-    mask = InputMask.parse(cfgmod.get_str(cfg, "train.mask", "TT,IT,I"))
     model = build_model(cfg, len(vocab))
-    train_config = TrainConfig(
-        learning_rate=cfgmod.get_float(cfg, "train.lr", 1e-4),
-        batch_size=cfgmod.get_int(cfg, "train.batch_size", 32),
-        epochs=cfgmod.get_int(cfg, "train.epochs", 3),
-        seed=cfgmod.get_seed(cfg, "train.seed", 0),
-        mask=mask,
-        class_weight_mode=cfgmod.get_str(cfg, "train.class_weight_mode", "balanced"),
-        eval_every=cfgmod.get_int(cfg, "train.eval_every", 0),
-    )
-    best, history = train(model, splits["train"], splits["val"], train_config)
+    with _reraise(ConfigError):
+        train_config = TrainConfig(
+            learning_rate=cfgmod.get_float(cfg, "train.lr", 1e-4),
+            batch_size=cfgmod.get_int(cfg, "train.batch_size", 32),
+            epochs=cfgmod.get_int(cfg, "train.epochs", 3),
+            seed=cfgmod.get_seed(cfg, "train.seed", 0),
+            mask=_input_mask(cfg, model),
+            class_weight_mode=cfgmod.get_str(cfg, "train.class_weight_mode", "balanced"),
+            eval_every=cfgmod.get_int(cfg, "train.eval_every", 0),
+        )
+    # an empty or single-class split, or images of another size than the model's
+    with _reraise(DataError, f"{args.data}: "):
+        best, history = train(model, splits["train"], splits["val"], train_config)
     checkpoint = out / "checkpoint.mfuse"
     save_arrays(checkpoint, best)
     history.write_csv(out / "history.csv")
@@ -297,6 +322,15 @@ def cmd_train(args, cfg):
     return EXIT_OK
 
 
+def _input_mask(cfg, model):
+    """``train.mask``, defaulting to every input the model reads."""
+    with _reraise(ConfigError):
+        mask = InputMask.parse(cfgmod.get_str(cfg, "train.mask", model.mask.label()))
+    if isinstance(model, TextOnlyModel) and mask != model.mask:
+        raise ConfigError(f"model.variant=LSTM reads tweet text only, not {mask.label()}")
+    return mask
+
+
 def _restore_model(checkpoint_path, cfg):
     if not Path(checkpoint_path).exists():
         raise DataError(f"missing checkpoint {checkpoint_path}")
@@ -307,7 +341,11 @@ def _restore_model(checkpoint_path, cfg):
         cfg = stored
     vocab_size = cfgmod.get_int(cfg, "train.vocab_size")
     model = build_model(cfg, vocab_size)
-    model.load_all_arrays(load_arrays(checkpoint_path))
+    arrays = load_arrays(checkpoint_path)
+    try:
+        model.load_state_dict(arrays)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{checkpoint_path} does not fit the model config: {exc}") from None
     return model, cfg
 
 
@@ -316,8 +354,9 @@ def cmd_eval(args, cfg):
     out.mkdir(parents=True, exist_ok=True)
     model, cfg = _restore_model(args.checkpoint, cfg)
     vocab, splits = load_data_dir(args.data, (args.split,))
-    mask = InputMask.parse(cfgmod.get_str(cfg, "train.mask", "TT,IT,I"))
-    scored = score_dataset(model, splits[args.split], mask=mask)
+    mask = _input_mask(cfg, model)
+    with _reraise(DataError, f"{args.data}: "):  # images of another size than the model's
+        scored = score_dataset(model, splits[args.split], mask=mask)
     report = evaluation.evaluate(scored)
     name = cfgmod.get_str(cfg, "eval.name", cfgmod.get_str(cfg, "model.variant", "TKM"))
     with open(out / "report.csv", "w", newline="") as fh:
@@ -372,10 +411,11 @@ def _write_results(rows, out):
 def cmd_report(args, cfg):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = _read_report_rows(args.reports)
-    if not rows:
-        raise DataError("no report rows found")
-    _write_results(rows, out)
+    with _reraise(DataError, "malformed report: "):  # a short row, a non-number, an empty name
+        rows = _read_report_rows(args.reports)
+        if not rows:
+            raise DataError("no report rows found")
+        _write_results(rows, out)
     write_manifest(out, "report", cfg, [str(out / "results.csv"), str(out / "results.txt")])
     return EXIT_OK
 
@@ -501,15 +541,12 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, dataset.CorpusError, FileNotFoundError) as exc:
+    except (DataError, dataset.CorpusError, CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (AutodiffError, evaluation.MetricError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -10,15 +10,9 @@ from .text import (
     TextEncoder,
     TextEncoderConfig,
     Vocabulary,
-    load_embeddings,
     preprocess_tweet_text,
 )
-from .vision import (
-    ImagePreprocessConfig,
-    VisionBackbone,
-    VisionBackboneConfig,
-    preprocess_image,
-)
+from .vision import VisionBackbone, VisionBackboneConfig
 
 __all__ = [
     "HASHTAG",
@@ -30,10 +24,7 @@ __all__ = [
     "TextEncoder",
     "TextEncoderConfig",
     "Vocabulary",
-    "load_embeddings",
     "preprocess_tweet_text",
-    "ImagePreprocessConfig",
     "VisionBackbone",
     "VisionBackboneConfig",
-    "preprocess_image",
 ]

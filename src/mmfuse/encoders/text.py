@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..autodiff import Tensor, ops
-from ..nn import Dense, LSTM, Layer, collect
+from ..nn import LSTM, Layer
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -103,23 +103,6 @@ class Vocabulary:
         return vocab
 
 
-def load_embeddings(path, vocab, dim):
-    """Read 'token v1 ... vdim' lines into a (len(vocab), dim) matrix.
-
-    Tokens absent from the file keep zero rows; malformed lines are rejected.
-    """
-    matrix = np.zeros((len(vocab), dim))
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise ValueError(f"{path}:{lineno}: expected token + {dim} floats")
-            token = parts[0]
-            if token in vocab:
-                matrix[vocab.lookup(token)] = [float(v) for v in parts[1:]]
-    return matrix
-
-
 @dataclass
 class TextEncoderConfig:
     embedding_dim: int = 100
@@ -134,23 +117,15 @@ class TextEncoder(Layer):
     """Embedding table + single-layer LSTM; encodes a batch of token-id lists.
 
     The encoding of a sequence is the hidden state after its last token; empty
-    sequences encode to the zero vector. A linear head turns encodings into
-    2-class logits for the text-only classifier.
+    sequences encode to the zero vector.
     """
 
-    def __init__(self, vocab_size, config, rng, embedding_matrix=None):
+    def __init__(self, vocab_size, config, rng):
         self.config = config
-        if embedding_matrix is None:
-            embed = rng.uniform(-0.05, 0.05, (vocab_size, config.embedding_dim))
-        else:
-            embed = np.asarray(embedding_matrix, dtype=np.float64)
-            if embed.shape != (vocab_size, config.embedding_dim):
-                raise ValueError(
-                    f"embedding matrix {embed.shape} != ({vocab_size}, {config.embedding_dim})"
-                )
-        self.embed = Tensor(embed, requires_grad=True)
+        self.embed = Tensor(
+            rng.uniform(-0.05, 0.05, (vocab_size, config.embedding_dim)), requires_grad=True
+        )
         self.lstm = LSTM(config.embedding_dim, config.hidden_dim, rng)
-        self.head = Dense(config.hidden_dim, 2, rng)
 
     @staticmethod
     def pad_batch(id_lists):
@@ -170,11 +145,8 @@ class TextEncoder(Layer):
         steps = [ops.embedding(self.embed, ids[:, t]) for t in range(ids.shape[1])]
         return self.lstm(steps, lengths)
 
-    def classify(self, id_lists):
-        """2-class logits (hate, not-hate order: index 1 = hate)."""
-        return self.head(self.encode(id_lists))
+    def _children(self):
+        return {"lstm": self.lstm}
 
     def parameters(self):
-        params, _ = collect({"lstm": self.lstm, "head": self.head})
-        params["embed"] = self.embed
-        return params
+        return {**super().parameters(), "embed": self.embed}

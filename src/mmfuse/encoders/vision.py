@@ -1,4 +1,4 @@
-"""Image preprocessing/augmentation and the small convolutional backbone.
+"""The small convolutional backbone.
 
 The backbone plays the role of a large pretrained feature extractor at desk
 scale: a stack of stride-2 conv/batch-norm/relu stages whose last feature map
@@ -9,43 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..autodiff import ops
-from ..nn import BatchNorm, Conv2d, Layer, collect
-
-
-def bilinear_resize(image, out_h, out_w):
-    """Resize an (H, W, C) array with bilinear sampling (align-corners=False)."""
-    h, w = image.shape[:2]
-    ys = (np.arange(out_h) + 0.5) * h / out_h - 0.5
-    xs = (np.arange(out_w) + 0.5) * w / out_w - 0.5
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
-    y1 = np.clip(y0 + 1, 0, h - 1)
-    x1 = np.clip(x0 + 1, 0, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
-    bot = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
-    return top * (1 - wy) + bot * wy
-
-
-@dataclass
-class ImagePreprocessConfig:
-    """Resize-then-crop geometry; the published reference setting is 500-pixel resizes with
-    299-pixel crops, the desk default 64/56."""
-
-    resize_shortest: int = 64
-    crop_side: int = 56
-
-    def __post_init__(self):
-        if self.crop_side < 1 or self.resize_shortest < self.crop_side:
-            raise ValueError("need resize_shortest >= crop_side >= 1")
-
-    @classmethod
-    def reference(cls):
-        return cls(resize_shortest=500, crop_side=299)
+from ..nn import BatchNorm, Conv2d, Layer
 
 
 @dataclass
@@ -73,37 +38,6 @@ class VisionBackboneConfig:
     def reference_shaped(cls):
         """A config reproducing the reference 8x8x2048 map / 2048-d vector."""
         return cls(input_side=256, channels=(128, 256, 512, 1024, 2048))
-
-
-def preprocess_image(image, mode, config, seed=0):
-    """Resize shortest side, then crop (random in train, centered in eval).
-
-    Train mode additionally mirrors horizontally with probability 1/2. Fully
-    deterministic for a given seed.
-    """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3 or image.shape[0] < 1 or image.shape[1] < 1:
-        raise ValueError(f"expected a non-empty (H, W, C) image, got shape {image.shape}")
-    h, w = image.shape[:2]
-    scale = config.resize_shortest / min(h, w)
-    resized = bilinear_resize(
-        image, max(config.resize_shortest, round(h * scale)), max(config.resize_shortest, round(w * scale))
-    )
-    side = config.crop_side
-    max_y = resized.shape[0] - side
-    max_x = resized.shape[1] - side
-    if mode == "train":
-        rng = np.random.default_rng(seed)
-        y = int(rng.integers(0, max_y + 1))
-        x = int(rng.integers(0, max_x + 1))
-        crop = resized[y : y + side, x : x + side]
-        if rng.random() < 0.5:
-            crop = crop[:, ::-1]
-    elif mode == "eval":
-        crop = resized[max_y // 2 : max_y // 2 + side, max_x // 2 : max_x // 2 + side]
-    else:
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    return np.ascontiguousarray(crop)
 
 
 class VisionBackbone(Layer):
@@ -140,11 +74,3 @@ class VisionBackbone(Layer):
             children[f"stage{i}.conv"] = conv
             children[f"stage{i}.bn"] = bn
         return children
-
-    def parameters(self):
-        params, _ = collect(self._children())
-        return params
-
-    def state_arrays(self):
-        _, state = collect(self._children())
-        return state

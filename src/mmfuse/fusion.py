@@ -9,13 +9,13 @@ map, then proceeds like SCM. Unavailable modalities are replaced by zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import ShapeMismatch, Tensor, ops
 from .encoders import TextEncoder, TextEncoderConfig, VisionBackbone, VisionBackboneConfig
-from .nn import BatchNorm, Conv2d, Dense, Layer, collect
+from .nn import BatchNorm, Conv2d, Dense, Layer
 
 VARIANTS = ("FCM", "SCM", "TKM")
 
@@ -95,21 +95,6 @@ class FusionModelConfig:
         return self.tweet_kernels + self.imgtext_kernels
 
 
-def apply_input_mask(v_input, t_tweet, t_imgtext, mask):
-    """Zero out unavailable modalities, pass available ones through."""
-
-    def masked(tensor, available):
-        if available or tensor is None:
-            return tensor
-        return Tensor(np.zeros(tensor.shape))
-
-    return (
-        masked(v_input, mask.image),
-        masked(t_tweet, mask.tweet_text),
-        masked(t_imgtext, mask.image_text),
-    )
-
-
 class _FcStack(Layer):
     """fc -> BN -> relu pairs, ending in a plain linear classification layer."""
 
@@ -125,12 +110,12 @@ class _FcStack(Layer):
             x = ops.relu(bn(dense(x), training))
         return self.final(x)
 
-    def _children(self, prefix):
+    def _children(self):
         children = {}
         for i, (dense, bn) in enumerate(self.blocks):
-            children[f"{prefix}.fc{i}"] = dense
-            children[f"{prefix}.bn{i}"] = bn
-        children[f"{prefix}.out"] = self.final
+            children[f"fc{i}"] = dense
+            children[f"bn{i}"] = bn
+        children["out"] = self.final
         return children
 
 
@@ -148,11 +133,11 @@ class _ConvStack(Layer):
             x = ops.relu(bn(conv(x), training))
         return x
 
-    def _children(self, prefix):
+    def _children(self):
         children = {}
         for i, (conv, bn) in enumerate(self.blocks):
-            children[f"{prefix}.conv{i}"] = conv
-            children[f"{prefix}.bn{i}"] = bn
+            children[f"conv{i}"] = conv
+            children[f"bn{i}"] = bn
         return children
 
 
@@ -261,28 +246,18 @@ class FusionHead(Layer):
             "SCM": self.scm_forward,
             "TKM": self.tkm_forward,
         }[self.config.variant]
-        if self.config.variant == "FCM":
-            return forward(v_input, t_tweet, t_imgtext, training)
         return forward(v_input, t_tweet, t_imgtext, training, rng)
 
     def _children(self):
         children = {}
         if self.config.variant != "FCM":
-            children.update(self.conv._children("conv"))
+            children["conv"] = self.conv
             if self.config.variant == "TKM":
                 children["kernels.tweet"] = self.tweet_kernel_gen
                 children["kernels.imgtext"] = self.imgtext_kernel_gen
                 children["kernels.bn"] = self.kernel_bn
-        children.update(self.fc._children("fc"))
+        children["fc"] = self.fc
         return children
-
-    def parameters(self):
-        params, _ = collect(self._children())
-        return params
-
-    def state_arrays(self):
-        _, state = collect(self._children())
-        return state
 
 
 class MultimodalModel(Layer):
@@ -344,7 +319,6 @@ class MultimodalModel(Layer):
             v_input = Tensor(np.zeros((n, cfg.visual_dim)))
         else:
             v_input = Tensor(np.zeros((n, cfg.map_side, cfg.map_side, cfg.visual_dim)))
-        v_input, t_tweet, t_imgtext = apply_input_mask(v_input, t_tweet, t_imgtext, mask)
         return self.head(v_input, t_tweet, t_imgtext, training=training, rng=rng)
 
     def _children(self):
@@ -352,24 +326,3 @@ class MultimodalModel(Layer):
         if not self.share_text_encoder:
             children["imgtext"] = self.imgtext_encoder
         return children
-
-    def parameters(self):
-        params, _ = collect(self._children())
-        return params
-
-    def state_arrays(self):
-        _, state = collect(self._children())
-        return state
-
-    def all_arrays(self):
-        """Trainable parameters plus running statistics, for checkpointing."""
-        arrays = {name: t.data for name, t in self.parameters().items()}
-        arrays.update(self.state_arrays())
-        return arrays
-
-    def load_all_arrays(self, arrays):
-        for name, tensor in self.parameters().items():
-            tensor.data = np.array(arrays[name], dtype=np.float64)
-        for prefix, child in self._children().items():
-            for name in child.state_arrays():
-                child._set_state(name, np.array(arrays[f"{prefix}.{name}"], dtype=np.float64))

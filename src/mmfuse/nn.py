@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import BatchNormState, Tensor, ops
+from .autodiff import BatchNormState, CheckpointError, Tensor, ops
 
 
 def glorot(rng, fan_in, fan_out, shape):
@@ -18,37 +18,60 @@ def glorot(rng, fan_in, fan_out, shape):
 
 
 class Layer:
-    """Base: parameter and state-array collection under a name prefix."""
+    """Base: parameters and running statistics collected from named children.
 
-    def parameters(self):
-        return {}
-
-    def state_arrays(self):
-        return {}
+    A layer with sub-layers lists them in ``_children``; their names become
+    dotted prefixes. Leaf layers override ``parameters``/``state_arrays``.
+    """
 
     def _children(self):
         return {}
 
-    def _set_state(self, name, value):
-        prefix, fieldname = name.rsplit(".", 1)
-        setattr(self._children()[prefix].state, fieldname, value)
+    def parameters(self):
+        return {
+            f"{prefix}.{name}": tensor
+            for prefix, child in self._children().items()
+            for name, tensor in child.parameters().items()
+        }
 
-    def load_arrays(self, arrays, prefix=""):
-        for name, tensor in self.parameters().items():
-            tensor.data = np.array(arrays[prefix + name], dtype=np.float64)
-        for name in self.state_arrays():
-            self._set_state(name, np.array(arrays[prefix + name], dtype=np.float64))
+    def state_arrays(self):
+        return {
+            f"{prefix}.{name}": value
+            for prefix, child in self._children().items()
+            for name, value in child.state_arrays().items()
+        }
 
+    def state_dict(self):
+        """Copies of every parameter and running statistic, by dotted name."""
+        arrays = {name: tensor.data.copy() for name, tensor in self.parameters().items()}
+        arrays.update((name, value.copy()) for name, value in self.state_arrays().items())
+        return arrays
 
-def collect(children):
-    """Merge parameters/state of named child layers into flat dicts."""
-    params, state = {}, {}
-    for prefix, child in children.items():
-        for k, v in child.parameters().items():
-            params[f"{prefix}.{k}"] = v
-        for k, v in child.state_arrays().items():
-            state[f"{prefix}.{k}"] = v
-    return params, state
+    def load_state_dict(self, arrays):
+        """Copy ``arrays`` in place into the parameters and running statistics.
+
+        Strict: the names must be exactly those of ``state_dict()`` and every
+        shape must match. Otherwise CheckpointError names the first missing,
+        unexpected or mis-shaped key, and nothing is copied.
+        """
+        targets = {name: tensor.data for name, tensor in self.parameters().items()}
+        targets.update(self.state_arrays())
+        missing = sorted(targets.keys() - arrays.keys())
+        if missing:
+            raise CheckpointError(f"missing key {missing[0]!r} ({len(missing)} missing)")
+        unexpected = sorted(arrays.keys() - targets.keys())
+        if unexpected:
+            raise CheckpointError(
+                f"unexpected key {unexpected[0]!r} ({len(unexpected)} unexpected)"
+            )
+        for name in sorted(targets):
+            shape = np.shape(arrays[name])
+            if shape != targets[name].shape:
+                raise CheckpointError(
+                    f"key {name!r} has shape {shape}, the model expects {targets[name].shape}"
+                )
+        for name, target in targets.items():
+            np.copyto(target, arrays[name])
 
 
 class Dense(Layer):
@@ -98,9 +121,6 @@ class BatchNorm(Layer):
 
     def state_arrays(self):
         return {"running_mean": self.state.running_mean, "running_var": self.state.running_var}
-
-    def _set_state(self, name, value):
-        setattr(self.state, name, value)
 
 
 class LSTM(Layer):

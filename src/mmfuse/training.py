@@ -8,7 +8,6 @@ validation AUC. Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-import copy
 import csv
 from dataclasses import dataclass, field
 
@@ -17,6 +16,7 @@ import numpy as np
 from .autodiff import AdamState, Tensor, adam_step, backward, ops
 from .evaluation import MetricError, ScoredExample, auc_roc
 from .fusion import InputMask
+from .nn import Dense, Layer
 
 HATE = 1  # class index of the hate label; index 0 is not-hate
 
@@ -93,28 +93,23 @@ class ModelData:
         )
 
 
-class TextOnlyModel:
-    """LSTM classifier adapter exposing the multimodal forward interface."""
+class TextOnlyModel(Layer):
+    """Text-only LSTM baseline: a 2-class dense head on the tweet-text encoding.
 
-    def __init__(self, text_encoder):
+    The head is drawn from ``rng`` after the encoder, so passing the rng the
+    encoder was built from continues its draw order. Only tweet text is read.
+    """
+
+    def __init__(self, text_encoder, rng):
         self.text_encoder = text_encoder
+        self.head = Dense(text_encoder.config.hidden_dim, 2, rng)
         self.mask = InputMask(tweet_text=True, image_text=False, image=False)
 
     def forward(self, images, tweet_ids, imgtext_ids, training=False, rng=None, mask=None):
-        return self.text_encoder.classify(tweet_ids)
+        return self.head(self.text_encoder.encode(tweet_ids))
 
-    def parameters(self):
-        return self.text_encoder.parameters()
-
-    def state_arrays(self):
-        return {}
-
-    def all_arrays(self):
-        return {name: t.data for name, t in self.parameters().items()}
-
-    def load_all_arrays(self, arrays):
-        for name, tensor in self.parameters().items():
-            tensor.data = np.array(arrays[name], dtype=np.float64)
+    def _children(self):
+        return {"text": self.text_encoder, "head": self.head}
 
 
 def score_dataset(model, data, batch_size=64, mask=None):
@@ -154,12 +149,12 @@ def train(model, train_data, val_data, config):
     params = model.parameters()
     adam = AdamState(lr=config.learning_rate)
     history = TrainHistory()
-    best = copy.deepcopy(model.all_arrays())
+    best = model.state_dict()
     best_auc = -np.inf
     step = 0
 
     def evaluate_now():
-        nonlocal best_auc
+        nonlocal best, best_auc
         if len(val_data) == 0 or (history.evals and history.evals[-1][0] == step):
             return
         try:
@@ -171,8 +166,7 @@ def train(model, train_data, val_data, config):
             best_auc = auc
             history.best_step = step
             history.best_val_auc = auc
-            best.clear()
-            best.update(copy.deepcopy(model.all_arrays()))
+            best = model.state_dict()
 
     for _ in range(config.epochs):
         order = rng.permutation(len(train_data))
@@ -190,7 +184,7 @@ def train(model, train_data, val_data, config):
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 history.diverged = True
-                model.load_all_arrays(best)
+                model.load_state_dict(best)
                 return best, history
             step += 1
             history.steps.append((step, loss_value))
@@ -203,6 +197,6 @@ def train(model, train_data, val_data, config):
             evaluate_now()
     evaluate_now()
     if best_auc == -np.inf:  # no usable validation signal: keep final params
-        best = copy.deepcopy(model.all_arrays())
-    model.load_all_arrays(best)
+        return model.state_dict(), history
+    model.load_state_dict(best)
     return best, history

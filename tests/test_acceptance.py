@@ -49,7 +49,8 @@ def desk_model(variant, vocab_size, seed):
 
 def text_only(vocab_size, seed):
     config = TextEncoderConfig(embedding_dim=16, hidden_dim=32)
-    return TextOnlyModel(TextEncoder(vocab_size, config, np.random.default_rng(seed)))
+    rng = np.random.default_rng(seed)
+    return TextOnlyModel(TextEncoder(vocab_size, config, rng), rng)
 
 
 def run_experiment(model, train_spec, mask=None, epochs=2, lr=2e-3, seed=0, test_spec=None):

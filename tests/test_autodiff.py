@@ -6,9 +6,9 @@ from mmfuse.autodiff import (
     AutodiffError,
     BatchNormState,
     CheckpointError,
+    MAGIC,
     ShapeMismatch,
     Tensor,
-    UnknownPrimitive,
     adam_step,
     backward,
     check_gradients,
@@ -17,7 +17,6 @@ from mmfuse.autodiff import (
     ops,
     save_arrays,
 )
-from mmfuse.autodiff.ops import eval_primitive
 
 
 class TestForward:
@@ -85,12 +84,6 @@ class TestForward:
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ShapeMismatch):
             ops.matmul(Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4))))
-
-    def test_registry_dispatch(self):
-        out = eval_primitive("relu", Tensor(np.array([-2.0, 3.0])))
-        assert np.array_equal(out.data, [0.0, 3.0])
-        with pytest.raises(UnknownPrimitive):
-            eval_primitive("not_a_primitive", Tensor(np.zeros(2)))
 
 
 class TestBackward:
@@ -258,3 +251,29 @@ class TestCheckpoint:
         path.write_text("NOTAMAGIC\n")
         with pytest.raises(CheckpointError):
             load_arrays(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"w x 2\n1.0 2.0\n",  # non-integer ndim
+            b"w 1 abc\n1.0\n",  # non-integer dim
+            b"w\n1.0\n",  # no ndim
+            b"w 1 -2\n\n",  # negative dim
+            b"w 2 2\n1.0 2.0\n",  # dim count differs from ndim
+            b"w 1 2\n1.0 oops\n",  # non-numeric value
+            b"w 1 3\n1.0 2.0\n",  # value count mismatch
+            b"w 1 2\n1.0 nan\n",  # non-finite value
+            b"w 1 1\n1.0\nw 1 1\n2.0\n",  # duplicate name
+            b"w 1 2\n",  # header without values
+            b"w 1 2\n\xff\xfe\n",  # not text
+        ],
+    )
+    def test_malformed_record_rejected(self, tmp_path, body):
+        path = tmp_path / "bad"
+        path.write_bytes(MAGIC.encode() + b"\n" + body)
+        with pytest.raises(CheckpointError):
+            load_arrays(path)
+
+    def test_unreadable_path_rejected(self, tmp_path):
+        with pytest.raises(CheckpointError):
+            load_arrays(tmp_path)

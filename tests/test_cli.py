@@ -1,11 +1,13 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mmfuse import dataset, synth
+from mmfuse.autodiff import load_arrays
 from mmfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 FAST_TRAIN = [
@@ -114,12 +116,87 @@ class TestEvalAndReportVerbs:
         rc = main(["report", str(empty), "--out", str(tmp_path / "out")])
         assert rc == EXIT_DATA
 
+    def test_malformed_report_is_data_error(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("model,inputs,f1_at_half,max_f1,auc,balanced_accuracy\nFCM,TT,0.5\n")
+        rc = main(["report", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+
     def test_missing_checkpoint_is_data_error(self, data_dir, tmp_path):
         rc = main([
             "eval", "--checkpoint", str(tmp_path / "nope.mfuse"),
             "--data", str(data_dir), "--out", str(tmp_path / "o"),
         ])
         assert rc == EXIT_DATA
+
+
+# Each case edits the lines of the FCM run's checkpoint and adds eval overrides.
+BAD_CHECKPOINTS = {
+    "wrong_variant": (lambda lines: lines, ["--set", "model.variant=TKM"]),
+    "wrong_hidden_dim": (lambda lines: lines, ["--set", "model.hidden_dim=16"]),
+    "missing_key": (lambda lines: lines[:1] + lines[3:], []),
+    "unexpected_key": (lambda lines: lines + ["zzz.extra 1 2", "0.5 0.25"], []),
+    "truncated_record": (lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0]], []),
+    "non_integer_dim": (
+        lambda lines: [lines[0], lines[1].rsplit(" ", 1)[0] + " x"] + lines[2:], []
+    ),
+}
+
+
+class TestDataErrors:
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+    def test_bad_checkpoint_exits_3(self, case, data_dir, run_dir, tmp_path, capsys):
+        edit, overrides = BAD_CHECKPOINTS[case]
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(run_dir / "model.cfg", run)
+        lines = (run_dir / "checkpoint.mfuse").read_text().splitlines()
+        (run / "checkpoint.mfuse").write_text("\n".join(edit(lines)) + "\n")
+        capsys.readouterr()
+        rc = main([
+            "eval", "--checkpoint", str(run / "checkpoint.mfuse"),
+            "--data", str(data_dir), "--out", str(tmp_path / "o"), *overrides,
+        ])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err.startswith("data error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_malformed_vocabulary_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "vocab.txt").write_text("plain\ntokens\n")
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+
+
+class TestLstmVariant:
+    def test_train_then_eval(self, data_dir, tmp_path):
+        run = tmp_path / "run"
+        rc = main([
+            "train", "--data", str(data_dir), "--out", str(run),
+            "--set", "model.variant=LSTM", "--set", "train.epochs=1", "--set", "train.lr=0.002",
+        ])
+        assert rc == EXIT_OK
+        names = load_arrays(run / "checkpoint.mfuse")
+        assert {name.split(".")[0] for name in names} == {"text", "head"}
+        out = tmp_path / "eval"
+        rc = main([
+            "eval", "--checkpoint", str(run / "checkpoint.mfuse"),
+            "--data", str(data_dir), "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        row = (out / "report.csv").read_text().splitlines()[1].split(",")
+        assert row[:2] == ["LSTM", "TT"]
+
+    def test_mask_beyond_tweet_text_is_config_error(self, data_dir, tmp_path):
+        rc = main([
+            "train", "--data", str(data_dir), "--out", str(tmp_path / "o"),
+            "--set", "model.variant=LSTM", "--set", "train.mask=I",
+        ])
+        assert rc == EXIT_CONFIG
 
 
 class TestPrepareVerb:

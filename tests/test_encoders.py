@@ -3,16 +3,15 @@ import pytest
 
 from mmfuse.autodiff import Tensor, check_gradients, ops
 from mmfuse.encoders import (
-    ImagePreprocessConfig,
     TextEncoder,
     TextEncoderConfig,
     VisionBackbone,
     VisionBackboneConfig,
     Vocabulary,
-    preprocess_image,
     preprocess_tweet_text,
 )
-from mmfuse.encoders.text import HASHTAG, NUMBER, PAD, SPECIALS, UNK, URL, USER, load_embeddings
+from mmfuse.encoders.text import HASHTAG, NUMBER, PAD, SPECIALS, UNK, URL, USER
+from mmfuse.training import TextOnlyModel
 
 
 class TestPreprocessing:
@@ -66,20 +65,6 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary.load(path)
 
-    def test_load_embeddings(self, tmp_path):
-        vocab = Vocabulary(["cat", "dog"])
-        path = tmp_path / "vec.txt"
-        path.write_text("cat 1.0 2.0\nhorse 9.0 9.0\n")
-        matrix = load_embeddings(path, vocab, 2)
-        assert np.array_equal(matrix[vocab.lookup("cat")], [1.0, 2.0])
-        assert np.array_equal(matrix[vocab.lookup("dog")], [0.0, 0.0])
-
-    def test_load_embeddings_rejects_bad_width(self, tmp_path):
-        path = tmp_path / "vec.txt"
-        path.write_text("cat 1.0\n")
-        with pytest.raises(ValueError):
-            load_embeddings(path, Vocabulary(), 2)
-
 
 class TestTextEncoder:
     def test_reference_default_dims(self):
@@ -102,9 +87,10 @@ class TestTextEncoder:
 
     def test_zero_head_gives_zero_logits(self, rng):
         enc = TextEncoder(10, TextEncoderConfig(embedding_dim=4, hidden_dim=6), rng)
-        enc.head.weight.data[:] = 0.0
-        enc.head.bias.data[:] = 0.0
-        logits = enc.classify([[1, 2], [3]])
+        model = TextOnlyModel(enc, rng)
+        model.head.weight.data[:] = 0.0
+        model.head.bias.data[:] = 0.0
+        logits = model.forward(None, [[1, 2], [3]], None)
         assert logits.shape == (2, 2)
         assert np.array_equal(logits.data, np.zeros((2, 2)))
 
@@ -122,43 +108,15 @@ class TestTextEncoder:
 
     def test_classifier_gradient(self, rng):
         enc = TextEncoder(8, TextEncoderConfig(embedding_dim=3, hidden_dim=4), rng)
+        model = TextOnlyModel(enc, rng)
         probe = Tensor(rng.standard_normal((2, 2)))
 
         def fn(*params):
-            logits = enc.classify([[1, 2], [3, 4, 5]])
+            logits = model.forward(None, [[1, 2], [3, 4, 5]], None)
             return ops.sum_(ops.mul(ops.tanh(logits), probe))
 
-        inputs = list(enc.parameters().values())
+        inputs = list(model.parameters().values())
         assert check_gradients(fn, inputs) <= 1e-4
-
-
-class TestImagePreprocess:
-    def test_reference_geometry(self):
-        config = ImagePreprocessConfig.reference()
-        assert (config.resize_shortest, config.crop_side) == (500, 299)
-
-    def test_eval_center_crop_square_input(self, rng):
-        config = ImagePreprocessConfig(resize_shortest=8, crop_side=6)
-        image = rng.random((8, 8, 3))
-        out = preprocess_image(image, "eval", config)
-        assert out.shape == (6, 6, 3)
-        assert np.allclose(out, image[1:7, 1:7], atol=1e-12)
-
-    def test_train_is_seed_deterministic(self, rng):
-        config = ImagePreprocessConfig(resize_shortest=10, crop_side=6)
-        image = rng.random((12, 17, 3))
-        a = preprocess_image(image, "train", config, seed=5)
-        b = preprocess_image(image, "train", config, seed=5)
-        assert np.array_equal(a, b)
-
-    def test_bad_mode_rejected(self, rng):
-        with pytest.raises(ValueError):
-            preprocess_image(rng.random((8, 8, 3)), "test", ImagePreprocessConfig(8, 6))
-
-    def test_resize_preserves_constant_images(self):
-        image = np.full((10, 14, 3), 0.25)
-        out = preprocess_image(image, "eval", ImagePreprocessConfig(resize_shortest=8, crop_side=8))
-        assert np.allclose(out, 0.25, atol=1e-12)
 
 
 class TestVisionBackbone:

@@ -3,13 +3,7 @@ import pytest
 
 from mmfuse.autodiff import ShapeMismatch, Tensor, check_gradients, ops
 from mmfuse.encoders import TextEncoderConfig, VisionBackboneConfig
-from mmfuse.fusion import (
-    FusionHead,
-    FusionModelConfig,
-    InputMask,
-    MultimodalModel,
-    apply_input_mask,
-)
+from mmfuse.fusion import FusionHead, FusionModelConfig, InputMask, MultimodalModel
 
 
 def desk_config(variant, **kw):
@@ -52,19 +46,6 @@ class TestInputMask:
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError):
             InputMask.parse("TT,XYZ")
-
-    def test_apply_mask_zeroes_unavailable(self, rng):
-        config = desk_config("FCM")
-        v, tt, it = desk_inputs(config, rng)
-        mv, mtt, mit = apply_input_mask(v, tt, it, InputMask.parse("TT"))
-        assert np.array_equal(mv.data, np.zeros_like(v.data))
-        assert mtt is tt
-        assert np.array_equal(mit.data, np.zeros_like(it.data))
-
-    def test_apply_mask_all_true_is_identity(self, rng):
-        config = desk_config("FCM")
-        v, tt, it = desk_inputs(config, rng)
-        assert apply_input_mask(v, tt, it, InputMask()) == (v, tt, it)
 
 
 class TestConfig:
@@ -226,19 +207,6 @@ class TestMultimodalModel:
     def test_shared_text_encoder_default(self):
         model = self.build("FCM")
         assert model.imgtext_encoder is model.text_encoder
-
-    def test_checkpoint_round_trip_restores_logits(self, rng, tmp_path):
-        from mmfuse.autodiff import load_arrays, save_arrays
-
-        model = self.build("TKM", seed=1)
-        images = rng.random((2, 8, 8, 3))
-        tweets, imgtexts = [[1, 2], [3]], [[4], [5]]
-        before = model.forward(images, tweets, imgtexts).data
-        save_arrays(tmp_path / "ck", model.all_arrays())
-        other = self.build("TKM", seed=2)
-        other.load_all_arrays(load_arrays(tmp_path / "ck"))
-        after = other.forward(images, tweets, imgtexts).data
-        assert np.array_equal(before, after)
 
     def test_mismatched_backbone_rejected(self):
         backbone = VisionBackboneConfig(input_side=8, channels=(4, 8))

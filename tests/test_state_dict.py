@@ -1,0 +1,140 @@
+"""One state dict for every model: round trips, strict loading, gradient coverage."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from mmfuse.autodiff import CheckpointError, backward, load_arrays, ops, save_arrays
+from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig
+from mmfuse.fusion import FusionModelConfig, MultimodalModel
+from mmfuse.training import TextOnlyModel
+
+TWEETS = [[1, 2], [3], [4, 5, 6]]
+IMGTEXTS = [[7], [8, 9], []]
+
+
+def build(variant, seed=0, share_text_encoder=True, hidden_dim=6):
+    text = TextEncoderConfig(embedding_dim=5, hidden_dim=hidden_dim)
+    if variant == "LSTM":
+        rng = np.random.default_rng(seed)
+        return TextOnlyModel(TextEncoder(20, text, rng), rng)
+    fusion = FusionModelConfig(
+        variant=variant,
+        visual_dim=8,
+        map_side=2,
+        hidden_dim=hidden_dim,
+        tweet_kernels=3,
+        imgtext_kernels=2,
+        fc_plan=(10, 2),
+        fusion_channels=5,
+        dropout_rate=0.2,
+    )
+    return MultimodalModel(
+        20,
+        fusion,
+        backbone_config=VisionBackboneConfig(input_side=8, channels=(4, 8)),
+        text_config=text,
+        seed=seed,
+        share_text_encoder=share_text_encoder,
+    )
+
+
+def forward(model, images, training=False):
+    return model.forward(images, TWEETS, IMGTEXTS, training=training, rng=np.random.default_rng(1))
+
+
+@pytest.fixture
+def images(rng):
+    return rng.random((3, 8, 8, 3))
+
+
+@pytest.mark.parametrize("variant", ["FCM", "SCM", "TKM", "LSTM"])
+def test_round_trip_restores_logits(variant, images, tmp_path):
+    model = build(variant, seed=1)
+    forward(model, images, training=True)  # moves the batch-norm running statistics
+    before = forward(model, images).data
+    save_arrays(tmp_path / "ck", model.state_dict())
+    other = build(variant, seed=2)
+    other.load_state_dict(load_arrays(tmp_path / "ck"))
+    assert np.array_equal(forward(other, images).data, before)
+
+
+def test_state_dict_holds_copies():
+    model = build("TKM")
+    before = model.state_dict()
+    for value in model.state_dict().values():
+        value += 1.0
+    for name, value in model.state_dict().items():
+        assert np.array_equal(value, before[name]), name
+
+
+def test_state_dict_covers_running_statistics():
+    names = build("SCM").state_dict()
+    assert "backbone.stage0.bn.running_mean" in names
+    assert "head.conv.bn0.running_var" in names
+
+
+class TestStrictLoad:
+    def test_missing_key(self):
+        arrays = build("FCM").state_dict()
+        del arrays["head.fc.out.bias"]
+        with pytest.raises(CheckpointError, match="missing key 'head.fc.out.bias'"):
+            build("FCM").load_state_dict(arrays)
+
+    def test_unexpected_key(self):
+        arrays = build("FCM").state_dict()
+        arrays["text.head.weight"] = np.zeros((6, 2))
+        with pytest.raises(CheckpointError, match="unexpected key 'text.head.weight'"):
+            build("FCM").load_state_dict(arrays)
+
+    def test_wrong_variant(self):
+        with pytest.raises(CheckpointError, match="missing key"):
+            build("TKM").load_state_dict(build("FCM").state_dict())
+
+    def test_wrong_shape(self):
+        with pytest.raises(CheckpointError, match="shape"):
+            build("SCM", hidden_dim=6).load_state_dict(build("SCM", hidden_dim=7).state_dict())
+
+    def test_failed_load_copies_nothing(self):
+        model = build("TKM", seed=1)
+        before = model.state_dict()
+        arrays = build("TKM", seed=2).state_dict()
+        last = sorted(arrays)[-1]
+        arrays[last] = np.zeros(arrays[last].size + 1)
+        with pytest.raises(CheckpointError, match=last):
+            model.load_state_dict(arrays)
+        for name, value in model.state_dict().items():
+            assert np.array_equal(value, before[name]), name
+
+
+@pytest.mark.parametrize(
+    "variant, share",
+    [(v, s) for v in ("FCM", "SCM", "TKM") for s in (True, False)] + [("LSTM", True)],
+)
+def test_every_parameter_gets_a_gradient(variant, share, images):
+    model = build(variant, share_text_encoder=share)
+    loss = ops.softmax_cross_entropy(forward(model, images, training=True), np.array([0, 1, 1]))
+    backward(loss)
+    missing = [name for name, p in model.parameters().items() if p.grad is None]
+    assert missing == []
+
+
+def test_lstm_baseline_initial_weights_are_pinned():
+    """The head is drawn from the encoder's rng after the encoder.
+
+    The digest pins the draw order (embedding table, LSTM gates, then head),
+    so the text-only baseline keeps its starting weights for a given seed.
+    """
+    rng = np.random.default_rng(7)
+    encoder = TextEncoder(11, TextEncoderConfig(embedding_dim=4, hidden_dim=5), rng)
+    model = TextOnlyModel(encoder, rng)
+    arrays = model.state_dict()
+    order = (
+        ["text.embed"]
+        + [f"text.lstm.{kind}_{gate}" for gate in "ifgo" for kind in "WUb"]
+        + ["head.weight", "head.bias"]
+    )
+    assert sorted(order) == sorted(arrays)
+    digest = hashlib.sha256(b"".join(arrays[name].tobytes() for name in order)).hexdigest()
+    assert digest == "e440cad9fe3ec142c4aeec9635010bb7355a1cd35a7fcbdd4d2572126ab7c262"

@@ -20,7 +20,8 @@ from mmfuse.training import (
 def text_only_model(seed=0, vocab_size=None, hidden=16):
     vocab_size = vocab_size or len(synth.build_vocabulary())
     config = TextEncoderConfig(embedding_dim=8, hidden_dim=hidden)
-    return TextOnlyModel(TextEncoder(vocab_size, config, np.random.default_rng(seed)))
+    rng = np.random.default_rng(seed)
+    return TextOnlyModel(TextEncoder(vocab_size, config, rng), rng)
 
 
 def synth_data(mode="unimodal_text", n=200, seed=0, **kw):
@@ -108,8 +109,8 @@ class TestTrainLoop:
 
     def test_initial_loss_is_ln2_with_zero_head(self):
         model = text_only_model()
-        model.text_encoder.head.weight.data[:] = 0.0
-        model.text_encoder.head.bias.data[:] = 0.0
+        model.head.weight.data[:] = 0.0
+        model.head.bias.data[:] = 0.0
         train_data, val_data = synth_data(n=32)
         config = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-9, seed=0)
         _, history = train(model, train_data, val_data, config)
