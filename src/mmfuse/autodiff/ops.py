@@ -2,9 +2,10 @@
 
 The primitive set is exactly what the fusion models need: dense algebra,
 pointwise nonlinearities, 2-D convolution, per-example dynamic 1x1
-convolution, batch normalization, dropout, embedding lookup, softmax and
-weighted cross-entropy. Every op returns a new Tensor carrying a backprop
-closure; shapes are validated up front with diagnostics naming the primitive.
+convolution, batch normalization, dropout, embedding lookup, a whole-sequence
+LSTM, softmax and weighted cross-entropy. Every op returns a new Tensor
+carrying a backprop closure; shapes are validated up front with diagnostics
+naming the primitive.
 """
 
 from __future__ import annotations
@@ -339,9 +340,10 @@ def batch_norm(x, gamma, beta, state, training):
     if training:
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        m = state.momentum
-        state.running_mean = m * state.running_mean + (1.0 - m) * mean
-        state.running_var = m * state.running_var + (1.0 - m) * var
+        if count > 1:  # one value per channel has no spread; it would pull running_var to 0
+            m = state.momentum
+            state.running_mean = m * state.running_mean + (1.0 - m) * mean
+            state.running_var = m * state.running_var + (1.0 - m) * var
     else:
         mean = state.running_mean
         var = state.running_var
@@ -408,6 +410,71 @@ def embedding(weight, ids):
         accumulate_grad(weight, dw)
 
     return from_op(data, (weight,), backprop)
+
+
+def lstm_sequence(x, W, U, b, lengths):
+    """Single-layer LSTM over a right-padded batch, as one tape node.
+
+    ``x`` is (N, T, E); ``W`` (E, 4H), ``U`` (H, 4H) and ``b`` (4H,) hold the
+    gates as H-wide column blocks in the order i, f, g, o. Example n reads its
+    first ``lengths[n]`` steps and then keeps its state. Returns the (N, H)
+    hidden state after each example's last step (zeros for an empty one).
+    ``X @ W`` is one GEMM over all N*T rows; each step adds ``h @ U``, then
+    ``b``. Backward is hand-written BPTT with one GEMM per weight gradient.
+    """
+    x, W, U, b = as_tensor(x), as_tensor(W), as_tensor(U), as_tensor(b)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if x.ndim != 3 or U.ndim != 2:
+        raise ShapeMismatch("lstm_sequence", f"need x (N,T,E), U (H,4H), got {x.shape}/{U.shape}")
+    (n, steps, e), hd = x.shape, U.shape[0]
+    if W.shape != (e, 4 * hd) or U.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
+        raise ShapeMismatch(
+            "lstm_sequence", f"W/U/b {W.shape}/{U.shape}/{b.shape} do not fit E={e}, H={hd}"
+        )
+    if lengths.shape != (n,) or (lengths < 0).any() or (lengths > steps).any():
+        raise ShapeMismatch("lstm_sequence", f"lengths must be {n} values in [0, {steps}]")
+
+    x2d = x.data.reshape(n * steps, e)
+    xw = (x2d @ W.data).reshape(n, steps, 4 * hd)
+    active = (lengths[None, :] > np.arange(steps)[:, None])[:, :, None]  # (T, N, 1)
+    hs = np.zeros((steps + 1, n, hd))  # hs[t] is the state entering step t
+    cs = np.zeros((steps + 1, n, hd))
+    acts = np.empty((steps, n, 4 * hd))  # sigmoid of i, f, o and tanh of g
+    tanh_c = np.empty((steps, n, hd))
+    i_, f_, g_, o_ = (np.s_[:, k * hd : (k + 1) * hd] for k in range(4))
+    for t in range(steps):
+        pre = (xw[:, t] + hs[t] @ U.data) + b.data
+        with np.errstate(over="ignore"):
+            a = 1.0 / (1.0 + np.exp(-pre))
+        a[g_] = np.tanh(pre[g_])
+        c_new = a[f_] * cs[t] + a[i_] * a[g_]
+        tanh_c[t] = np.tanh(c_new)
+        h_new = a[o_] * tanh_c[t]
+        hs[t + 1] = np.where(active[t], h_new, hs[t])
+        cs[t + 1] = np.where(active[t], c_new, cs[t])
+        acts[t] = a
+
+    def backprop(grad):
+        dpre = np.zeros((steps, n, 4 * hd))
+        dh, dc = grad, np.zeros((n, hd))
+        for t in reversed(range(steps)):
+            a, on, d = acts[t], active[t], dpre[t]
+            dh_new = np.where(on, dh, 0.0)
+            dc_new = np.where(on, dc, 0.0) + dh_new * a[o_] * (1.0 - tanh_c[t] * tanh_c[t])
+            d[i_] = dc_new * a[g_]
+            d[f_] = dc_new * cs[t]
+            d[o_] = dh_new * tanh_c[t]
+            d *= a * (1.0 - a)
+            d[g_] = dc_new * a[i_] * (1.0 - a[g_] * a[g_])
+            dh = np.where(on, 0.0, dh) + d @ U.data.T
+            dc = np.where(on, dc_new * a[f_], dc)
+        accumulate_grad(U, hs[:-1].reshape(-1, hd).T @ dpre.reshape(-1, 4 * hd))
+        accumulate_grad(b, dpre.sum(axis=(0, 1)))
+        dxw = dpre.transpose(1, 0, 2).reshape(n * steps, 4 * hd)
+        accumulate_grad(W, x2d.T @ dxw)
+        accumulate_grad(x, (dxw @ W.data.T).reshape(x.shape))
+
+    return from_op(hs[steps], (x, W, U, b), backprop)
 
 
 def softmax(x, axis=-1):

@@ -313,7 +313,12 @@ def cmd_train(args, cfg):
                 fh.write(f"{key} = {resolved[key]}\n")
     write_manifest(out, "train", resolved, [str(checkpoint), str(out / "history.csv")])
     if history.diverged:
-        print("train: diverged (non-finite loss); kept last finite checkpoint", file=sys.stderr)
+        cause = (
+            f"non-finite gradient of {history.nonfinite_grad!r}"
+            if history.nonfinite_grad
+            else "non-finite loss"
+        )
+        print(f"train: diverged ({cause}); kept last finite checkpoint", file=sys.stderr)
         return EXIT_NUMERIC
     print(
         f"train: {len(history.steps)} steps, best val AUC "
@@ -357,7 +362,10 @@ def cmd_eval(args, cfg):
     mask = _input_mask(cfg, model)
     with _reraise(DataError, f"{args.data}: "):  # images of another size than the model's
         scored = score_dataset(model, splits[args.split], mask=mask)
-    report = evaluation.evaluate(scored)
+    try:
+        report = evaluation.evaluate(scored)
+    except evaluation.MetricError as exc:  # a split with one class only
+        raise DataError(f"{args.data}: {args.split} split: {exc}") from None
     name = cfgmod.get_str(cfg, "eval.name", cfgmod.get_str(cfg, "model.variant", "TKM"))
     with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -142,8 +142,7 @@ class TextEncoder(Layer):
         ids, lengths = self.pad_batch(id_lists)
         if ids.shape[1] == 0:
             return Tensor(np.zeros((len(id_lists), self.config.hidden_dim)))
-        steps = [ops.embedding(self.embed, ids[:, t]) for t in range(ids.shape[1])]
-        return self.lstm(steps, lengths)
+        return self.lstm(ops.embedding(self.embed, ids), lengths)
 
     def _children(self):
         return {"lstm": self.lstm}

@@ -115,6 +115,16 @@ def primitive_checks(seed=0):
         lambda x: ops.softmax_cross_entropy(x, labels, [1.7, 0.3]),
         t((6, 2)),
     )
+    lengths = np.array([2, 0, 4])  # mixed, with an empty and a full-length sequence
+    s_lstm = _probe(rng, (3, 2))
+    case(
+        "lstm_sequence",
+        lambda x, w, u, b: s_lstm(ops.lstm_sequence(x, w, u, b, lengths)),
+        t((3, 4, 3)),
+        t((3, 8)),
+        t((2, 8)),
+        t((8,)),
+    )
     return checks
 
 

@@ -124,59 +124,30 @@ class BatchNorm(Layer):
 
 
 class LSTM(Layer):
-    """Single-layer LSTM with per-gate weight matrices and zero initial state."""
+    """Single-layer LSTM with packed gate parameters and zero initial state.
+
+    ``W`` (E, 4H), ``U`` (H, 4H) and ``b`` (4H,) hold the gates as H-wide
+    column blocks in the order i, f, g, o. The Glorot blocks are drawn one
+    gate at a time, W before U, and then concatenated.
+    """
 
     GATES = ("i", "f", "g", "o")
 
     def __init__(self, input_dim, hidden_dim, rng):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self._p = {}
-        for gate in self.GATES:
-            self._p[f"W_{gate}"] = Tensor(
-                glorot(rng, input_dim, hidden_dim, (input_dim, hidden_dim)), requires_grad=True
+        blocks = [
+            (
+                glorot(rng, input_dim, hidden_dim, (input_dim, hidden_dim)),
+                glorot(rng, hidden_dim, hidden_dim, (hidden_dim, hidden_dim)),
             )
-            self._p[f"U_{gate}"] = Tensor(
-                glorot(rng, hidden_dim, hidden_dim, (hidden_dim, hidden_dim)), requires_grad=True
-            )
-            self._p[f"b_{gate}"] = Tensor(np.zeros(hidden_dim), requires_grad=True)
+            for _ in self.GATES
+        ]
+        self.W = Tensor(np.concatenate([w for w, _ in blocks], axis=1), requires_grad=True)
+        self.U = Tensor(np.concatenate([u for _, u in blocks], axis=1), requires_grad=True)
+        self.b = Tensor(np.zeros(4 * hidden_dim), requires_grad=True)
 
-    def step(self, x_t, h, c):
-        p = self._p
-
-        def gate(name, act):
-            pre = ops.add(
-                ops.add(ops.matmul(x_t, p[f"W_{name}"]), ops.matmul(h, p[f"U_{name}"])),
-                p[f"b_{name}"],
-            )
-            return act(pre)
-
-        i = gate("i", ops.sigmoid)
-        f = gate("f", ops.sigmoid)
-        g = gate("g", ops.tanh)
-        o = gate("o", ops.sigmoid)
-        c_new = ops.add(ops.mul(f, c), ops.mul(i, g))
-        h_new = ops.mul(o, ops.tanh(c_new))
-        return h_new, c_new
-
-    def __call__(self, embedded, lengths):
-        """Run over a right-padded batch.
-
-        ``embedded`` is a list of (N, input_dim) Tensors, one per time step;
-        ``lengths`` gives each example's true length. Returns the hidden state
-        at each example's final step (zero vector for empty sequences).
-        """
-        n = embedded[0].shape[0] if embedded else len(lengths)
-        h = Tensor(np.zeros((n, self.hidden_dim)))
-        c = Tensor(np.zeros((n, self.hidden_dim)))
-        lengths = np.asarray(lengths)
-        for t, x_t in enumerate(embedded):
-            h_new, c_new = self.step(x_t, h, c)
-            active = Tensor((lengths > t).astype(np.float64)[:, None])
-            inactive = Tensor(1.0 - active.data)
-            h = ops.add(ops.mul(active, h_new), ops.mul(inactive, h))
-            c = ops.add(ops.mul(active, c_new), ops.mul(inactive, c))
-        return h
+    def __call__(self, x, lengths):
+        """Hidden state at each example's last step of the (N, T, E) input ``x``."""
+        return ops.lstm_sequence(x, self.W, self.U, self.b, lengths)
 
     def parameters(self):
-        return dict(self._p)
+        return {"W": self.W, "U": self.U, "b": self.b}

@@ -55,6 +55,7 @@ class TrainHistory:
     best_step: int = -1
     best_val_auc: float = float("nan")
     diverged: bool = False
+    nonfinite_grad: str = ""  # the first parameter with a non-finite gradient, if any
 
     def write_csv(self, path):
         evals = dict(self.evals)
@@ -130,8 +131,10 @@ def train(model, train_data, val_data, config):
     """Run the training loop; returns (best_arrays, history).
 
     The model is left holding the best-validation-AUC parameters. Training
-    aborts (history.diverged) on a non-finite loss, returning the last finite
-    checkpoint.
+    aborts (history.diverged) on a non-finite loss or gradient, before ADAM
+    applies it, and returns the last finite checkpoint;
+    ``history.nonfinite_grad`` names the first parameter whose gradient was
+    non-finite.
     """
     if len(train_data) == 0:
         raise ValueError("train split is empty")
@@ -152,6 +155,11 @@ def train(model, train_data, val_data, config):
     best = model.state_dict()
     best_auc = -np.inf
     step = 0
+
+    def diverge():
+        history.diverged = True
+        model.load_state_dict(best)
+        return best, history
 
     def evaluate_now():
         nonlocal best, best_auc
@@ -183,13 +191,15 @@ def train(model, train_data, val_data, config):
             loss = ops.softmax_cross_entropy(logits, batch.labels, weights)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
-                history.diverged = True
-                model.load_state_dict(best)
-                return best, history
+                return diverge()
             step += 1
             history.steps.append((step, loss_value))
             backward(loss)
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
+            for name, grad in grads.items():
+                if not np.isfinite(grad).all():
+                    history.nonfinite_grad = name
+                    return diverge()
             adam_step(params, grads, adam)
             if config.eval_every and step % config.eval_every == 0:
                 evaluate_now()

@@ -142,6 +142,15 @@ class TestBatchNormAndDropout:
         assert np.allclose(out.data.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(out.data.std(axis=0), 1.0, atol=1e-3)
 
+    def test_batch_norm_single_example_keeps_running_stats(self, rng):
+        state = BatchNormState(3)
+        state.running_mean = np.array([0.5, -1.0, 2.0])
+        state.running_var = np.array([1.5, 0.25, 4.0])
+        x = Tensor(rng.standard_normal((1, 3)))
+        ops.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), state, training=True)
+        assert np.array_equal(state.running_mean, [0.5, -1.0, 2.0])
+        assert np.array_equal(state.running_var, [1.5, 0.25, 4.0])
+
     def test_batch_norm_eval_is_deterministic(self, rng):
         x = rng.standard_normal((4, 5))
         state = BatchNormState(5)

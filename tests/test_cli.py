@@ -1,14 +1,16 @@
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmfuse import dataset, synth
+from mmfuse import dataset, synth, training
 from mmfuse.autodiff import load_arrays
-from mmfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from mmfuse.autodiff.tensor import _toposort
+from mmfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 FAST_TRAIN = [
     "--set", "train.epochs=1",
@@ -89,6 +91,28 @@ class TestTrainVerb:
         second = json.loads((rerun / "manifest.json").read_text())
         assert first["artifacts"]["checkpoint.mfuse"] == second["artifacts"]["checkpoint.mfuse"]
 
+    def test_nonfinite_gradient_names_parameter(self, data_dir, tmp_path, monkeypatch, capsys):
+        real_backward = training.backward
+
+        def nan_gradients(loss):
+            real_backward(loss)
+            for node in _toposort(loss):
+                if node._backprop is None and node.grad is not None:
+                    node.grad = np.full_like(node.grad, np.nan)
+
+        monkeypatch.setattr(training, "backward", nan_gradients)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        rc = main(["train", "--data", str(data_dir), "--out", str(out), *FAST_TRAIN])
+        err = capsys.readouterr().err.strip()
+        assert rc == EXIT_NUMERIC
+        match = re.fullmatch(
+            r"train: diverged \(non-finite gradient of '([\w.]+)'\); kept last finite checkpoint",
+            err,
+        )
+        assert match, err
+        assert match.group(1) in load_arrays(out / "checkpoint.mfuse")
+
 
 class TestEvalAndReportVerbs:
     def test_eval_writes_report_and_curves(self, data_dir, run_dir, tmp_path):
@@ -156,6 +180,27 @@ class TestDataErrors:
         rc = main([
             "eval", "--checkpoint", str(run / "checkpoint.mfuse"),
             "--data", str(data_dir), "--out", str(tmp_path / "o"), *overrides,
+        ])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err.startswith("data error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_single_class_test_split_exits_3(self, data_dir, run_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        records = (data / "test.jsonl").read_text().splitlines()
+        not_hate = [
+            line for line in records
+            if all(a["category"] == "NotHate" for a in json.loads(line)["annotations"])
+        ]
+        assert 0 < len(not_hate) < len(records)
+        (data / "test.jsonl").write_text("\n".join(not_hate) + "\n")
+        capsys.readouterr()
+        rc = main([
+            "eval", "--checkpoint", str(run_dir / "checkpoint.mfuse"),
+            "--data", str(data), "--out", str(tmp_path / "o"),
         ])
         err = capsys.readouterr().err
         assert rc == EXIT_DATA

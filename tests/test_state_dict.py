@@ -125,16 +125,23 @@ def test_lstm_baseline_initial_weights_are_pinned():
 
     The digest pins the draw order (embedding table, LSTM gates, then head),
     so the text-only baseline keeps its starting weights for a given seed.
+    The packed LSTM arrays are hashed one gate's column block at a time, in
+    the order the per-gate matrices were drawn, so the digest is the one the
+    per-gate LSTM gave.
     """
     rng = np.random.default_rng(7)
-    encoder = TextEncoder(11, TextEncoderConfig(embedding_dim=4, hidden_dim=5), rng)
+    hidden = 5
+    encoder = TextEncoder(11, TextEncoderConfig(embedding_dim=4, hidden_dim=hidden), rng)
     model = TextOnlyModel(encoder, rng)
     arrays = model.state_dict()
-    order = (
-        ["text.embed"]
-        + [f"text.lstm.{kind}_{gate}" for gate in "ifgo" for kind in "WUb"]
-        + ["head.weight", "head.bias"]
-    )
-    assert sorted(order) == sorted(arrays)
-    digest = hashlib.sha256(b"".join(arrays[name].tobytes() for name in order)).hexdigest()
+    assert sorted(arrays) == [
+        "head.bias", "head.weight", "text.embed", "text.lstm.U", "text.lstm.W", "text.lstm.b"
+    ]
+    blocks = [
+        arrays[f"text.lstm.{kind}"][..., k * hidden : (k + 1) * hidden]
+        for k in range(4)
+        for kind in "WUb"
+    ]
+    pieces = [arrays["text.embed"], *blocks, arrays["head.weight"], arrays["head.bias"]]
+    digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in pieces)).hexdigest()
     assert digest == "e440cad9fe3ec142c4aeec9635010bb7355a1cd35a7fcbdd4d2572126ab7c262"

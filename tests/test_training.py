@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmfuse import synth
+from mmfuse import synth, training
 from mmfuse.autodiff import Tensor, ops
 from mmfuse.encoders import TextEncoder, TextEncoderConfig
 from mmfuse.evaluation import auc_roc
@@ -163,3 +163,26 @@ class TestTrainLoop:
         config = TrainConfig(epochs=1, batch_size=32, class_weight_mode="uniform", seed=9)
         _, history = train(model, train_data, val_data, config)
         assert len(history.steps) == 1
+
+    def test_nonfinite_gradient_aborts_before_adam(self, monkeypatch):
+        model = text_only_model(seed=2)
+        initial = model.state_dict()
+        real_backward = training.backward
+        losses = []
+
+        def nan_on_second_step(loss):
+            real_backward(loss)
+            losses.append(loss)
+            if len(losses) == 2:
+                model.head.bias.grad[1] = np.nan
+
+        monkeypatch.setattr(training, "backward", nan_on_second_step)
+        train_data, val_data = synth_data(n=96, seed=8)
+        config = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-2, seed=9)
+        best, history = train(model, train_data, val_data, config)
+        assert history.diverged
+        assert history.nonfinite_grad == "head.bias"
+        assert len(history.steps) == 2
+        for name, value in model.state_dict().items():
+            assert np.array_equal(value, initial[name]), name
+            assert np.array_equal(best[name], initial[name]), name
