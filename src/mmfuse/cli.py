@@ -106,10 +106,18 @@ def build_model_config(cfg):
 
 
 def build_model(cfg, vocab_size):
-    """The configured model; ``model.variant=LSTM`` is the text-only baseline."""
+    """The configured model; ``model.variant=LSTM`` is the text-only baseline.
+
+    ``train.mask`` picks the inputs the model reads; it defaults to all of
+    them, or to tweet text only for the LSTM, which reads nothing else.
+    """
     seed = cfgmod.get_seed(cfg, "model.seed", 0)
+    lstm = cfgmod.get_str(cfg, "model.variant", "TKM") == "LSTM"
     with _reraise(ConfigError):
-        if cfgmod.get_str(cfg, "model.variant", "TKM") == "LSTM":
+        mask = InputMask.parse(cfgmod.get_str(cfg, "train.mask", "TT" if lstm else "TT,IT,I"))
+        if lstm:
+            if mask.label() != "TT":
+                raise ConfigError(f"model.variant=LSTM reads tweet text only, not {mask.label()}")
             rng = np.random.default_rng(seed)
             return TextOnlyModel(TextEncoder(vocab_size, build_text_config(cfg), rng), rng)
         backbone, fusion, text = build_model_config(cfg)
@@ -120,6 +128,7 @@ def build_model(cfg, vocab_size):
             text_config=text,
             seed=seed,
             share_text_encoder=cfgmod.get_bool(cfg, "model.share_text_encoder", True),
+            mask=mask,
         )
 
 
@@ -271,8 +280,6 @@ def cmd_synth(args, cfg):
         records = synth.to_records(examples, split, image_dir=str(out / "images"))
         dataset.export_corpus(records, out / f"{split}.jsonl")
         artifacts.append(out / f"{split}.jsonl")
-    cfg = dict(cfg)
-    cfg.setdefault("model.image_side", str(spec.image_side))
     write_manifest(out, "synth", cfg, [str(p) for p in artifacts])
     print(f"synth: wrote {', '.join(f'{len(v)} {k}' for k, v in splits.items())} to {out}")
     return EXIT_OK
@@ -283,10 +290,10 @@ def cmd_train(args, cfg):
         cfg = {**load_manifest_config(args.manifest), **cfg}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data_manifest = Path(args.data) / "manifest.json"
-    if data_manifest.exists() and "model.image_side" not in cfg:
-        cfg["model.image_side"] = load_manifest_config(data_manifest).get("model.image_side", "16")
     vocab, splits = load_data_dir(args.data, ("train", "val"))
+    images = splits["train"].images
+    if images.size:
+        cfg.setdefault("model.image_side", str(images.shape[1]))
     model = build_model(cfg, len(vocab))
     with _reraise(ConfigError):
         train_config = TrainConfig(
@@ -294,7 +301,6 @@ def cmd_train(args, cfg):
             batch_size=cfgmod.get_int(cfg, "train.batch_size", 32),
             epochs=cfgmod.get_int(cfg, "train.epochs", 3),
             seed=cfgmod.get_seed(cfg, "train.seed", 0),
-            mask=_input_mask(cfg, model),
             class_weight_mode=cfgmod.get_str(cfg, "train.class_weight_mode", "balanced"),
             eval_every=cfgmod.get_int(cfg, "train.eval_every", 0),
         )
@@ -327,15 +333,6 @@ def cmd_train(args, cfg):
     return EXIT_OK
 
 
-def _input_mask(cfg, model):
-    """``train.mask``, defaulting to every input the model reads."""
-    with _reraise(ConfigError):
-        mask = InputMask.parse(cfgmod.get_str(cfg, "train.mask", model.mask.label()))
-    if isinstance(model, TextOnlyModel) and mask != model.mask:
-        raise ConfigError(f"model.variant=LSTM reads tweet text only, not {mask.label()}")
-    return mask
-
-
 def _restore_model(checkpoint_path, cfg):
     if not Path(checkpoint_path).exists():
         raise DataError(f"missing checkpoint {checkpoint_path}")
@@ -359,9 +356,8 @@ def cmd_eval(args, cfg):
     out.mkdir(parents=True, exist_ok=True)
     model, cfg = _restore_model(args.checkpoint, cfg)
     vocab, splits = load_data_dir(args.data, (args.split,))
-    mask = _input_mask(cfg, model)
     with _reraise(DataError, f"{args.data}: "):  # images of another size than the model's
-        scored = score_dataset(model, splits[args.split], mask=mask)
+        scored = score_dataset(model, splits[args.split])
     try:
         report = evaluation.evaluate(scored)
     except evaluation.MetricError as exc:  # a split with one class only
@@ -371,7 +367,7 @@ def cmd_eval(args, cfg):
         writer = csv.writer(fh)
         writer.writerow(["model", "inputs", "f1_at_half", "max_f1", "auc", "balanced_accuracy"])
         writer.writerow(
-            [name, mask.label(), repr(report.f1_at_half), repr(report.max_f1),
+            [name, model.mask.label(), repr(report.f1_at_half), repr(report.max_f1),
              repr(report.auc), repr(report.balanced_accuracy)]
         )
     evaluation.write_curve_csv(report.pr_points, out / "pr_curve.csv")
@@ -381,7 +377,7 @@ def cmd_eval(args, cfg):
         [str(out / n) for n in ("report.csv", "pr_curve.csv", "roc_curve.csv")],
     )
     print(
-        f"eval[{name} {mask.label()}]: F={report.max_f1:.3f} AUC={report.auc:.3f} "
+        f"eval[{name} {model.mask.label()}]: F={report.max_f1:.3f} AUC={report.auc:.3f} "
         f"ACC={100 * report.balanced_accuracy:.1f}"
     )
     return EXIT_OK

@@ -78,14 +78,6 @@ class Vocabulary:
     def __contains__(self, token):
         return token in self._index
 
-    @classmethod
-    def from_texts(cls, texts):
-        vocab = cls()
-        for text in texts:
-            for tok in preprocess_tweet_text(text):
-                vocab.add(tok)
-        return vocab
-
     def save(self, path):
         with open(path, "w") as fh:
             for tok, _ in sorted(self._index.items(), key=lambda kv: kv[1]):

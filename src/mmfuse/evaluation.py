@@ -53,23 +53,17 @@ def _require_both_classes(labels, name):
 
 
 def auc_roc(scored):
-    """Mann-Whitney statistic: P(score_pos > score_neg) with ties counted 1/2."""
+    """Mann-Whitney statistic: P(score_pos > score_neg) with ties counted 1/2.
+
+    Computed as the trapezoidal area under the ROC sweep. Twice that area times
+    P*N is an exact integer, so the quotient is correctly rounded.
+    """
     scores, labels = _split(scored)
     _require_both_classes(labels, "auc_roc")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    # average ranks within tie groups (1-based)
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, tps, fps = _threshold_sweep(scores, labels)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
-    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return int(np.sum(np.diff(fps) * (tps[1:] + tps[:-1]))) / (2 * n_pos * n_neg)
 
 
 def _threshold_sweep(scores, labels):

@@ -264,8 +264,10 @@ class MultimodalModel(Layer):
     """Backbone + shared text encoder + fusion head over raw batch inputs.
 
     The same LSTM encodes tweet text and image text unless
-    ``share_text_encoder`` is off. Masked modalities are replaced by zero
-    tensors before fusion, so eval-mode logits cannot depend on their content.
+    ``share_text_encoder`` is off. ``mask`` is the one place the model's
+    inputs are chosen: training and scoring both read it. Masked modalities
+    are replaced by zero tensors before fusion, so eval-mode logits cannot
+    depend on their content.
     """
 
     def __init__(
@@ -299,13 +301,14 @@ class MultimodalModel(Layer):
         self.share_text_encoder = share_text_encoder
         self.head = FusionHead(fusion_config, rng)
 
-    def forward(self, images, tweet_ids, imgtext_ids, training=False, rng=None, mask=None):
+    def forward(self, images, tweet_ids, imgtext_ids, training=False, rng=None):
         """2-class logits for a batch.
 
         ``images`` is an (N, S, S, 3) array or Tensor; the token-id inputs are
-        lists of id lists. Masked modalities skip their encoder entirely.
+        lists of id lists. Inputs outside ``self.mask`` skip their encoder
+        entirely.
         """
-        mask = mask or self.mask
+        mask = self.mask
         n = len(tweet_ids)
         cfg = self.config
         zeros_text = lambda: Tensor(np.zeros((n, cfg.hidden_dim)))

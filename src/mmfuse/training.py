@@ -35,7 +35,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 5
     seed: int = 0
-    mask: InputMask = field(default_factory=InputMask)
     class_weight_mode: str = "balanced"  # or "uniform"
     eval_every: int = 0  # steps; 0 = end of each epoch
 
@@ -106,21 +105,19 @@ class TextOnlyModel(Layer):
         self.head = Dense(text_encoder.config.hidden_dim, 2, rng)
         self.mask = InputMask(tweet_text=True, image_text=False, image=False)
 
-    def forward(self, images, tweet_ids, imgtext_ids, training=False, rng=None, mask=None):
+    def forward(self, images, tweet_ids, imgtext_ids, training=False, rng=None):
         return self.head(self.text_encoder.encode(tweet_ids))
 
     def _children(self):
         return {"text": self.text_encoder, "head": self.head}
 
 
-def score_dataset(model, data, batch_size=64, mask=None):
+def score_dataset(model, data, batch_size=64):
     """Eval-mode hate scores for every example; deterministic."""
     scored = []
     for start in range(0, len(data), batch_size):
         batch = data.subset(np.arange(start, min(start + batch_size, len(data))))
-        logits = model.forward(
-            batch.images, batch.tweet_ids, batch.imgtext_ids, training=False, mask=mask
-        )
+        logits = model.forward(batch.images, batch.tweet_ids, batch.imgtext_ids, training=False)
         probs = ops.softmax(logits, axis=1).data
         for ident, p, label in zip(batch.ids, probs[:, HATE], batch.labels):
             scored.append(ScoredExample(id=ident, score=float(p), hate=bool(label)))
@@ -166,7 +163,7 @@ def train(model, train_data, val_data, config):
         if len(val_data) == 0 or (history.evals and history.evals[-1][0] == step):
             return
         try:
-            auc = auc_roc(score_dataset(model, val_data, config.batch_size, mask=config.mask))
+            auc = auc_roc(score_dataset(model, val_data, config.batch_size))
         except MetricError:
             return
         history.evals.append((step, auc))
@@ -181,12 +178,7 @@ def train(model, train_data, val_data, config):
         for start in range(0, len(order), config.batch_size):
             batch = train_data.subset(order[start : start + config.batch_size])
             logits = model.forward(
-                batch.images,
-                batch.tweet_ids,
-                batch.imgtext_ids,
-                training=True,
-                rng=dropout_rng,
-                mask=config.mask,
+                batch.images, batch.tweet_ids, batch.imgtext_ids, training=True, rng=dropout_rng
             )
             loss = ops.softmax_cross_entropy(logits, batch.labels, weights)
             loss_value = loss.item()
@@ -194,6 +186,8 @@ def train(model, train_data, val_data, config):
                 return diverge()
             step += 1
             history.steps.append((step, loss_value))
+            for p in params.values():  # a parameter this step does not reach gets no update
+                p.grad = None
             backward(loss)
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
             for name, grad in grads.items():

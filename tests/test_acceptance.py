@@ -30,7 +30,7 @@ def report(num, text, ok):
 # desk-scale experiment helpers
 
 
-def desk_model(variant, vocab_size, seed):
+def desk_model(variant, vocab_size, seed, mask=InputMask()):
     backbone = VisionBackboneConfig(input_side=16, channels=(8, 16))
     fusion = FusionModelConfig(
         variant=variant,
@@ -44,7 +44,9 @@ def desk_model(variant, vocab_size, seed):
         dropout_rate=0.1,
     )
     text = TextEncoderConfig(embedding_dim=16, hidden_dim=32)
-    return MultimodalModel(vocab_size, fusion, backbone_config=backbone, text_config=text, seed=seed)
+    return MultimodalModel(
+        vocab_size, fusion, backbone_config=backbone, text_config=text, seed=seed, mask=mask
+    )
 
 
 def text_only(vocab_size, seed):
@@ -53,7 +55,7 @@ def text_only(vocab_size, seed):
     return TextOnlyModel(TextEncoder(vocab_size, config, rng), rng)
 
 
-def run_experiment(model, train_spec, mask=None, epochs=2, lr=2e-3, seed=0, test_spec=None):
+def run_experiment(model, train_spec, epochs=2, lr=2e-3, seed=0, test_spec=None):
     """Train on train_spec's train/val splits; balanced accuracy on the test split.
 
     ``test_spec`` lets the test distribution differ from the training one.
@@ -61,20 +63,14 @@ def run_experiment(model, train_spec, mask=None, epochs=2, lr=2e-3, seed=0, test
     vocab = synth.build_vocabulary()
     splits = synth.generate(train_spec)
     test_split = synth.generate(test_spec)["test"] if test_spec else splits["test"]
-    config = TrainConfig(
-        learning_rate=lr,
-        batch_size=32,
-        epochs=epochs,
-        seed=seed,
-        mask=mask or InputMask(),
-    )
+    config = TrainConfig(learning_rate=lr, batch_size=32, epochs=epochs, seed=seed)
     train(
         model,
         synth.to_model_data(splits["train"], vocab),
         synth.to_model_data(splits["val"], vocab),
         config,
     )
-    scored = score_dataset(model, synth.to_model_data(test_split, vocab), mask=config.mask)
+    scored = score_dataset(model, synth.to_model_data(test_split, vocab))
     return balanced_accuracy(scored)
 
 
@@ -158,16 +154,15 @@ def test_criterion_4_reference_shape_conformance():
 def test_criterion_5_masked_modality_invariance():
     rng = np.random.default_rng(5)
     vocab = synth.build_vocabulary()
-    mask = InputMask.parse("TT,IT")
     all_ok = True
     for variant in ("FCM", "SCM", "TKM"):
-        model = desk_model(variant, len(vocab), seed=11)
+        model = desk_model(variant, len(vocab), seed=11, mask=InputMask.parse("TT,IT"))
         tweets = [[1 + int(rng.integers(0, 10))] * 3 for _ in range(100)]
         imgtexts = [[2 + int(rng.integers(0, 10))] * 2 for _ in range(100)]
         images_a = rng.random((100, 16, 16, 3))
         images_b = rng.random((100, 16, 16, 3))
-        a = model.forward(images_a, tweets, imgtexts, training=False, mask=mask).data
-        b = model.forward(images_b, tweets, imgtexts, training=False, mask=mask).data
+        a = model.forward(images_a, tweets, imgtexts, training=False).data
+        b = model.forward(images_b, tweets, imgtexts, training=False).data
         all_ok &= bool((a == b).all())
     report(5, "eval logits bitwise identical across 100 masked-image pairs per variant", all_ok)
 
@@ -180,13 +175,12 @@ def test_criterion_6_crossmodal_learnability():
     accs["TKM"] = run_experiment(desk_model("TKM", vocab_size, 1), spec, seed=1)
     accs["SCM"] = run_experiment(desk_model("SCM", vocab_size, 2), spec, seed=2)
     accs["FCM"] = run_experiment(desk_model("FCM", vocab_size, 3), spec, seed=3)
-    accs["text-only"] = run_experiment(text_only(vocab_size, 4), spec, seed=4,
-                                       mask=InputMask.parse("TT"))
-    accs["image-only"] = run_experiment(desk_model("FCM", vocab_size, 5), spec, seed=5,
-                                        mask=InputMask.parse("I"))
+    accs["text-only"] = run_experiment(text_only(vocab_size, 4), spec, seed=4)
+    accs["image-only"] = run_experiment(
+        desk_model("FCM", vocab_size, 5, mask=InputMask.parse("I")), spec, seed=5
+    )
     uni = synth.SynthSpec(mode="unimodal_text", n_train=2000, n_val=400, n_test=1000, seed=6)
-    accs["text-only/unimodal"] = run_experiment(text_only(vocab_size, 6), uni, seed=6,
-                                                mask=InputMask.parse("TT"))
+    accs["text-only/unimodal"] = run_experiment(text_only(vocab_size, 6), uni, seed=6)
     elapsed = time.monotonic() - start
     ok = (
         accs["TKM"] >= 0.95
@@ -226,8 +220,7 @@ def test_criterion_7_degradation_curves():
 
     text_spec = xor_spec(seed=43, multimodal_fraction=0.1, **base)
     text_acc = run_experiment(
-        text_only(vocab_size, 70), text_spec, seed=70,
-        mask=InputMask.parse("TT"), test_spec=clean_test,
+        text_only(vocab_size, 70), text_spec, seed=70, test_spec=clean_test,
     )
 
     def monotone_decreasing(values, jitter=0.02):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -91,6 +92,23 @@ class TestTrainVerb:
         second = json.loads((rerun / "manifest.json").read_text())
         assert first["artifacts"]["checkpoint.mfuse"] == second["artifacts"]["checkpoint.mfuse"]
 
+    def test_image_side_comes_from_the_data(self, tmp_path):
+        data = tmp_path / "data"
+        rc = main([
+            "synth", "--out", str(data), "--set", "synth.image_side=8",
+            "--set", "synth.n_train=32", "--set", "synth.n_val=16", "--set", "synth.n_test=16",
+        ])
+        assert rc == EXIT_OK
+        (data / "manifest.json").unlink()
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"), *FAST_TRAIN])
+        assert rc == EXIT_OK
+        assert "model.image_side = 8" in (tmp_path / "run" / "model.cfg").read_text()
+        rc = main([
+            "train", "--data", str(data), "--out", str(tmp_path / "bad"), *FAST_TRAIN,
+            "--set", "model.image_side=16",
+        ])
+        assert rc == EXIT_DATA
+
     def test_nonfinite_gradient_names_parameter(self, data_dir, tmp_path, monkeypatch, capsys):
         real_backward = training.backward
 
@@ -152,6 +170,24 @@ class TestEvalAndReportVerbs:
             "--data", str(data_dir), "--out", str(tmp_path / "o"),
         ])
         assert rc == EXIT_DATA
+
+
+class TestAblateVerb:
+    def test_one_arm_per_input_mask(self, tmp_path):
+        data = tmp_path / "data"
+        rc = main([
+            "synth", "--out", str(data),
+            "--set", "synth.n_train=64", "--set", "synth.n_val=32", "--set", "synth.n_test=32",
+        ])
+        assert rc == EXIT_OK
+        out = tmp_path / "ablate"
+        rc = main(["ablate", "--data", str(data), "--out", str(out), "--set", "train.epochs=1"])
+        assert rc == EXIT_OK
+        rows = list(csv.reader((out / "results.csv").read_text().splitlines()))[1:]
+        assert [row[1] for row in rows] == ["TT", "TT,IT", "I", "TT,IT,I"]
+        for inputs in ("TT", "TT,IT", "I", "TT,IT,I"):
+            model_cfg = (out / ("arm_" + inputs.replace(",", "_")) / "model.cfg").read_text()
+            assert f"train.mask = {inputs}\n" in model_cfg
 
 
 # Each case edits the lines of the FCM run's checkpoint and adds eval overrides.

@@ -51,7 +51,7 @@ class TestVocabulary:
         assert len(vocab) == 7
 
     def test_save_load_round_trip(self, tmp_path):
-        vocab = Vocabulary.from_texts(["hello world", "@sam hello #tag"])
+        vocab = Vocabulary(["hello", "world", "tag"])
         path = tmp_path / "vocab.txt"
         vocab.save(path)
         loaded = Vocabulary.load(path)

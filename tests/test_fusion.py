@@ -174,11 +174,13 @@ class TestSpatialProperties:
 
 
 class TestMultimodalModel:
-    def build(self, variant, seed=0):
+    def build(self, variant, seed=0, mask=InputMask()):
         backbone = VisionBackboneConfig(input_side=8, channels=(4, 8))
         fusion = desk_config(variant, visual_dim=8, map_side=2)
         text = TextEncoderConfig(embedding_dim=5, hidden_dim=6)
-        return MultimodalModel(20, fusion, backbone_config=backbone, text_config=text, seed=seed)
+        return MultimodalModel(
+            20, fusion, backbone_config=backbone, text_config=text, seed=seed, mask=mask
+        )
 
     @pytest.mark.parametrize("variant", ["FCM", "SCM", "TKM"])
     def test_forward_shape(self, variant, rng):
@@ -188,20 +190,18 @@ class TestMultimodalModel:
 
     @pytest.mark.parametrize("variant", ["FCM", "SCM", "TKM"])
     def test_masked_image_invariance(self, variant, rng):
-        model = self.build(variant)
-        mask = InputMask.parse("TT,IT")
+        model = self.build(variant, mask=InputMask.parse("TT,IT"))
         tweets = [[1, 2], [3]]
         imgtexts = [[4], [5, 6]]
-        a = model.forward(rng.random((2, 8, 8, 3)), tweets, imgtexts, mask=mask).data
-        b = model.forward(rng.random((2, 8, 8, 3)), tweets, imgtexts, mask=mask).data
+        a = model.forward(rng.random((2, 8, 8, 3)), tweets, imgtexts).data
+        b = model.forward(rng.random((2, 8, 8, 3)), tweets, imgtexts).data
         assert np.array_equal(a, b)
 
     def test_masked_text_invariance(self, rng):
-        model = self.build("FCM")
-        mask = InputMask.parse("I")
+        model = self.build("FCM", mask=InputMask.parse("I"))
         images = rng.random((2, 8, 8, 3))
-        a = model.forward(images, [[1], [2]], [[3], [4]], mask=mask).data
-        b = model.forward(images, [[9], [10]], [[11], [12]], mask=mask).data
+        a = model.forward(images, [[1], [2]], [[3], [4]]).data
+        b = model.forward(images, [[9], [10]], [[11], [12]]).data
         assert np.array_equal(a, b)
 
     def test_shared_text_encoder_default(self):

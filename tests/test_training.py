@@ -3,9 +3,9 @@ import pytest
 
 from mmfuse import synth, training
 from mmfuse.autodiff import Tensor, ops
-from mmfuse.encoders import TextEncoder, TextEncoderConfig
+from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig
 from mmfuse.evaluation import auc_roc
-from mmfuse.fusion import InputMask
+from mmfuse.fusion import FusionModelConfig, InputMask, MultimodalModel
 from mmfuse.training import (
     ModelData,
     TextOnlyModel,
@@ -22,6 +22,20 @@ def text_only_model(seed=0, vocab_size=None, hidden=16):
     config = TextEncoderConfig(embedding_dim=8, hidden_dim=hidden)
     rng = np.random.default_rng(seed)
     return TextOnlyModel(TextEncoder(vocab_size, config, rng), rng)
+
+
+def small_fcm(mask=InputMask(), share_text_encoder=True):
+    fusion = FusionModelConfig(
+        variant="FCM", visual_dim=8, map_side=2, hidden_dim=6, fc_plan=(10, 2), dropout_rate=0.1
+    )
+    return MultimodalModel(
+        len(synth.build_vocabulary()),
+        fusion,
+        backbone_config=VisionBackboneConfig(input_side=8, channels=(4, 8)),
+        text_config=TextEncoderConfig(embedding_dim=5, hidden_dim=6),
+        share_text_encoder=share_text_encoder,
+        mask=mask,
+    )
 
 
 def synth_data(mode="unimodal_text", n=200, seed=0, **kw):
@@ -145,7 +159,7 @@ class TestTrainLoop:
         assert history.best_step in [step for step, _ in history.evals]
         assert history.best_val_auc == max(auc for _, auc in history.evals)
         # the model is left holding the best parameters
-        scored = score_dataset(model, val_data, mask=InputMask.parse("TT"))
+        scored = score_dataset(model, val_data)
         assert auc_roc(scored) == pytest.approx(history.best_val_auc, abs=1e-12)
 
     def test_history_csv(self, tmp_path):
@@ -186,3 +200,43 @@ class TestTrainLoop:
         for name, value in model.state_dict().items():
             assert np.array_equal(value, initial[name]), name
             assert np.array_equal(best[name], initial[name]), name
+
+    def test_model_mask_rules_training_and_scoring(self):
+        model = small_fcm(mask=InputMask.parse("TT,IT"))
+        initial = model.state_dict()
+        train_data, val_data = synth_data(mode="crossmodal_xor", n=64, seed=3, image_side=8)
+        _, history = train(model, train_data, val_data, TrainConfig())
+        backbone = [name for name in initial if name.startswith("backbone.")]
+        assert backbone
+        for name in backbone:
+            assert np.array_equal(model.state_dict()[name], initial[name]), name
+        assert history.best_val_auc == auc_roc(score_dataset(model, val_data))
+
+    def test_unreached_parameter_gets_no_update(self, monkeypatch):
+        """A step whose image texts are all empty leaves the unshared image-text LSTM alone."""
+        model = small_fcm(share_text_encoder=False)
+        rng = np.random.default_rng(0)
+        first, second = np.split(np.random.default_rng(0).permutation(4), 2)  # train's batches
+        imgtexts = [[]] * 4
+        for i in first:
+            imgtexts[i] = [7, 8]
+        train_data = ModelData(
+            images=rng.random((4, 8, 8, 3)),
+            tweet_ids=[[1, 2], [3], [4, 5], [6]],
+            imgtext_ids=imgtexts,
+            labels=np.array([0, 1, 0, 1]),
+        )
+        empty = ModelData(np.zeros((0,)), [], [], np.zeros(0, dtype=np.int64))
+        before = model.imgtext_encoder.lstm.U.data.copy()
+        real_adam_step = training.adam_step
+        snapshots = []
+
+        def recording_step(params, grads, state):
+            real_adam_step(params, grads, state)
+            snapshots.append(params["imgtext.lstm.U"].data.copy())
+
+        monkeypatch.setattr(training, "adam_step", recording_step)
+        train(model, train_data, empty, TrainConfig(batch_size=2, epochs=1, seed=0))
+        assert len(snapshots) == 2
+        assert not np.array_equal(snapshots[0], before)
+        assert np.array_equal(snapshots[1], snapshots[0])
