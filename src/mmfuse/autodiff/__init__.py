@@ -6,6 +6,7 @@ from .tensor import (
     Tensor,
     as_tensor,
     backward,
+    no_grad,
 )
 from . import ops
 from .ops import BatchNormState
@@ -19,6 +20,7 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "backward",
+    "no_grad",
     "ops",
     "BatchNormState",
     "AdamState",

@@ -225,8 +225,29 @@ def _same_pad(extent, stride, kernel):
     return out, total // 2, total - total // 2
 
 
+def _tap_window(extent, out, stride, pad, offset):
+    """Output slice and input slice of one kernel offset along one axis.
+
+    Output index i reads input index ``i * stride + offset - pad``; the window
+    keeps the outputs whose input index lies inside ``[0, extent)``, so no
+    product touches padding. Returns None when no output reads the image.
+    """
+    lo = max(0, -(-(pad - offset) // stride))
+    hi = min(out, (extent - 1 + pad - offset) // stride + 1)
+    if hi <= lo:
+        return None
+    first = lo * stride + offset - pad
+    return slice(lo, hi), slice(first, first + (hi - lo - 1) * stride + 1, stride)
+
+
 def conv2d(x, weight, bias=None, stride=1):
-    """Same-padded 2-D convolution; x is (N, H, W, Cin), weight (kh, kw, Cin, Cout)."""
+    """Same-padded 2-D convolution; x is (N, H, W, Cin), weight (kh, kw, Cin, Cout).
+
+    Each kernel tap (u, v) is one GEMM over the output window whose input
+    pixels lie inside the image: the zero padding is implicit and never
+    multiplied. Backward re-slices each tap's patch from ``x`` and computes
+    the input gradient only when ``x`` requires one.
+    """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeMismatch("conv2d", f"expected 4-d input/weight, got {x.shape}/{weight.shape}")
@@ -239,31 +260,38 @@ def conv2d(x, weight, bias=None, stride=1):
         if bias.shape != (cout,):
             raise ShapeMismatch("conv2d", f"bias shape {bias.shape} != ({cout},)")
 
-    out_h, pad_t, pad_b = _same_pad(h, stride, kh)
-    out_w, pad_l, pad_r = _same_pad(w, stride, kw)
-    xp = np.pad(x.data, ((0, 0), (pad_t, pad_b), (pad_l, pad_r), (0, 0)))
+    out_h, pad_t, _ = _same_pad(h, stride, kh)
+    out_w, pad_l, _ = _same_pad(w, stride, kw)
+    rows = [_tap_window(h, out_h, stride, pad_t, u) for u in range(kh)]
+    cols = [_tap_window(w, out_w, stride, pad_l, v) for v in range(kw)]
+    taps = [
+        (u, v, np.s_[:, r[0], c[0], :], np.s_[:, r[1], c[1], :])
+        for u, r in enumerate(rows)
+        if r is not None
+        for v, c in enumerate(cols)
+        if c is not None
+    ]
 
     data = np.zeros((n, out_h, out_w, cout))
-    for u in range(kh):
-        for v in range(kw):
-            patch = xp[:, u : u + stride * out_h : stride, v : v + stride * out_w : stride, :]
-            data += (patch.reshape(-1, cin) @ weight.data[u, v]).reshape(data.shape)
+    for u, v, out_sl, in_sl in taps:
+        patch = x.data[in_sl]
+        window = data[out_sl]
+        window += (patch.reshape(-1, cin) @ weight.data[u, v]).reshape(window.shape)
     if bias is not None:
         data += bias.data
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backprop(grad):
-        g2 = grad.reshape(-1, cout)
-        dxp = np.zeros_like(xp)
+        dx = np.zeros_like(x.data) if x.requires_grad else None
         dw = np.zeros_like(weight.data)
-        for u in range(kh):
-            for v in range(kw):
-                sl = np.s_[:, u : u + stride * out_h : stride, v : v + stride * out_w : stride, :]
-                patch = xp[sl]
-                dw[u, v] = patch.reshape(-1, cin).T @ g2
-                dxp[sl] += (g2 @ weight.data[u, v].T).reshape(patch.shape)
-        accumulate_grad(x, dxp[:, pad_t : pad_t + h, pad_l : pad_l + w, :])
+        for u, v, out_sl, in_sl in taps:
+            patch = x.data[in_sl]
+            g2 = grad[out_sl].reshape(-1, cout)
+            dw[u, v] = patch.reshape(-1, cin).T @ g2
+            if dx is not None:
+                dx[in_sl] += (g2 @ weight.data[u, v].T).reshape(patch.shape)
+        accumulate_grad(x, dx)  # a no-op when x needs no gradient
         accumulate_grad(weight, dw)
         if bias is not None:
             accumulate_grad(bias, grad.sum(axis=(0, 1, 2)))
@@ -339,31 +367,37 @@ def batch_norm(x, gamma, beta, state, training):
 
     if training:
         mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        centered = x.data - mean
+        var = (centered * centered).sum(axis=axes) / count  # np.var's own arithmetic
         if count > 1:  # one value per channel has no spread; it would pull running_var to 0
             m = state.momentum
             state.running_mean = m * state.running_mean + (1.0 - m) * mean
             state.running_var = m * state.running_var + (1.0 - m) * var
     else:
-        mean = state.running_mean
+        centered = x.data - state.running_mean
         var = state.running_var
 
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    x_hat = (x.data - mean) * inv_std
-    data = gamma.data * x_hat + beta.data
+    # in place: one fresh array fewer per pass, and the same values as out of place
+    x_hat = np.multiply(centered, inv_std, out=centered)
+    data = gamma.data * x_hat
+    data += beta.data
 
     def backprop(grad):
-        accumulate_grad(gamma, (grad * x_hat).sum(axis=axes))
-        accumulate_grad(beta, grad.sum(axis=axes))
-        if training:
-            g_mean = grad.mean(axis=axes)
-            gx_mean = (grad * x_hat).mean(axis=axes)
-            dx = gamma.data * inv_std * (grad - g_mean - x_hat * gx_mean)
-            if count == 1:  # degenerate batch: normalization is constant in x
-                dx = np.zeros_like(grad)
-            accumulate_grad(x, dx)
-        else:
+        gx_sum = (grad * x_hat).sum(axis=axes)
+        g_sum = grad.sum(axis=axes)
+        accumulate_grad(gamma, gx_sum)
+        accumulate_grad(beta, g_sum)
+        if not training:
             accumulate_grad(x, grad * gamma.data * inv_std)
+        elif count == 1:  # degenerate batch: normalization is constant in x
+            accumulate_grad(x, np.zeros_like(grad))
+        else:  # sum / count is np.mean's own arithmetic
+            g_mean, gx_mean = g_sum / count, gx_sum / count
+            dx = grad - g_mean
+            dx -= x_hat * gx_mean
+            dx *= gamma.data * inv_std
+            accumulate_grad(x, dx)
 
     return from_op(data, (x, gamma, beta), backprop)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 
@@ -58,9 +60,27 @@ def as_tensor(value):
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+_grad_enabled = True  # False inside ``no_grad``
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: op results never require grad.
+
+    Forward arithmetic is unchanged, so values are bitwise those computed with
+    a tape; the previous setting is restored on exit, also on an exception.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def from_op(data, parents, backprop):
     """Build an op result; the tape edge is only kept when a parent needs grads."""
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    out = Tensor(data, requires_grad=_grad_enabled and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backprop = backprop

@@ -105,16 +105,23 @@ def build_model_config(cfg):
     return backbone, fusion, text
 
 
+def model_mask(cfg):
+    """The inputs ``train.mask`` names: all of them by default, tweet text for the LSTM."""
+    lstm = cfgmod.get_str(cfg, "model.variant", "TKM") == "LSTM"
+    with _reraise(ConfigError):
+        return InputMask.parse(cfgmod.get_str(cfg, "train.mask", "TT" if lstm else "TT,IT,I"))
+
+
 def build_model(cfg, vocab_size):
     """The configured model; ``model.variant=LSTM`` is the text-only baseline.
 
-    ``train.mask`` picks the inputs the model reads; it defaults to all of
-    them, or to tweet text only for the LSTM, which reads nothing else.
+    ``train.mask`` picks the inputs the model reads (see :func:`model_mask`);
+    the LSTM reads nothing but tweet text.
     """
     seed = cfgmod.get_seed(cfg, "model.seed", 0)
     lstm = cfgmod.get_str(cfg, "model.variant", "TKM") == "LSTM"
+    mask = model_mask(cfg)
     with _reraise(ConfigError):
-        mask = InputMask.parse(cfgmod.get_str(cfg, "train.mask", "TT" if lstm else "TT,IT,I"))
         if lstm:
             if mask.label() != "TT":
                 raise ConfigError(f"model.variant=LSTM reads tweet text only, not {mask.label()}")
@@ -339,7 +346,13 @@ def _restore_model(checkpoint_path, cfg):
     model_cfg_path = Path(checkpoint_path).parent / "model.cfg"
     if model_cfg_path.exists():
         stored = cfgmod.load_config(model_cfg_path)
+        trained = model_mask(stored)
         stored.update(cfg)
+        # another mask would score the model with zeros in place of inputs it learned from
+        if "train.mask" in cfg and model_mask(stored) != trained:
+            raise ConfigError(
+                f"train.mask={cfg['train.mask']} differs from the model's train.mask={trained.label()}"
+            )
         cfg = stored
     vocab_size = cfgmod.get_int(cfg, "train.vocab_size")
     model = build_model(cfg, vocab_size)

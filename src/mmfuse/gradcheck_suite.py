@@ -125,6 +125,22 @@ def primitive_checks(seed=0):
         t((2, 8)),
         t((8,)),
     )
+    s_conv1 = _probe(rng, (2, 4, 4, 3))  # the fusion blocks' shape: 4x4 map, 3x3 kernel
+    case(
+        "conv2d_stride1",
+        lambda x, w, b: s_conv1(ops.conv2d(x, w, b, stride=1)),
+        t((2, 4, 4, 5)),
+        t((3, 3, 5, 3)),
+        t((3,)),
+    )
+    images = Tensor(rng.standard_normal((2, 5, 5, 3)))  # like the backbone's input: no gradient
+    case(
+        "conv2d_const_input",
+        lambda x, w, b: s_conv(ops.conv2d(x, w, b, stride=2)),
+        images,
+        t((3, 3, 3, 4)),
+        t((4,)),
+    )
     return checks
 
 

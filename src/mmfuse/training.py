@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import AdamState, Tensor, adam_step, backward, ops
+from .autodiff import AdamState, Tensor, adam_step, backward, no_grad, ops
 from .evaluation import MetricError, ScoredExample, auc_roc
 from .fusion import InputMask
 from .nn import Dense, Layer
@@ -113,12 +113,13 @@ class TextOnlyModel(Layer):
 
 
 def score_dataset(model, data, batch_size=64):
-    """Eval-mode hate scores for every example; deterministic."""
+    """Eval-mode hate scores for every example; deterministic and tape-free."""
     scored = []
     for start in range(0, len(data), batch_size):
         batch = data.subset(np.arange(start, min(start + batch_size, len(data))))
-        logits = model.forward(batch.images, batch.tweet_ids, batch.imgtext_ids, training=False)
-        probs = ops.softmax(logits, axis=1).data
+        with no_grad():
+            logits = model.forward(batch.images, batch.tweet_ids, batch.imgtext_ids, training=False)
+            probs = ops.softmax(logits, axis=1).data
         for ident, p, label in zip(batch.ids, probs[:, HATE], batch.labels):
             scored.append(ScoredExample(id=ident, score=float(p), hate=bool(label)))
     return scored

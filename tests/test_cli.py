@@ -164,6 +164,28 @@ class TestEvalAndReportVerbs:
         rc = main(["report", str(bad), "--out", str(tmp_path / "out")])
         assert rc == EXIT_DATA
 
+    def test_other_mask_than_trained_is_config_error(self, data_dir, run_dir, tmp_path, capsys):
+        out = tmp_path / "eval"
+        capsys.readouterr()
+        rc = main([
+            "eval", "--checkpoint", str(run_dir / "checkpoint.mfuse"),
+            "--data", str(data_dir), "--out", str(out), "--set", "train.mask=I",
+        ])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "train.mask=I " in err and "TT,IT,I" in err
+        assert "Traceback" not in err
+        assert not (out / "report.csv").exists()
+
+    def test_trained_mask_in_any_order_is_allowed(self, data_dir, run_dir, tmp_path):
+        rc = main([
+            "eval", "--checkpoint", str(run_dir / "checkpoint.mfuse"),
+            "--data", str(data_dir), "--out", str(tmp_path / "eval"), "--set", "train.mask=I,TT,IT",
+        ])
+        assert rc == EXIT_OK
+
     def test_missing_checkpoint_is_data_error(self, data_dir, tmp_path):
         rc = main([
             "eval", "--checkpoint", str(tmp_path / "nope.mfuse"),
