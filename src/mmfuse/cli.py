@@ -55,11 +55,14 @@ def _reraise(kind, prefix=""):
 
 
 def write_manifest(out_dir, verb, cfg, artifact_paths):
+    """Write ``manifest.json``; artifacts are keyed by their path relative to ``out_dir``."""
     manifest = {
         "verb": verb,
         "config": dict(sorted(cfg.items())),
         "artifacts": {
-            Path(p).name: file_sha256(p) for p in artifact_paths if Path(p).exists()
+            Path(p).relative_to(out_dir).as_posix(): file_sha256(p)
+            for p in artifact_paths
+            if Path(p).exists()
         },
     }
     path = Path(out_dir) / "manifest.json"
@@ -143,6 +146,68 @@ def build_model(cfg, vocab_size):
 # data directory handling
 
 
+def _parse_image_ref(image_dir, ref):
+    """Split ``file.npy#row`` into (file, row); a plain ``file.npy`` has row None."""
+    name, hashmark, row = ref.partition("#")
+    if not name or name.startswith("/") or ".." in name.split("/"):
+        raise DataError(f"image ref {ref!r} must name a file inside {image_dir}")
+    if not hashmark:
+        return name, None
+    if not (row.isascii() and row.isdigit()):
+        raise DataError(f"{image_dir / name}: image ref {ref!r} needs a decimal row after '#'")
+    return name, int(row)
+
+
+def _read_image_file(path):
+    """The numeric array in the .npy file ``path``."""
+    try:
+        array = np.load(path)
+    except (OSError, ValueError, EOFError) as exc:  # missing, a directory, not a .npy array
+        raise DataError(f"{path}: cannot read image array: {exc}") from None
+    if not isinstance(array, np.ndarray):  # an .npz archive
+        array.close()
+        raise DataError(f"{path}: not a .npy array")
+    if array.dtype.kind not in "iuf":
+        raise DataError(f"{path}: image dtype {array.dtype} is not numeric")
+    return array
+
+
+def _load_images(image_dir, refs):
+    """The images a non-empty list of ``refs`` names, as one (len(refs), S, S, 3) array.
+
+    A ref is ``file.npy#row``, row ``row`` of an (N, S, S, 3) array, or a
+    plain ``file.npy`` holding one (S, S, 3) image; files lie inside
+    ``image_dir``. Each file is loaded once. When the refs are rows 0..N-1
+    of one file in order, as ``synth`` writes a split, the result is that
+    array as loaded, not a copy.
+    """
+    parsed = [_parse_image_ref(image_dir, ref) for ref in refs]
+    arrays = {}
+    for ref, (name, row) in zip(refs, parsed):
+        if name not in arrays:
+            arrays[name] = _read_image_file(image_dir / name)
+        shape = arrays[name].shape
+        ndim = 3 if row is None else 4
+        if len(shape) != ndim or shape[-1] != 3 or shape[-2] != shape[-3] or shape[-2] == 0:
+            expected = "(S, S, 3)" if row is None else "(N, S, S, 3)"
+            raise DataError(
+                f"{image_dir / name}: image ref {ref!r} needs shape {expected}, not {shape}"
+            )
+        if row is not None and row >= shape[0]:
+            raise DataError(f"{image_dir / name}: image ref {ref!r} is past its {shape[0]} rows")
+    first = next(iter(arrays.values()))
+    if len(arrays) == 1 and [row for _, row in parsed] == list(range(len(first))):
+        images = first
+    else:
+        with _reraise(DataError, f"{image_dir}: images of different sizes: "):
+            images = np.stack([arrays[n] if row is None else arrays[n][row] for n, row in parsed])
+    if images.dtype.kind == "f":
+        finite = np.isfinite(images).all(axis=(1, 2, 3))
+        if not finite.all():
+            raise DataError(f"{image_dir / refs[int(np.argmin(finite))]}: non-finite pixel")
+    return images
+
+
 def load_split(data_dir, split, vocab):
     """Read <split>.jsonl (+ images/) back into a batchable ModelData."""
     path = Path(data_dir) / f"{split}.jsonl"
@@ -156,24 +221,22 @@ def load_split(data_dir, split, vocab):
     if unlabelable:
         raise DataError(f"{path}: {len(unlabelable)} unlabelable records (all-fast votes)")
     by_id = {r.id: r for r in records}
-    images = []
+    refs = []
     tweet_ids, imgtext_ids, labels, ids = [], [], [], []
-    image_dir = Path(data_dir) / "images"
     for ex in examples:
         record = by_id[ex.id]
         if record.image_ref:
-            try:
-                images.append(np.load(image_dir / record.image_ref))
-            except ValueError as exc:  # not a plain .npy array
-                raise DataError(f"{image_dir / record.image_ref}: {exc}") from exc
+            refs.append(record.image_ref)
         tweet_ids.append(vocab.encode(preprocess_tweet_text(record.tweet_text)))
         imgtext_ids.append(vocab.encode(preprocess_tweet_text(record.image_text)))
         labels.append(1 if ex.hate else 0)
         ids.append(ex.id)
-    if images and len(images) != len(examples):
+    if refs and len(refs) != len(examples):
         raise DataError(f"{path}: some records have images and some do not")
-    with _reraise(DataError, f"{path}: "):  # images of different shapes
-        images = np.stack(images) if images else np.zeros((len(examples), 0, 0, 3))
+    if refs:
+        images = _load_images(Path(data_dir) / "images", refs)
+    else:
+        images = np.zeros((len(examples), 0, 0, 3))
     return ModelData(
         images=images,
         tweet_ids=tweet_ids,
@@ -286,7 +349,7 @@ def cmd_synth(args, cfg):
     for split, examples in splits.items():
         records = synth.to_records(examples, split, image_dir=str(out / "images"))
         dataset.export_corpus(records, out / f"{split}.jsonl")
-        artifacts.append(out / f"{split}.jsonl")
+        artifacts += [out / f"{split}.jsonl", out / "images" / f"{split}.npy"]
     write_manifest(out, "synth", cfg, [str(p) for p in artifacts])
     print(f"synth: wrote {', '.join(f'{len(v)} {k}' for k, v in splits.items())} to {out}")
     return EXIT_OK

@@ -34,11 +34,6 @@ class VisionBackboneConfig:
             side = -(-side // self.stride)  # same-padded stride reduction
         return side
 
-    @classmethod
-    def reference_shaped(cls):
-        """A config reproducing the reference 8x8x2048 map / 2048-d vector."""
-        return cls(input_side=256, channels=(128, 256, 512, 1024, 2048))
-
 
 class VisionBackbone(Layer):
     """Stride-2 conv stages producing a spatial feature map and pooled vector."""

@@ -10,6 +10,7 @@ effects be measured directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -127,22 +128,6 @@ def generate(spec):
     return out
 
 
-def bayes_accuracy_text_only(spec):
-    """Best achievable accuracy from the text bit alone, before label noise."""
-    base = {
-        "unimodal_text": 1.0,
-        "unimodal_image": 0.5,
-        "crossmodal_xor": 0.5,
-        # under the rebalanced cells: predict 0 at t=0 (always right, mass 1/3),
-        # predict 1 at t=1 (right 3/4 of the time, mass 2/3) -> 5/6. With the
-        # unweighted 25/75 cells this would be the textbook 3/4.
-        "crossmodal_and": 5.0 / 6.0,
-    }[spec.mode]
-    mu = spec.multimodal_fraction
-    mixed = mu * base + (1.0 - mu) * 1.0
-    return (1.0 - spec.noise_rate) * mixed + spec.noise_rate * (1.0 - mixed)
-
-
 def build_vocabulary():
     from .encoders import Vocabulary
 
@@ -165,27 +150,41 @@ def to_model_data(examples, vocab):
     )
 
 
+def _save_stack(path, images):
+    """Write ``np.stack(images)`` to ``path`` as ``np.save`` would, one image at a time.
+
+    The file is byte for byte ``np.save``'s, but no stacked copy of the split
+    is ever held beside the images themselves.
+    """
+    header = np.lib.format.header_data_from_array_1_0(images[0])
+    header["shape"] = (len(images), *images[0].shape)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for image in images:
+            fh.write(image.tobytes())
+
+
 def to_records(examples, split_name, image_dir=None):
     """Convert synth examples to the corpus record format.
 
-    When ``image_dir`` is given, images are saved there as .npy files and
-    referenced by path; annotations are three consistent slow votes so the
-    aggregation pipeline reproduces the generated labels.
+    When ``image_dir`` is given, the split's images are saved there as one
+    ``(N, S, S, 3)`` array, ``<split_name>.npy``, and record ``i`` refers to
+    its row as ``<split_name>.npy#i``; annotations are three consistent slow
+    votes so the aggregation pipeline reproduces the generated labels.
     """
+    image_file = None
+    if image_dir is not None and examples:
+        image_file = f"{split_name}.npy"
+        _save_stack(Path(image_dir) / image_file, [ex.image for ex in examples])
     records = []
     for i, ex in enumerate(examples):
-        ident = f"{split_name}-{i:06d}"
-        image_ref = None
-        if image_dir is not None:
-            image_ref = f"{ident}.npy"
-            np.save(f"{image_dir}/{image_ref}", ex.image)
         category = "OtherHate" if ex.label else "NotHate"
         records.append(
             TweetRecord(
-                id=ident,
+                id=f"{split_name}-{i:06d}",
                 tweet_text=" ".join(ex.tweet_tokens),
                 is_retweet=False,
-                image_ref=image_ref,
+                image_ref=f"{image_file}#{i}" if image_file else None,
                 image_text=" ".join(ex.imgtext_tokens),
                 image_text_probability=0.0,
                 annotations=[

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmfuse import dataset, synth, training
+from mmfuse import cli, dataset, synth, training
 from mmfuse.autodiff import load_arrays
 from mmfuse.autodiff.tensor import _toposort
 from mmfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
@@ -21,6 +22,28 @@ FAST_TRAIN = [
 ]
 
 
+# the corpus the data_dir fixture writes
+DATA_SPEC = synth.SynthSpec(n_train=96, n_val=40, n_test=40, seed=21)
+
+
+def set_image_refs(data, split, refs):
+    """Rewrite the image_ref of every record of ``<split>.jsonl``, in order."""
+    path = data / f"{split}.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(records) == len(refs)
+    for record, ref in zip(records, refs):
+        record["image_ref"] = ref
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def write_one_image_files(data, split, images):
+    """Store ``images`` as one .npy file per record, the layout of a prepared corpus."""
+    refs = [f"{split}-{i:06d}.npy" for i in range(len(images))]
+    for ref, image in zip(refs, images):
+        np.save(data / "images" / ref, image)
+    set_image_refs(data, split, refs)
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
@@ -31,6 +54,14 @@ def data_dir(tmp_path_factory):
     ])
     assert rc == EXIT_OK
     return out
+
+
+@pytest.fixture
+def data_copy(data_dir, tmp_path):
+    """A copy of the data_dir corpus that a test may change."""
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    return data
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +88,56 @@ class TestSynthVerb:
         records, diagnostics = dataset.import_corpus(data_dir / "train.jsonl")
         assert diagnostics == []
         assert len(records) == 96
+
+    def test_manifest_hashes_split_image_arrays(self, data_copy):
+        artifacts = json.loads((data_copy / "manifest.json").read_text())["artifacts"]
+        for split in ("train", "val", "test"):
+            raw = (data_copy / "images" / f"{split}.npy").read_bytes()
+            assert artifacts[f"images/{split}.npy"] == hashlib.sha256(raw).hexdigest()
+        raw = bytearray((data_copy / "images" / "test.npy").read_bytes())
+        raw[-1] ^= 1
+        (data_copy / "images" / "test.npy").write_bytes(bytes(raw))
+        changed = hashlib.sha256(bytes(raw)).hexdigest()
+        assert artifacts["images/test.npy"] != changed
+
+
+class TestLoadSplit:
+    def test_images_bitwise_equal_to_generated(self, data_dir):
+        vocab, splits = cli.load_data_dir(data_dir)
+        generated = synth.generate(DATA_SPEC)
+        for split in ("train", "val", "test"):
+            expected = synth.to_model_data(generated[split], vocab).images
+            loaded = splits[split].images
+            assert loaded.shape == expected.shape and loaded.dtype == expected.dtype
+            assert loaded.tobytes() == expected.tobytes()
+
+    def test_split_array_is_used_as_loaded(self, data_dir, monkeypatch):
+        loaded = []
+        real_load = np.load
+
+        def recording_load(path, *args, **kwargs):
+            loaded.append(real_load(path, *args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(np, "load", recording_load)
+        vocab, splits = cli.load_data_dir(data_dir, ("test",))
+        assert len(loaded) == 1
+        assert splits["test"].images is loaded[0]
+
+    def test_one_image_files_still_load(self, data_dir, data_copy):
+        _, expected = cli.load_data_dir(data_dir)
+        for split in ("train", "val", "test"):
+            write_one_image_files(data_copy, split, expected[split].images)
+            (data_copy / "images" / f"{split}.npy").unlink(missing_ok=True)
+        _, splits = cli.load_data_dir(data_copy)
+        for split in ("train", "val", "test"):
+            assert splits[split].images.tobytes() == expected[split].images.tobytes()
+
+    def test_refs_in_another_order_gather_their_rows(self, data_dir, data_copy):
+        _, expected = cli.load_data_dir(data_dir, ("val",))
+        set_image_refs(data_copy, "val", [f"val.npy#{i}" for i in reversed(range(40))])
+        _, splits = cli.load_data_dir(data_copy, ("val",))
+        assert np.array_equal(splits["val"].images, expected["val"].images[::-1])
 
 
 class TestTrainVerb:
@@ -212,6 +293,45 @@ class TestAblateVerb:
             assert f"train.mask = {inputs}\n" in model_cfg
 
 
+def train_images():
+    return synth.to_model_data(synth.generate(DATA_SPEC)["train"], synth.build_vocabulary()).images
+
+
+def write_train_images(data, images, layout):
+    """Store the train split's images as one split array or as one file per record."""
+    if layout == "split":
+        np.save(data / "images" / "train.npy", images)
+        set_image_refs(data, "train", [f"train.npy#{i}" for i in range(len(images))])
+    else:
+        write_one_image_files(data, "train", images)
+
+
+def train_data_error(data, tmp_path, capsys):
+    """Run the train verb on ``data``; it must exit 3 with one line. Returns that line."""
+    capsys.readouterr()
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "o"), *FAST_TRAIN])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA, err
+    assert err.startswith("data error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    return err
+
+
+def corrupt_pixels(images, row):
+    images[row, 3, 4, 1] = np.nan
+    return images
+
+
+# Each case turns the train split's (N, S, S, 3) images into bad content for
+# the file(s) and names a phrase the error line must hold.
+BAD_IMAGE_CONTENT = {
+    "grayscale": (lambda images: images[..., 0], "needs shape ("),
+    "nan_pixel": (lambda images: corrupt_pixels(images, 5), "non-finite pixel"),
+    "strings": (lambda images: images.astype(str), "is not numeric"),
+}
+
+
 # Each case edits the lines of the FCM run's checkpoint and adds eval overrides.
 BAD_CHECKPOINTS = {
     "wrong_variant": (lambda lines: lines, ["--set", "model.variant=TKM"]),
@@ -273,6 +393,49 @@ class TestDataErrors:
         rc = main(["train", "--data", str(data), "--out", str(tmp_path / "o")])
         assert rc == EXIT_DATA
         assert capsys.readouterr().err.startswith("data error: ")
+
+    @pytest.mark.parametrize("layout", ["split", "files"])
+    @pytest.mark.parametrize("case", sorted(BAD_IMAGE_CONTENT))
+    def test_bad_image_content_exits_3(self, case, layout, data_copy, tmp_path, capsys):
+        edit, phrase = BAD_IMAGE_CONTENT[case]
+        write_train_images(data_copy, edit(train_images()), layout)
+        err = train_data_error(data_copy, tmp_path, capsys)
+        assert phrase in err
+        if case == "nan_pixel":
+            assert ("train.npy#5" if layout == "split" else "train-000005.npy") in err
+
+    def test_mixed_image_sizes_exit_3(self, data_copy, tmp_path, capsys):
+        write_train_images(data_copy, train_images(), "split")
+        np.save(data_copy / "images" / "small.npy", np.zeros((8, 8, 3)))
+        set_image_refs(data_copy, "train", ["small.npy"] + [f"train.npy#{i}" for i in range(1, 96)])
+        assert "different sizes" in train_data_error(data_copy, tmp_path, capsys)
+
+    def test_directory_ref_exits_3(self, data_copy, tmp_path, capsys):
+        write_train_images(data_copy, train_images(), "files")
+        (data_copy / "images" / "folder.npy").mkdir()
+        refs = ["folder.npy"] + [f"train-{i:06d}.npy" for i in range(1, 96)]
+        set_image_refs(data_copy, "train", refs)
+        err = train_data_error(data_copy, tmp_path, capsys)
+        assert "folder.npy: cannot read image array" in err
+
+    @pytest.mark.parametrize("ref", ["train.npy#", "train.npy#x1", "train.npy#-1", "train.npy#96"])
+    def test_bad_row_exits_3(self, ref, data_copy, tmp_path, capsys):
+        write_train_images(data_copy, train_images(), "split")
+        refs = [f"train.npy#{i}" for i in range(96)]
+        refs[3] = ref
+        set_image_refs(data_copy, "train", refs)
+        assert f"image ref {ref!r}" in train_data_error(data_copy, tmp_path, capsys)
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["dotdot", "absolute"])
+    def test_ref_outside_images_exits_3(self, absolute, data_copy, tmp_path, capsys):
+        images = train_images()
+        write_train_images(data_copy, images, "files")
+        outside = tmp_path / "other" / "images"
+        outside.mkdir(parents=True)
+        np.save(outside / "x.npy", images[0])
+        ref = str(outside / "x.npy") if absolute else "../../other/images/x.npy"
+        set_image_refs(data_copy, "train", [ref] + [f"train-{i:06d}.npy" for i in range(1, 96)])
+        assert "must name a file inside" in train_data_error(data_copy, tmp_path, capsys)
 
 
 class TestLstmVariant:

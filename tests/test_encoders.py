@@ -127,7 +127,8 @@ class TestVisionBackbone:
         assert config.map_channels == 64
 
     def test_reference_shaped_geometry(self):
-        config = VisionBackboneConfig.reference_shaped()
+        # the reference 8x8x2048 map / 2048-d vector
+        config = VisionBackboneConfig(input_side=256, channels=(128, 256, 512, 1024, 2048))
         assert config.map_side == 8
         assert config.map_channels == 2048
 
