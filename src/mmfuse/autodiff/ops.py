@@ -49,10 +49,6 @@ def add(a, b):
     return from_op(data, (a, b), backprop)
 
 
-def sub(a, b):
-    return add(a, mul(b, -1.0))
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     try:
@@ -65,17 +61,6 @@ def mul(a, b):
         accumulate_grad(b, _unbroadcast(grad * a.data, b.shape))
 
     return from_op(data, (a, b), backprop)
-
-
-def power(a, exponent):
-    a = as_tensor(a)
-    exponent = float(exponent)
-    data = a.data ** exponent
-
-    def backprop(grad):
-        accumulate_grad(a, grad * exponent * a.data ** (exponent - 1.0))
-
-    return from_op(data, (a,), backprop)
 
 
 def matmul(a, b):
@@ -126,26 +111,6 @@ def tanh(x):
     return from_op(data, (x,), backprop)
 
 
-def exp(x):
-    x = as_tensor(x)
-    data = np.exp(x.data)
-
-    def backprop(grad):
-        accumulate_grad(x, grad * data)
-
-    return from_op(data, (x,), backprop)
-
-
-def log(x):
-    x = as_tensor(x)
-    data = np.log(x.data)
-
-    def backprop(grad):
-        accumulate_grad(x, grad / x.data)
-
-    return from_op(data, (x,), backprop)
-
-
 # ---------------------------------------------------------------------------
 # reductions and reshaping
 
@@ -161,12 +126,6 @@ def sum_(x, axis=None):
             accumulate_grad(x, np.broadcast_to(np.expand_dims(grad, axis), x.shape))
 
     return from_op(data, (x,), backprop)
-
-
-def mean_(x, axis=None):
-    x = as_tensor(x)
-    count = x.size if axis is None else x.shape[axis]
-    return mul(sum_(x, axis=axis), 1.0 / count)
 
 
 def reshape(x, shape):
@@ -347,9 +306,10 @@ def avg_pool_spatial(x):
 class BatchNormState:
     """Running statistics for one batch-norm layer (not learned by gradient)."""
 
-    def __init__(self, channels, momentum=0.9, eps=1e-5):
-        self.momentum = momentum
-        self.eps = eps
+    momentum = 0.9
+    eps = 1e-5
+
+    def __init__(self, channels):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 

@@ -88,10 +88,16 @@ def from_op(data, parents, backprop):
 
 
 def accumulate_grad(tensor, grad):
+    """Add ``grad`` into ``tensor.grad``; the first gradient is stored without a copy.
+
+    Sharing is safe: no backprop writes into a gradient array once it has
+    been handed on, and accumulation is out of place, so a stored array (a
+    view, a broadcast or one handed to two parents) is never written through.
+    """
     if not tensor.requires_grad:
         return
     if tensor.grad is None:
-        tensor.grad = np.array(grad, dtype=np.float64, copy=True)
+        tensor.grad = np.asarray(grad, dtype=np.float64)
     else:
         tensor.grad = tensor.grad + grad
 

@@ -389,12 +389,7 @@ def cmd_train(args, cfg):
                 fh.write(f"{key} = {resolved[key]}\n")
     write_manifest(out, "train", resolved, [str(checkpoint), str(out / "history.csv")])
     if history.diverged:
-        cause = (
-            f"non-finite gradient of {history.nonfinite_grad!r}"
-            if history.nonfinite_grad
-            else "non-finite loss"
-        )
-        print(f"train: diverged ({cause}); kept last finite checkpoint", file=sys.stderr)
+        print(f"train: diverged ({history.diverged}); kept last finite checkpoint", file=sys.stderr)
         return EXIT_NUMERIC
     print(
         f"train: {len(history.steps)} steps, best val AUC "
@@ -472,17 +467,10 @@ def _read_report_rows(paths):
 
 def _write_results(rows, out):
     names = [row[0] for row in rows]
-    reports = {}
-    for name, inputs, f1_half, max_f1, auc, bacc in rows:
-        key = name if names.count(name) == 1 else f"{name} ({inputs})"
-        reports[key] = (
-            inputs,
-            evaluation.EvalReport(
-                f1_at_half=f1_half, max_f1=max_f1, max_f1_threshold=float("nan"),
-                auc=auc, balanced_accuracy=bacc, pr_points=[], roc_points=[],
-            ),
-        )
-    csv_text, aligned = evaluation.results_table(reports)
+    csv_text, aligned = evaluation.results_table(
+        (name if names.count(name) == 1 else f"{name} ({inputs})", inputs, max_f1, auc, bacc)
+        for name, inputs, _, max_f1, auc, bacc in rows
+    )
     (Path(out) / "results.csv").write_text(csv_text)
     (Path(out) / "results.txt").write_text(aligned)
     print(aligned, end="")

@@ -83,13 +83,10 @@ def get_strs(cfg, key, default=""):
 
 
 def get_seed(cfg, key="seed", default=0):
-    """Config seed, falling back to MFUSE_SEED, then the default."""
-    if key in cfg:
-        return get_int(cfg, key)
-    env = os.environ.get("MFUSE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"MFUSE_SEED must be an integer, got {env!r}")
-    return default
+    """Config seed, falling back to MFUSE_SEED, then the default; never negative."""
+    if key not in cfg:
+        cfg, key = os.environ, "MFUSE_SEED"
+    seed = get_int(cfg, key, default)
+    if seed < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, got {seed}")
+    return seed

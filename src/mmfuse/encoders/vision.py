@@ -20,8 +20,10 @@ class VisionBackboneConfig:
     stride: int = 2
 
     def __post_init__(self):
-        if self.input_side < 1 or not self.channels:
-            raise ValueError("need input_side >= 1 and at least one stage")
+        if self.input_side < 1:
+            raise ValueError("need input_side >= 1")
+        if not self.channels or min(self.channels) < 1:
+            raise ValueError(f"channels must be one or more widths >= 1, got {self.channels}")
 
     @property
     def map_channels(self):
@@ -43,7 +45,7 @@ class VisionBackbone(Layer):
         self.stages = []
         in_ch = 3
         for out_ch in config.channels:
-            conv = Conv2d(in_ch, out_ch, rng, kernel=3, stride=config.stride)
+            conv = Conv2d(in_ch, out_ch, rng, stride=config.stride)
             bn = BatchNorm(out_ch)
             self.stages.append((conv, bn))
             in_ch = out_ch

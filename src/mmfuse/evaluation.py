@@ -41,113 +41,71 @@ class EvalReport:
     roc_points: list  # (threshold, fpr, tpr)
 
 
-def _split(scored):
+def _sweep(scored, name):
+    """Cumulative (thresholds, tps, fps, n_pos, n_neg) as the threshold descends.
+
+    One row per distinct score (ties grouped), prefixed by a +inf threshold
+    where nothing is predicted positive. At each row, predicted positive means
+    score >= threshold. ``name`` labels the MetricError raised when a class is
+    missing.
+    """
     scores = np.array([ex.score for ex in scored], dtype=np.float64)
     labels = np.array([ex.hate for ex in scored], dtype=bool)
-    return scores, labels
-
-
-def _require_both_classes(labels, name):
-    if labels.all() or not labels.any():
-        raise MetricError(f"{name} needs both classes present")
-
-
-def auc_roc(scored):
-    """Mann-Whitney statistic: P(score_pos > score_neg) with ties counted 1/2.
-
-    Computed as the trapezoidal area under the ROC sweep. Twice that area times
-    P*N is an exact integer, so the quotient is correctly rounded.
-    """
-    scores, labels = _split(scored)
-    _require_both_classes(labels, "auc_roc")
-    _, tps, fps = _threshold_sweep(scores, labels)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
-    return int(np.sum(np.diff(fps) * (tps[1:] + tps[:-1]))) / (2 * n_pos * n_neg)
-
-
-def _threshold_sweep(scores, labels):
-    """Cumulative (threshold, tp, fp) as the threshold descends.
-
-    One entry per distinct score (ties grouped), prefixed by a +inf threshold
-    where nothing is predicted positive. At each row, predicted positive means
-    score >= threshold.
-    """
+    if not n_pos or not n_neg:
+        raise MetricError(f"{name} needs both classes present")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     y = labels[order]
-    tp = np.cumsum(y)
-    fp = np.cumsum(~y)
     distinct = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
     thresholds = np.concatenate(([np.inf], s[distinct]))
-    tps = np.concatenate(([0], tp[distinct]))
-    fps = np.concatenate(([0], fp[distinct]))
-    return thresholds, tps, fps
+    tps = np.concatenate(([0], np.cumsum(y)[distinct]))
+    fps = np.concatenate(([0], np.cumsum(~y)[distinct]))
+    return thresholds, tps, fps, n_pos, n_neg
 
 
-def f_scores(scored):
-    """(F1 at threshold 0.5, max F1 over thresholds, argmax threshold)."""
-    scores, labels = _split(scored)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
-        raise MetricError("f_scores needs at least one positive")
+def _auc(tps, fps, n_pos, n_neg):
+    """Trapezoidal area under the ROC sweep.
 
-    def f1(tp, fp):
-        predicted = tp + fp
-        if predicted == 0 or tp == 0:
-            return 0.0
-        precision = tp / predicted
-        recall = tp / n_pos
-        return 2.0 * precision * recall / (precision + recall)
-
-    thresholds, tps, fps = _threshold_sweep(scores, labels)
-    f1s = np.array([f1(tp, fp) for tp, fp in zip(tps, fps)])
-    best = int(np.argmax(f1s))
-    tp_half = int(labels[scores >= 0.5].sum())
-    fp_half = int((~labels[scores >= 0.5]).sum())
-    return f1(tp_half, fp_half), float(f1s[best]), float(thresholds[best])
-
-
-def balanced_accuracy(scored, threshold=0.5):
-    """Mean per-class recall at the threshold, as a fraction in [0, 1]."""
-    scores, labels = _split(scored)
-    _require_both_classes(labels, "balanced_accuracy")
-    predicted = scores >= threshold
-    recall_pos = (predicted & labels).sum() / labels.sum()
-    recall_neg = (~predicted & ~labels).sum() / (~labels).sum()
-    return float(0.5 * (recall_pos + recall_neg))
-
-
-def curves(scored):
-    """PR points (threshold, recall, precision) and ROC points (threshold, fpr, tpr).
-
-    Both descend in threshold; ROC starts at (0, 0) and ends at (1, 1), and
-    its trapezoidal area equals auc_roc.
+    Twice that area times P*N is an exact integer, so the quotient is
+    correctly rounded.
     """
-    scores, labels = _split(scored)
-    _require_both_classes(labels, "curves")
-    thresholds, tps, fps = _threshold_sweep(scores, labels)
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
-    roc = [(float(t), fp / n_neg, tp / n_pos) for t, tp, fp in zip(thresholds, tps, fps)]
-    pr = [
-        (float(t), tp / n_pos, tp / (tp + fp) if tp + fp else 1.0)
-        for t, tp, fp in zip(thresholds, tps, fps)
-    ]
-    return pr, roc
+    return int(np.sum(np.diff(fps) * (tps[1:] + tps[:-1]))) / (2 * n_pos * n_neg)
+
+
+def auc_roc(scored):
+    """Mann-Whitney statistic: P(score_pos > score_neg) with ties counted 1/2."""
+    _, tps, fps, n_pos, n_neg = _sweep(scored, "auc_roc")
+    return _auc(tps, fps, n_pos, n_neg)
 
 
 def evaluate(scored):
-    f1_half, max_f1, max_f1_threshold = f_scores(scored)
-    pr, roc = curves(scored)
+    """Every metric of one scored set from one sorted sweep.
+
+    F1 at threshold 0.5, the max F1 over thresholds and its argmax threshold,
+    AUC, balanced accuracy at 0.5, and the PR points (threshold, recall,
+    precision) and ROC points (threshold, fpr, tpr), both descending in
+    threshold. ROC starts at (0, 0) and ends at (1, 1); its trapezoidal area
+    is the AUC.
+    """
+    thresholds, tps, fps, n_pos, n_neg = _sweep(scored, "evaluate")
+    recall = tps / n_pos
+    with np.errstate(invalid="ignore"):  # 0/0 precision where nothing is predicted
+        precision = tps / (tps + fps)
+        f1 = np.where(tps > 0, 2.0 * precision * recall / (precision + recall), 0.0)
+    best = int(np.argmax(f1))
+    half = int(np.count_nonzero(thresholds >= 0.5)) - 1  # the row that predicts score >= 0.5
+    ts = thresholds.tolist()
     return EvalReport(
-        f1_at_half=f1_half,
-        max_f1=max_f1,
-        max_f1_threshold=max_f1_threshold,
-        auc=auc_roc(scored),
-        balanced_accuracy=balanced_accuracy(scored),
-        pr_points=pr,
-        roc_points=roc,
+        f1_at_half=float(f1[half]),
+        max_f1=float(f1[best]),
+        max_f1_threshold=ts[best],
+        auc=_auc(tps, fps, n_pos, n_neg),
+        balanced_accuracy=float(0.5 * (recall[half] + (n_neg - fps[half]) / n_neg)),
+        # only the +inf row predicts nothing; its precision is 1 by convention
+        pr_points=list(zip(ts, recall, [1.0, *precision[1:]])),
+        roc_points=list(zip(ts, fps / n_neg, recall)),
     )
 
 
@@ -160,22 +118,20 @@ def write_curve_csv(points, path):
             writer.writerow([repr(threshold), repr(x), repr(y)])
 
 
-def results_table(reports):
-    """Render named reports as (csv_text, aligned_text).
+def results_table(rows):
+    """Render (name, inputs, f, auc, acc) rows as (csv_text, aligned_text).
 
-    ``reports`` maps model name -> (inputs label, EvalReport); column order is
-    F, AUC, ACC with ACC as a percentage.
+    ``f`` is the max F1, ``acc`` the balanced accuracy as a fraction; the ACC
+    column shows it as a percentage. An empty ``inputs`` renders as "-".
     """
-    if not reports:
-        raise ValueError("need at least one report")
-    rows = []
-    for name, (inputs, report) in reports.items():
-        if not name:
-            raise ValueError("report names must be non-empty")
-        rows.append(
-            (name, inputs or "-", f"{report.max_f1:.3f}", f"{report.auc:.3f}",
-             f"{100.0 * report.balanced_accuracy:.1f}")
-        )
+    rows = [
+        (name, inputs or "-", f"{f:.3f}", f"{auc:.3f}", f"{100.0 * acc:.1f}")
+        for name, inputs, f, auc, acc in rows
+    ]
+    if not rows:
+        raise ValueError("need at least one row")
+    if not all(row[0] for row in rows):
+        raise ValueError("row names must be non-empty")
     header = ("Model", "Inputs", "F", "AUC", "ACC")
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -65,6 +65,11 @@ class FusionModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        for name in ("visual_dim", "map_side", "hidden_dim", "fusion_channels", "fusion_block_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.fc_plan or min(self.fc_plan) < 1:
+            raise ValueError(f"fc_plan must be one or more widths >= 1, got {self.fc_plan}")
         if self.fc_plan[-1] != 2:
             raise ValueError("fc_plan must end in the 2-class layer")
         if self.variant == "TKM" and (self.tweet_kernels < 1 or self.imgtext_kernels < 1):
@@ -125,7 +130,7 @@ class _ConvStack(Layer):
     def __init__(self, in_ch, out_ch, count, rng):
         self.blocks = []
         for _ in range(count):
-            self.blocks.append((Conv2d(in_ch, out_ch, rng, kernel=3, stride=1), BatchNorm(out_ch)))
+            self.blocks.append((Conv2d(in_ch, out_ch, rng), BatchNorm(out_ch)))
             in_ch = out_ch
 
     def __call__(self, x, training):

@@ -47,18 +47,13 @@ def primitive_checks(seed=0):
 
     s = _probe(rng, (3, 4))
     case("add_broadcast", lambda a, b: s(ops.add(a, b)), t((3, 4)), t((4,)))
-    case("sub", lambda a, b: s(ops.sub(a, b)), t((3, 4)), t((3, 4)))
     case("mul", lambda a, b: s(ops.mul(a, b)), t((3, 4)), t((3, 4)))
-    case("power", lambda a: s(ops.power(a, 3.0)), t((3, 4)))
     sm = _probe(rng, (3, 5))
     case("matmul", lambda a, b: sm(ops.matmul(a, b)), t((3, 4)), t((4, 5)))
     case("relu", lambda a: s(ops.relu(a)), t((3, 4), kink=True))
     case("sigmoid", lambda a: s(ops.sigmoid(a)), t((3, 4)))
     case("tanh", lambda a: s(ops.tanh(a)), t((3, 4)))
-    case("exp", lambda a: s(ops.exp(a)), t((3, 4)))
-    case("log", lambda a: s(ops.log(ops.add(ops.mul(a, a), 0.5))), t((3, 4)))
     case("sum", lambda a: ops.sum_(a), t((3, 4)))
-    case("mean_axis", lambda a: s(ops.mean_(a, axis=1)), t((3, 4, 4)))
     case("reshape", lambda a: s(ops.reshape(a, (3, 4))), t((4, 3)))
     sc = _probe(rng, (2, 7))
     case("concat", lambda a, b: sc(ops.concat([a, b], axis=1)), t((2, 3)), t((2, 4)))
@@ -177,13 +172,10 @@ def model_checks(seed=0, hidden_dim=32):
     return checks
 
 
-def run_suite(seed=0, include_models=True):
+def run_suite(seed=0):
     """Run all checks; returns a list of (name, max_rel_error, passed)."""
-    checks = primitive_checks(seed)
-    if include_models:
-        checks += model_checks(seed)
     results = []
-    for name, fn, inputs in checks:
+    for name, fn, inputs in primitive_checks(seed) + model_checks(seed):
         err = check_gradients(fn, inputs, eps=EPS)
         results.append((name, err, err <= TOLERANCE))
     return results

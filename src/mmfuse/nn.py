@@ -75,12 +75,8 @@ class Layer:
 
 
 class Dense(Layer):
-    def __init__(self, in_dim, out_dim, rng, zero_init=False):
-        if zero_init:
-            w = np.zeros((in_dim, out_dim))
-        else:
-            w = glorot(rng, in_dim, out_dim, (in_dim, out_dim))
-        self.weight = Tensor(w, requires_grad=True)
+    def __init__(self, in_dim, out_dim, rng):
+        self.weight = Tensor(glorot(rng, in_dim, out_dim, (in_dim, out_dim)), requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x):
@@ -91,13 +87,12 @@ class Dense(Layer):
 
 
 class Conv2d(Layer):
-    def __init__(self, in_ch, out_ch, rng, kernel=3, stride=1):
+    """A same-padded 3x3 convolution."""
+
+    def __init__(self, in_ch, out_ch, rng, stride=1):
         self.stride = stride
-        fan_in = kernel * kernel * in_ch
-        fan_out = kernel * kernel * out_ch
-        self.weight = Tensor(
-            glorot(rng, fan_in, fan_out, (kernel, kernel, in_ch, out_ch)), requires_grad=True
-        )
+        weight = glorot(rng, 9 * in_ch, 9 * out_ch, (3, 3, in_ch, out_ch))
+        self.weight = Tensor(weight, requires_grad=True)
         self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
 
     def __call__(self, x):
@@ -108,10 +103,10 @@ class Conv2d(Layer):
 
 
 class BatchNorm(Layer):
-    def __init__(self, channels, momentum=0.9, eps=1e-5):
+    def __init__(self, channels):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.state = BatchNormState(channels, momentum=momentum, eps=eps)
+        self.state = BatchNormState(channels)
 
     def __call__(self, x, training):
         return ops.batch_norm(x, self.gamma, self.beta, self.state, training)

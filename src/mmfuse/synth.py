@@ -44,6 +44,8 @@ class SynthSpec:
             raise ValueError("multimodal_fraction must be in (0, 1]")
         if self.image_side < 4:
             raise ValueError("image_side must be at least 4")
+        if min(self.n_train, self.n_val, self.n_test) < 0:
+            raise ValueError("split sizes must be >= 0")
 
 
 @dataclass

@@ -13,12 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import AdamState, Tensor, adam_step, backward, no_grad, ops
+from .autodiff import AdamState, AutodiffError, Tensor, adam_step, backward, no_grad, ops
 from .evaluation import MetricError, ScoredExample, auc_roc
 from .fusion import InputMask
 from .nn import Dense, Layer
 
 HATE = 1  # class index of the hate label; index 0 is not-hate
+
+
+class NonFiniteScore(AutodiffError):
+    """A model scored an example NaN or infinite, as overflowing weights do."""
 
 
 def class_weights(label_counts):
@@ -41,8 +45,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:  # also refuses nan
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
         if self.class_weight_mode not in ("balanced", "uniform"):
             raise ValueError("class_weight_mode must be 'balanced' or 'uniform'")
 
@@ -53,7 +61,7 @@ class TrainHistory:
     evals: list = field(default_factory=list)  # (step, val_auc)
     best_step: int = -1
     best_val_auc: float = float("nan")
-    diverged: bool = False
+    diverged: str = ""  # why training stopped early, if it did: the non-finite value
     nonfinite_grad: str = ""  # the first parameter with a non-finite gradient, if any
 
     def write_csv(self, path):
@@ -113,13 +121,19 @@ class TextOnlyModel(Layer):
 
 
 def score_dataset(model, data, batch_size=64):
-    """Eval-mode hate scores for every example; deterministic and tape-free."""
+    """Eval-mode hate scores for every example; deterministic and tape-free.
+
+    Raises NonFiniteScore when a score is NaN or infinite.
+    """
     scored = []
     for start in range(0, len(data), batch_size):
         batch = data.subset(np.arange(start, min(start + batch_size, len(data))))
-        with no_grad():
+        with no_grad(), np.errstate(over="ignore", invalid="ignore"):  # checked below
             logits = model.forward(batch.images, batch.tweet_ids, batch.imgtext_ids, training=False)
             probs = ops.softmax(logits, axis=1).data
+        finite = np.isfinite(probs[:, HATE])
+        if not finite.all():
+            raise NonFiniteScore(f"non-finite score for example {batch.ids[np.argmin(finite)]!r}")
         for ident, p, label in zip(batch.ids, probs[:, HATE], batch.labels):
             scored.append(ScoredExample(id=ident, score=float(p), hate=bool(label)))
     return scored
@@ -129,10 +143,10 @@ def train(model, train_data, val_data, config):
     """Run the training loop; returns (best_arrays, history).
 
     The model is left holding the best-validation-AUC parameters. Training
-    aborts (history.diverged) on a non-finite loss or gradient, before ADAM
-    applies it, and returns the last finite checkpoint;
-    ``history.nonfinite_grad`` names the first parameter whose gradient was
-    non-finite.
+    aborts on a non-finite loss or gradient, before ADAM applies it, or on a
+    non-finite validation score, and returns the last finite checkpoint;
+    ``history.diverged`` then names the cause and ``history.nonfinite_grad``
+    the first parameter whose gradient was non-finite.
     """
     if len(train_data) == 0:
         raise ValueError("train split is empty")
@@ -155,16 +169,19 @@ def train(model, train_data, val_data, config):
     step = 0
 
     def diverge():
-        history.diverged = True
         model.load_state_dict(best)
         return best, history
 
     def evaluate_now():
+        """Record the validation AUC; True, with history.diverged set, on a non-finite score."""
         nonlocal best, best_auc
         if len(val_data) == 0 or (history.evals and history.evals[-1][0] == step):
             return
         try:
             auc = auc_roc(score_dataset(model, val_data, config.batch_size))
+        except NonFiniteScore:
+            history.diverged = "non-finite validation score"
+            return True
         except MetricError:
             return
         history.evals.append((step, auc))
@@ -184,6 +201,7 @@ def train(model, train_data, val_data, config):
             loss = ops.softmax_cross_entropy(logits, batch.labels, weights)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
+                history.diverged = "non-finite loss"
                 return diverge()
             step += 1
             history.steps.append((step, loss_value))
@@ -194,13 +212,15 @@ def train(model, train_data, val_data, config):
             for name, grad in grads.items():
                 if not np.isfinite(grad).all():
                     history.nonfinite_grad = name
+                    history.diverged = f"non-finite gradient of {name!r}"
                     return diverge()
             adam_step(params, grads, adam)
-            if config.eval_every and step % config.eval_every == 0:
-                evaluate_now()
-        if not config.eval_every:
-            evaluate_now()
-    evaluate_now()
+            if config.eval_every and step % config.eval_every == 0 and evaluate_now():
+                return diverge()
+        if not config.eval_every and evaluate_now():
+            return diverge()
+    if evaluate_now():
+        return diverge()
     if best_auc == -np.inf:  # no usable validation signal: keep final params
         return model.state_dict(), history
     model.load_state_dict(best)

@@ -15,7 +15,7 @@ from conftest import make_scored, oracle_auc, oracle_balanced_accuracy, oracle_f
 from mmfuse import synth
 from mmfuse.cli import EXIT_OK, main as cli_main
 from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig
-from mmfuse.evaluation import auc_roc, balanced_accuracy, f_scores
+from mmfuse.evaluation import auc_roc, evaluate
 from mmfuse.fusion import FusionModelConfig, InputMask, MultimodalModel
 from mmfuse.gradcheck_suite import run_suite
 from mmfuse.training import TextOnlyModel, TrainConfig, score_dataset, train
@@ -71,7 +71,7 @@ def run_experiment(model, train_spec, epochs=2, lr=2e-3, seed=0, test_spec=None)
         config,
     )
     scored = score_dataset(model, synth.to_model_data(test_split, vocab))
-    return balanced_accuracy(scored)
+    return evaluate(scored).balanced_accuracy
 
 
 def xor_spec(seed=0, **kw):
@@ -104,13 +104,13 @@ def test_criterion_2_metric_oracle_equivalence():
     for _ in range(200):
         scores, labels = random_instance(rng)
         scored = make_scored(scores, labels)
-        f1_half, max_f1, _ = f_scores(scored)
+        metrics = evaluate(scored)
         worst = max(
             worst,
             abs(auc_roc(scored) - oracle_auc(scores, labels)),
-            abs(f1_half - oracle_f1(scores, labels, 0.5)),
-            abs(max_f1 - oracle_max_f1(scores, labels)),
-            abs(balanced_accuracy(scored) - oracle_balanced_accuracy(scores, labels)),
+            abs(metrics.f1_at_half - oracle_f1(scores, labels, 0.5)),
+            abs(metrics.max_f1 - oracle_max_f1(scores, labels)),
+            abs(metrics.balanced_accuracy - oracle_balanced_accuracy(scores, labels)),
         )
     report(2, f"metrics match brute-force oracles, max abs diff {worst:.2e}", worst <= 1e-12)
 
@@ -121,9 +121,10 @@ def test_criterion_3_random_row_reproduction():
     scores = rng.random(10_000)
     labels = np.arange(10_000) < 5_000
     scored = make_scored(scores, labels)
-    _, max_f1, _ = f_scores(scored)
+    metrics = evaluate(scored)
+    max_f1 = metrics.max_f1
     auc = auc_roc(scored)
-    acc = 100.0 * balanced_accuracy(scored)
+    acc = 100.0 * metrics.balanced_accuracy
     elapsed = time.monotonic() - start
     ok = (
         abs(max_f1 - 0.667) <= 0.005

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -8,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmfuse import cli, dataset, synth, training
-from mmfuse.autodiff import load_arrays
+from mmfuse.autodiff import load_arrays, save_arrays
 from mmfuse.autodiff.tensor import _toposort
 from mmfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
@@ -518,3 +522,141 @@ class TestConfigFile:
         assert rc == EXIT_OK
         records, _ = dataset.import_corpus(out / "train.jsonl")
         assert len(records) == 12
+
+
+def run_main(argv):
+    """(exit code, stderr lines) of ``main(argv)`` in this process."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue().strip().splitlines()
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    """A 16/8/8 corpus of 8-px images, and a directory runs on it may write to."""
+    root = tmp_path_factory.mktemp("tiny")
+    rc = main(["synth", "--out", str(root / "data"), *TINY_SYNTH])
+    assert rc == EXIT_OK
+    return root / "data", root
+
+
+TINY_SYNTH = [
+    "--set", "synth.n_train=16", "--set", "synth.n_val=8", "--set", "synth.n_test=8",
+    "--set", "synth.image_side=8",
+]
+
+# every key train reads but model.image_side: a size unlike the data's is a data error
+TRAIN_KEYS = [
+    "model.variant", "model.backbone_channels", "model.embedding_dim", "model.hidden_dim",
+    "model.tweet_kernels", "model.imgtext_kernels", "model.fc_plan", "model.fusion_channels",
+    "model.dropout_rate", "model.share_text_encoder", "model.seed", "train.mask", "train.lr",
+    "train.batch_size", "train.epochs", "train.seed", "train.class_weight_mode",
+    "train.eval_every",
+]
+SYNTH_KEYS = [
+    "synth.mode", "synth.n_train", "synth.n_val", "synth.n_test", "synth.noise_rate",
+    "synth.multimodal_fraction", "synth.image_side", "synth.seed",
+]
+FUZZ_VALUES = ["", ",", "0", "-1", "0,2", "1,0", "nan", "inf", "x", "1.5"]
+
+CONFIG_FAULTS = {
+    "empty_fc_plan": ["model.fc_plan="],
+    "comma_fc_plan": ["model.fc_plan=,"],
+    "zero_width_fc_layer": ["model.fc_plan=0,2"],
+    "zero_fusion_channels_scm": ["model.variant=SCM", "model.fusion_channels=0"],
+    "zero_fusion_channels_tkm": ["model.variant=TKM", "model.fusion_channels=0"],
+    "zero_backbone_channels": ["model.backbone_channels=8,0"],
+    "negative_epochs": ["train.epochs=-1"],
+    "negative_eval_every": ["train.eval_every=-3"],
+    "nan_lr": ["train.lr=nan"],
+    "inf_lr": ["train.lr=inf"],
+    "negative_train_seed": ["train.seed=-1"],
+}
+
+
+def sets(pairs):
+    return [arg for pair in pairs for arg in ("--set", pair)]
+
+
+class TestConfigFaults:
+    @pytest.mark.parametrize("case", sorted(CONFIG_FAULTS))
+    def test_train_fault_exits_2_with_one_line(self, case, tiny_data):
+        data, root = tiny_data
+        rc, err = run_main([
+            "train", "--data", str(data), "--out", str(root / "fault"),
+            *sets(["model.variant=FCM", "train.epochs=1", *CONFIG_FAULTS[case]]),
+        ])
+        assert rc == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+
+    def test_negative_synth_seed_exits_2(self, tiny_data):
+        _, root = tiny_data
+        rc, err = run_main(
+            ["synth", "--out", str(root / "neg"), *TINY_SYNTH, "--set", "synth.seed=-1"]
+        )
+        assert rc == EXIT_CONFIG
+        assert err == ["config error: synth.seed must be a non-negative integer, got -1"]
+
+    def test_negative_env_seed_exits_2(self, tiny_data, monkeypatch):
+        _, root = tiny_data
+        monkeypatch.setenv("MFUSE_SEED", "-5")
+        rc, err = run_main(["synth", "--out", str(root / "env"), *TINY_SYNTH])
+        assert rc == EXIT_CONFIG
+        assert err == ["config error: MFUSE_SEED must be a non-negative integer, got -5"]
+
+    @given(
+        variant=st.sampled_from(["FCM", "SCM", "TKM", "LSTM"]),
+        key=st.sampled_from(TRAIN_KEYS),
+        value=st.sampled_from(FUZZ_VALUES),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fuzzed_train_key_exits_0_or_2(self, tiny_data, variant, key, value):
+        data, root = tiny_data
+        rc, err = run_main([
+            "train", "--data", str(data), "--out", str(root / "fuzz"),
+            *sets([f"model.variant={variant}", "train.epochs=1", f"{key}={value}"]),
+        ])
+        assert rc in (EXIT_OK, EXIT_CONFIG), err
+        if rc == EXIT_CONFIG:
+            assert len(err) == 1 and err[0].startswith("config error: "), err
+
+    @given(key=st.sampled_from(SYNTH_KEYS), value=st.sampled_from(FUZZ_VALUES))
+    @settings(max_examples=30, deadline=None)
+    def test_fuzzed_synth_key_exits_0_or_2(self, tiny_data, key, value):
+        _, root = tiny_data
+        rc, err = run_main(
+            ["synth", "--out", str(root / "fuzz_synth"), *TINY_SYNTH, "--set", f"{key}={value}"]
+        )
+        assert rc in (EXIT_OK, EXIT_CONFIG), err
+        if rc == EXIT_CONFIG:
+            assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
+class TestNonFiniteScores:
+    def test_overflowing_lr_exits_4(self, tiny_data):
+        data, root = tiny_data
+        out = root / "overflow"
+        rc, err = run_main([
+            "train", "--data", str(data), "--out", str(out),
+            *sets(["model.variant=SCM", "train.epochs=1", "train.lr=1e30"]),
+        ])
+        assert rc == EXIT_NUMERIC
+        assert err[-1] == "train: diverged (non-finite validation score); kept last finite checkpoint"
+        arrays = load_arrays(out / "checkpoint.mfuse")
+        assert all(np.isfinite(a).all() for a in arrays.values())
+
+    def test_huge_weights_exit_4_at_eval(self, data_dir, run_dir, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(run_dir / "model.cfg", run)
+        arrays = load_arrays(run_dir / "checkpoint.mfuse")
+        save_arrays(run / "checkpoint.mfuse", {k: v * 1e300 for k, v in arrays.items()})
+        out = tmp_path / "o"
+        rc, err = run_main([
+            "eval", "--checkpoint", str(run / "checkpoint.mfuse"),
+            "--data", str(data_dir), "--out", str(out),
+        ])
+        assert rc == EXIT_NUMERIC
+        assert len(err) == 1 and err[0].startswith("numeric failure: non-finite score"), err
+        assert not (out / "report.csv").exists()

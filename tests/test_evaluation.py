@@ -12,14 +12,10 @@ from conftest import (
     random_instance,
 )
 from mmfuse.evaluation import (
-    EvalReport,
     MetricError,
     ScoredExample,
     auc_roc,
-    balanced_accuracy,
-    curves,
     evaluate,
-    f_scores,
     results_table,
     write_curve_csv,
 )
@@ -74,49 +70,48 @@ class TestAuc:
 
 class TestFScores:
     def test_perfect_classifier(self):
-        scored = make_scored([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
-        f1_half, max_f1, _ = f_scores(scored)
-        assert f1_half == 1.0
-        assert max_f1 == 1.0
+        report = evaluate(make_scored([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0]))
+        assert report.f1_at_half == 1.0
+        assert report.max_f1 == 1.0
 
     def test_hand_case_best_is_accept_all(self):
-        scored = make_scored([0.9, 0.2, 0.8], [1, 1, 0])
-        _, max_f1, threshold = f_scores(scored)
-        assert max_f1 == pytest.approx(0.8, abs=1e-12)
-        assert threshold == pytest.approx(0.2, abs=1e-12)
+        report = evaluate(make_scored([0.9, 0.2, 0.8], [1, 1, 0]))
+        assert report.max_f1 == pytest.approx(0.8, abs=1e-12)
+        assert report.max_f1_threshold == pytest.approx(0.2, abs=1e-12)
 
     def test_random_scores_max_f1_two_thirds(self):
         rng = np.random.default_rng(7)
         scores = rng.random(10_000)
         labels = np.arange(10_000) < 5_000
-        _, max_f1, _ = f_scores(make_scored(scores, labels))
+        max_f1 = evaluate(make_scored(scores, labels)).max_f1
         assert max_f1 == pytest.approx(2.0 / 3.0, abs=0.005)
 
     def test_max_f1_at_least_f1_at_half(self, rng):
         for _ in range(50):
             scores, labels = random_instance(rng)
-            f1_half, max_f1, _ = f_scores(make_scored(scores, labels))
-            assert max_f1 >= f1_half - 1e-12
+            report = evaluate(make_scored(scores, labels))
+            assert report.max_f1 >= report.f1_at_half - 1e-12
 
     def test_no_positives_rejected(self):
         with pytest.raises(MetricError):
-            f_scores(make_scored([0.4, 0.6], [0, 0]))
+            evaluate(make_scored([0.4, 0.6], [0, 0]))
 
 
 class TestBalancedAccuracy:
     def test_perfect_classifier(self):
         scored = make_scored([0.9, 0.1], [1, 0])
-        assert balanced_accuracy(scored) == 1.0
+        assert evaluate(scored).balanced_accuracy == 1.0
 
     def test_all_predicted_hate_is_half(self):
         scored = make_scored([0.9, 0.8, 0.7, 0.6], [1, 1, 0, 0])
-        assert balanced_accuracy(scored) == pytest.approx(0.5, abs=1e-12)
+        assert evaluate(scored).balanced_accuracy == pytest.approx(0.5, abs=1e-12)
 
     def test_random_scores_near_half(self):
         rng = np.random.default_rng(11)
         scores = rng.random(10_000)
         labels = np.arange(10_000) < 5_000
-        assert 100.0 * balanced_accuracy(make_scored(scores, labels)) == pytest.approx(50.0, abs=1.0)
+        acc = evaluate(make_scored(scores, labels)).balanced_accuracy
+        assert 100.0 * acc == pytest.approx(50.0, abs=1.0)
 
 
 class TestOracleEquivalence:
@@ -126,10 +121,10 @@ class TestOracleEquivalence:
             scores, labels = random_instance(rng)
             scored = make_scored(scores, labels)
             assert auc_roc(scored) == pytest.approx(oracle_auc(scores, labels), abs=1e-12)
-            f1_half, max_f1, _ = f_scores(scored)
-            assert f1_half == pytest.approx(oracle_f1(scores, labels, 0.5), abs=1e-12)
-            assert max_f1 == pytest.approx(oracle_max_f1(scores, labels), abs=1e-12)
-            assert balanced_accuracy(scored) == pytest.approx(
+            report = evaluate(scored)
+            assert report.f1_at_half == pytest.approx(oracle_f1(scores, labels, 0.5), abs=1e-12)
+            assert report.max_f1 == pytest.approx(oracle_max_f1(scores, labels), abs=1e-12)
+            assert report.balanced_accuracy == pytest.approx(
                 oracle_balanced_accuracy(scores, labels), abs=1e-12
             )
 
@@ -141,26 +136,26 @@ class TestOracleEquivalence:
             labels[0], labels[1] = True, False
             scored = make_scored(scores, labels)
             assert auc_roc(scored) == pytest.approx(oracle_auc(scores, labels), abs=1e-12)
-            assert f_scores(scored)[1] == pytest.approx(oracle_max_f1(scores, labels), abs=1e-12)
+            assert evaluate(scored).max_f1 == pytest.approx(oracle_max_f1(scores, labels), abs=1e-12)
 
 
 class TestCurves:
     def test_roc_endpoints(self, rng):
         scores, labels = random_instance(rng, 40)
-        _, roc = curves(make_scored(scores, labels))
+        roc = evaluate(make_scored(scores, labels)).roc_points
         assert roc[0][1:] == (0.0, 0.0)
         assert roc[-1][1:] == (1.0, 1.0)
 
     def test_perfect_classifier_passes_corner(self):
         scored = make_scored([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-        _, roc = curves(scored)
+        roc = evaluate(scored).roc_points
         assert any(fpr == 0.0 and tpr == 1.0 for _, fpr, tpr in roc)
 
     def test_trapezoid_area_equals_auc(self, rng):
         for _ in range(100):
             scores, labels = random_instance(rng)
             scored = make_scored(scores, labels)
-            _, roc = curves(scored)
+            roc = evaluate(scored).roc_points
             fpr = np.array([p[1] for p in roc])
             tpr = np.array([p[2] for p in roc])
             area = float(np.trapezoid(tpr, fpr))
@@ -168,12 +163,12 @@ class TestCurves:
 
     def test_pr_precision_one_at_zero_predicted(self, rng):
         scores, labels = random_instance(rng, 20)
-        pr, _ = curves(make_scored(scores, labels))
+        pr = evaluate(make_scored(scores, labels)).pr_points
         assert pr[0][1:] == (0.0, 1.0)
 
     def test_curve_csv_header(self, tmp_path, rng):
         scores, labels = random_instance(rng, 10)
-        pr, _ = curves(make_scored(scores, labels))
+        pr = evaluate(make_scored(scores, labels)).pr_points
         path = tmp_path / "pr.csv"
         write_curve_csv(pr, path)
         lines = path.read_text().splitlines()
@@ -189,22 +184,18 @@ class TestEvaluateAndTable:
         assert report.max_f1 >= report.f1_at_half
         assert len(report.roc_points) >= 2
 
-    def _random_row_report(self):
-        return EvalReport(
-            f1_at_half=0.667, max_f1=0.666, max_f1_threshold=0.0,
-            auc=0.499, balanced_accuracy=0.502, pr_points=[], roc_points=[],
-        )
+    RANDOM_ROW = ("Random", "-", 0.666, 0.499, 0.502)
 
     def test_table_random_row_rendering(self):
-        csv_text, aligned = results_table({"Random": ("-", self._random_row_report())})
+        csv_text, aligned = results_table([self.RANDOM_ROW])
         assert csv_text.splitlines()[0] == "Model,Inputs,F,AUC,ACC"
         assert csv_text.splitlines()[1] == "Random,-,0.666,0.499,50.2"
         assert "Random" in aligned and "50.2" in aligned
 
     def test_empty_reports_rejected(self):
         with pytest.raises(ValueError):
-            results_table({})
+            results_table([])
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
-            results_table({"": ("-", self._random_row_report())})
+            results_table([("", *self.RANDOM_ROW[1:])])

@@ -1,0 +1,151 @@
+"""The primitive set of ``mmfuse.autodiff.ops``: checked, used, and sharing gradients safely."""
+
+import inspect
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mmfuse import gradcheck_suite
+from mmfuse.autodiff import Tensor, check_gradients, ops
+from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig
+from mmfuse.fusion import FusionModelConfig, MultimodalModel
+from mmfuse.training import ModelData, TextOnlyModel, TrainConfig, score_dataset, train
+
+# Primitives no training step or scoring reaches, each kept for a named caller.
+KEEP = {
+    "sigmoid": "perfbench's tracer wraps it by name; the reference LSTM test builds gates from it",
+    "tanh": "the gradcheck probe calls it; so do perfbench's tracer and the reference LSTM test",
+    "mul": "the gradcheck probe calls it; so do perfbench's tracer and the reference LSTM test",
+    "sum_": "the gradcheck probe reduces to a scalar with it",
+}
+
+PUBLIC = sorted(
+    name
+    for name, fn in vars(ops).items()
+    if inspect.isfunction(fn) and fn.__module__ == ops.__name__ and not name.startswith("_")
+)
+
+
+VARIANTS = ["FCM", "SCM", "TKM", "LSTM"]
+
+
+def build(variant):
+    text = TextEncoderConfig(embedding_dim=5, hidden_dim=6)
+    if variant == "LSTM":
+        rng = np.random.default_rng(0)
+        return TextOnlyModel(TextEncoder(20, text, rng), rng)
+    fusion = FusionModelConfig(
+        variant=variant, visual_dim=8, map_side=2, hidden_dim=6, tweet_kernels=3,
+        imgtext_kernels=2, fc_plan=(10, 2), fusion_channels=5, dropout_rate=0.2,
+    )
+    return MultimodalModel(
+        20, fusion, backbone_config=VisionBackboneConfig(input_side=8, channels=(4, 8)),
+        text_config=text, seed=0,
+    )
+
+
+def data(n, seed=0):
+    rng = np.random.default_rng(seed)
+    texts = [list(rng.integers(1, 20, rng.integers(0, 5))) for _ in range(2 * n)]
+    return ModelData(
+        images=rng.random((n, 8, 8, 3)),
+        tweet_ids=texts[:n],
+        imgtext_ids=texts[n:],
+        labels=np.arange(n) % 2,
+    )
+
+
+def calls_into(monkeypatch, run):
+    """The public primitives ``run()`` calls, through the ``ops`` module attribute."""
+    called = set()
+    for name in PUBLIC:
+        def counted(*args, _fn=getattr(ops, name), _name=name, **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ops, name, counted)
+    run()
+    monkeypatch.undo()
+    return called
+
+
+def test_every_primitive_is_gradient_checked(monkeypatch):
+    def run_cases():
+        for _, fn, inputs in gradcheck_suite.primitive_checks():
+            fn(*inputs)
+
+    assert set(PUBLIC) - calls_into(monkeypatch, run_cases) == set()
+
+
+def test_every_primitive_is_reached_by_training_or_kept(monkeypatch):
+    def train_and_score():
+        for variant in VARIANTS:
+            model = build(variant)
+            train(model, data(8), data(6, seed=1), TrainConfig(batch_size=8, epochs=1))
+            score_dataset(model, data(4, seed=2))
+
+    reached = calls_into(monkeypatch, train_and_score)
+    assert set(PUBLIC) - reached - set(KEEP) == set()
+    assert set(KEEP) <= set(PUBLIC)
+
+
+@st.composite
+def broadcast_pair(draw):
+    """Two shapes that broadcast: size-1 axes, fewer leading axes, 0-d operands."""
+    full = draw(st.lists(st.integers(1, 3), max_size=3))
+    shapes = []
+    for _ in range(2):
+        lead = draw(st.integers(0, len(full)))
+        shapes.append(tuple(1 if draw(st.booleans()) else d for d in full[lead:]))
+    return shapes
+
+
+@given(shapes=broadcast_pair(), seed=st.integers(0, 2**16), op=st.sampled_from(["add", "mul"]))
+@settings(max_examples=80, deadline=None)
+def test_broadcast_gradients(shapes, seed, op):
+    rng = np.random.default_rng(seed)
+    a, b = (Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes)
+    out_shape = np.broadcast_shapes(*shapes)
+    weights = Tensor(rng.standard_normal(out_shape))
+    fn = getattr(ops, op)
+
+    def probe(x, y):
+        return ops.sum_(ops.mul(ops.tanh(fn(x, y)), weights))
+
+    assert check_gradients(probe, [a, b], eps=gradcheck_suite.EPS) <= gradcheck_suite.TOLERANCE
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_first_gradients_are_stored_uncopied_and_never_written(variant, monkeypatch):
+    """Freeze each handed gradient; training must neither copy nor write into one."""
+    real = ops.accumulate_grad
+
+    def run(accumulate):
+        monkeypatch.setattr(ops, "accumulate_grad", accumulate)
+        model = build(variant)
+        _, history = train(model, data(8), data(6, seed=1), TrainConfig(batch_size=4, epochs=2))
+        monkeypatch.undo()
+        return model.state_dict(), history
+
+    handed = []
+
+    def frozen(tensor, grad):
+        first = tensor.requires_grad and tensor.grad is None
+        grad = np.asarray(grad, dtype=np.float64)
+        grad.flags.writeable = False
+        real(tensor, grad)
+        if first:
+            handed.append(tensor.grad is grad)
+
+    def copying(tensor, grad):
+        real(tensor, np.array(grad, dtype=np.float64, copy=True))
+
+    frozen_state, frozen_history = run(frozen)
+    copied_state, copied_history = run(copying)
+    assert handed and all(handed)
+    assert frozen_history.steps == copied_history.steps
+    assert frozen_history.evals == copied_history.evals
+    for name, value in frozen_state.items():
+        assert np.array_equal(value, copied_state[name]), name

@@ -201,6 +201,28 @@ class TestTrainLoop:
             assert np.array_equal(value, initial[name]), name
             assert np.array_equal(best[name], initial[name]), name
 
+    def test_nonfinite_validation_score_diverges(self):
+        """An overflowing learning rate drives the validation scores to NaN."""
+        fusion = FusionModelConfig(
+            variant="SCM", visual_dim=8, map_side=2, hidden_dim=6, fc_plan=(10, 2),
+            fusion_channels=5, dropout_rate=0.1,
+        )
+        model = MultimodalModel(
+            len(synth.build_vocabulary()), fusion,
+            backbone_config=VisionBackboneConfig(input_side=8, channels=(4, 8)),
+            text_config=TextEncoderConfig(embedding_dim=5, hidden_dim=6),
+        )
+        initial = model.state_dict()
+        train_data, val_data = synth_data(mode="crossmodal_xor", n=32, seed=3, image_side=8)
+        config = TrainConfig(epochs=1, batch_size=32, learning_rate=1e30, seed=9)
+        best, history = train(model, train_data, val_data, config)
+        assert history.diverged == "non-finite validation score"
+        assert history.nonfinite_grad == ""
+        assert len(history.steps) == 1 and history.evals == []
+        for name, value in model.state_dict().items():  # the last finite checkpoint
+            assert np.array_equal(value, initial[name]), name
+            assert np.array_equal(best[name], initial[name]), name
+
     def test_model_mask_rules_training_and_scoring(self):
         model = small_fcm(mask=InputMask.parse("TT,IT"))
         initial = model.state_dict()
