@@ -41,4 +41,4 @@ def check_gradients(fn, inputs, eps=1e-5):
             a = grad.reshape(-1)[i]
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, err)
-    return worst
+    return float(worst)

@@ -2,10 +2,10 @@
 
 The primitive set is exactly what the fusion models need: dense algebra,
 pointwise nonlinearities, 2-D convolution, per-example dynamic 1x1
-convolution, batch normalization, dropout, embedding lookup, a whole-sequence
-LSTM, softmax and weighted cross-entropy. Every op returns a new Tensor
-carrying a backprop closure; shapes are validated up front with diagnostics
-naming the primitive.
+convolution, batch normalization, a fused conv -> batch norm -> relu block,
+dropout, embedding lookup, a whole-sequence LSTM, softmax and weighted
+cross-entropy. Every op returns a new Tensor carrying a backprop closure;
+shapes are validated up front with diagnostics naming the primitive.
 """
 
 from __future__ import annotations
@@ -199,25 +199,23 @@ def _tap_window(extent, out, stride, pad, offset):
     return slice(lo, hi), slice(first, first + (hi - lo - 1) * stride + 1, stride)
 
 
-def conv2d(x, weight, bias=None, stride=1):
-    """Same-padded 2-D convolution; x is (N, H, W, Cin), weight (kh, kw, Cin, Cout).
+def _conv_setup(primitive, x, weight, bias, stride, const_channels=0):
+    """Validate a same-padded conv's operands; return its output shape and taps.
 
-    Each kernel tap (u, v) is one GEMM over the output window whose input
-    pixels lie inside the image: the zero padding is implicit and never
-    multiplied. Backward re-slices each tap's patch from ``x`` and computes
-    the input gradient only when ``x`` requires one.
+    The weight's input channels are x's followed by ``const_channels`` more.
+    Each tap is (u, v, output slice, input slice), one per kernel offset whose
+    output window reads the image (see :func:`_tap_window`).
     """
-    x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
-        raise ShapeMismatch("conv2d", f"expected 4-d input/weight, got {x.shape}/{weight.shape}")
+        raise ShapeMismatch(primitive, f"expected 4-d input/weight, got {x.shape}/{weight.shape}")
     n, h, w, cin = x.shape
     kh, kw, wcin, cout = weight.shape
-    if wcin != cin:
-        raise ShapeMismatch("conv2d", f"input channels {cin} != kernel channels {wcin}")
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (cout,):
-            raise ShapeMismatch("conv2d", f"bias shape {bias.shape} != ({cout},)")
+    if wcin != cin + const_channels:
+        raise ShapeMismatch(
+            primitive, f"input channels {cin} + {const_channels} != kernel channels {wcin}"
+        )
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeMismatch(primitive, f"bias shape {bias.shape} != ({cout},)")
 
     out_h, pad_t, _ = _same_pad(h, stride, kh)
     out_w, pad_l, _ = _same_pad(w, stride, kw)
@@ -230,26 +228,86 @@ def conv2d(x, weight, bias=None, stride=1):
         for v, c in enumerate(cols)
         if c is not None
     ]
+    return (n, out_h, out_w, cout), taps
 
-    data = np.zeros((n, out_h, out_w, cout))
+
+def _tap_cover(taps, kernel, out_shape):
+    """(out_h * out_w, kh * kw) 0/1 matrix: pixel p lies in tap (u, v)'s output window."""
+    _, out_h, out_w, _ = out_shape
+    cover = np.zeros((out_h, out_w) + kernel)
+    for u, v, out_sl, _ in taps:
+        cover[out_sl[1], out_sl[2], u, v] = 1.0
+    return cover.reshape(out_h * out_w, -1)
+
+
+def _conv_forward(x, weight, taps, out_shape, const=None):
+    """Per-tap GEMMs over the valid output windows.
+
+    The channels of ``const`` are constant over the image, so tap (u, v) adds
+    the one (N, Cout) row block ``const @ weight[u, v, Cin:]`` to its whole
+    window; every pixel starts from the sum of its covering taps' blocks.
+    """
+    n, out_h, out_w, cout = out_shape
+    cin = x.shape[3]
+    if const is None:
+        data = np.zeros(out_shape)
+    else:
+        blocks = (const @ weight[:, :, cin:]).reshape(-1, n * cout)
+        per_pixel = _tap_cover(taps, weight.shape[:2], out_shape) @ blocks
+        data = per_pixel.reshape(out_h, out_w, n, cout).transpose(2, 0, 1, 3).copy()
     for u, v, out_sl, in_sl in taps:
-        patch = x.data[in_sl]
+        patch = x[in_sl]
         window = data[out_sl]
-        window += (patch.reshape(-1, cin) @ weight.data[u, v]).reshape(window.shape)
+        window += (patch.reshape(-1, cin) @ weight[u, v, :cin]).reshape(window.shape)
+    return data
+
+
+def _conv_backward(grad, x, weight, taps, need_dx, const=None):
+    """Gradients (dx or None, dweight, dconst or None) of :func:`_conv_forward`.
+
+    The constant channels' gradients go through the (N, Cout) sums of the
+    output gradient over each tap's window.
+    """
+    n, out_h, out_w, cout = grad.shape
+    cin = x.shape[3]
+    dx = np.zeros_like(x) if need_dx else None
+    dw = np.zeros_like(weight)
+    for u, v, out_sl, in_sl in taps:
+        patch = x[in_sl]
+        g2 = grad[out_sl].reshape(-1, cout)
+        dw[u, v, :cin] = patch.reshape(-1, cin).T @ g2
+        if dx is not None:
+            dx[in_sl] += (g2 @ weight[u, v, :cin].T).reshape(patch.shape)
+    if const is None:
+        return dx, dw, None
+    kh, kw = weight.shape[:2]
+    pixels = grad.transpose(1, 2, 0, 3).reshape(out_h * out_w, n * cout)
+    sums = (_tap_cover(taps, (kh, kw), grad.shape).T @ pixels).reshape(kh, kw, n, cout)
+    dw[:, :, cin:] = const.T @ sums
+    w_const = weight[:, :, cin:].transpose(0, 1, 3, 2).reshape(kh * kw * cout, -1)
+    dconst = sums.transpose(2, 0, 1, 3).reshape(n, -1) @ w_const
+    return dx, dw, dconst
+
+
+def conv2d(x, weight, bias=None, stride=1):
+    """Same-padded 2-D convolution; x is (N, H, W, Cin), weight (kh, kw, Cin, Cout).
+
+    Each kernel tap (u, v) is one GEMM over the output window whose input
+    pixels lie inside the image: the zero padding is implicit and never
+    multiplied. Backward re-slices each tap's patch from ``x`` and computes
+    the input gradient only when ``x`` requires one.
+    """
+    x, weight = as_tensor(x), as_tensor(weight)
+    bias = None if bias is None else as_tensor(bias)
+    out_shape, taps = _conv_setup("conv2d", x, weight, bias, stride)
+    data = _conv_forward(x.data, weight.data, taps, out_shape)
     if bias is not None:
         data += bias.data
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backprop(grad):
-        dx = np.zeros_like(x.data) if x.requires_grad else None
-        dw = np.zeros_like(weight.data)
-        for u, v, out_sl, in_sl in taps:
-            patch = x.data[in_sl]
-            g2 = grad[out_sl].reshape(-1, cout)
-            dw[u, v] = patch.reshape(-1, cin).T @ g2
-            if dx is not None:
-                dx[in_sl] += (g2 @ weight.data[u, v].T).reshape(patch.shape)
+        dx, dw, _ = _conv_backward(grad, x.data, weight.data, taps, x.requires_grad)
         accumulate_grad(x, dx)  # a no-op when x needs no gradient
         accumulate_grad(weight, dw)
         if bias is not None:
@@ -314,52 +372,120 @@ class BatchNormState:
         self.running_var = np.ones(channels)
 
 
-def batch_norm(x, gamma, beta, state, training):
-    """Normalize over all axes but the last; running stats updated in training."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    channels = x.shape[-1]
+def _check_affine(primitive, gamma, beta, channels):
     if gamma.shape != (channels,) or beta.shape != (channels,):
         raise ShapeMismatch(
-            "batch_norm", f"gamma/beta must be ({channels},), got {gamma.shape}/{beta.shape}"
+            primitive, f"gamma/beta must be ({channels},), got {gamma.shape}/{beta.shape}"
         )
+
+
+def _normalize(x, state, training, out=None):
+    """Normalize ``x`` over all axes but the last; returns (x_hat, inv_std, count).
+
+    Training uses the batch statistics and updates the running ones; eval uses
+    the running statistics. ``out=x`` normalizes in place, with the same values.
+    """
     axes = tuple(range(x.ndim - 1))
     count = int(np.prod([x.shape[a] for a in axes])) if axes else 1
-
     if training:
-        mean = x.data.mean(axis=axes)
-        centered = x.data - mean
+        mean = x.mean(axis=axes)
+        centered = np.subtract(x, mean, out=out)
         var = (centered * centered).sum(axis=axes) / count  # np.var's own arithmetic
         if count > 1:  # one value per channel has no spread; it would pull running_var to 0
             m = state.momentum
             state.running_mean = m * state.running_mean + (1.0 - m) * mean
             state.running_var = m * state.running_var + (1.0 - m) * var
     else:
-        centered = x.data - state.running_mean
+        centered = np.subtract(x, state.running_mean, out=out)
         var = state.running_var
-
     inv_std = 1.0 / np.sqrt(var + state.eps)
     # in place: one fresh array fewer per pass, and the same values as out of place
     x_hat = np.multiply(centered, inv_std, out=centered)
+    return x_hat, inv_std, count
+
+
+def _normalize_backward(grad, x_hat, gamma, inv_std, training, count):
+    """Gradients (dgamma, dbeta, dx) of ``gamma * x_hat + beta`` from :func:`_normalize`."""
+    axes = tuple(range(grad.ndim - 1))
+    gx_sum = (grad * x_hat).sum(axis=axes)
+    g_sum = grad.sum(axis=axes)
+    if not training:
+        dx = grad * gamma * inv_std
+    elif count == 1:  # degenerate batch: normalization is constant in x
+        dx = np.zeros_like(grad)
+    else:  # sum / count is np.mean's own arithmetic
+        g_mean, gx_mean = g_sum / count, gx_sum / count
+        dx = grad - g_mean
+        dx -= x_hat * gx_mean
+        dx *= gamma * inv_std
+    return gx_sum, g_sum, dx
+
+
+def batch_norm(x, gamma, beta, state, training):
+    """Normalize over all axes but the last; running stats updated in training."""
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    _check_affine("batch_norm", gamma, beta, x.shape[-1])
+    x_hat, inv_std, count = _normalize(x.data, state, training)
     data = gamma.data * x_hat
     data += beta.data
 
     def backprop(grad):
-        gx_sum = (grad * x_hat).sum(axis=axes)
-        g_sum = grad.sum(axis=axes)
-        accumulate_grad(gamma, gx_sum)
-        accumulate_grad(beta, g_sum)
-        if not training:
-            accumulate_grad(x, grad * gamma.data * inv_std)
-        elif count == 1:  # degenerate batch: normalization is constant in x
-            accumulate_grad(x, np.zeros_like(grad))
-        else:  # sum / count is np.mean's own arithmetic
-            g_mean, gx_mean = g_sum / count, gx_sum / count
-            dx = grad - g_mean
-            dx -= x_hat * gx_mean
-            dx *= gamma.data * inv_std
-            accumulate_grad(x, dx)
+        dgamma, dbeta, dx = _normalize_backward(grad, x_hat, gamma.data, inv_std, training, count)
+        accumulate_grad(gamma, dgamma)
+        accumulate_grad(beta, dbeta)
+        accumulate_grad(x, dx)
 
     return from_op(data, (x, gamma, beta), backprop)
+
+
+def conv_bn_relu(x, weight, bias, gamma, beta, state, training, stride=1, const=None):
+    """``relu(batch_norm(conv2d(x, weight, bias, stride), ...))`` as one tape node.
+
+    ``const`` is an optional (N, Cc) input of spatially constant channels that
+    follow x's: the weight is (kh, kw, Cin + Cc, Cout), and the result equals
+    the conv over x concatenated with ``const`` tiled at every pixel, without
+    building that map. Batch norm runs in the conv's output buffer and the
+    ReLU in place; backward masks the output gradient, runs the batch-norm
+    backward and hands its result straight to the per-tap conv backward.
+    Without ``const`` every value and gradient is bitwise the three-op chain's.
+    """
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    gamma, beta = as_tensor(gamma), as_tensor(beta)
+    parents = (x, weight, bias, gamma, beta)
+    const_channels = 0
+    if const is not None:
+        const = as_tensor(const)
+        if const.ndim != 2 or const.shape[0] != x.shape[0]:
+            raise ShapeMismatch("conv_bn_relu", f"const must be ({x.shape[0]}, C), got {const.shape}")
+        const_channels = const.shape[1]
+        parents += (const,)
+    out_shape, taps = _conv_setup("conv_bn_relu", x, weight, bias, stride, const_channels)
+    _check_affine("conv_bn_relu", gamma, beta, out_shape[3])
+    const_data = None if const is None else const.data
+
+    data = _conv_forward(x.data, weight.data, taps, out_shape, const_data)
+    data += bias.data
+    x_hat, inv_std, count = _normalize(data, state, training, out=data)
+    out = gamma.data * x_hat
+    out += beta.data
+    np.maximum(out, 0.0, out=out)
+
+    def backprop(grad):
+        dgamma, dbeta, dy = _normalize_backward(
+            grad * (out > 0.0), x_hat, gamma.data, inv_std, training, count
+        )
+        accumulate_grad(gamma, dgamma)
+        accumulate_grad(beta, dbeta)
+        dx, dw, dconst = _conv_backward(
+            dy, x.data, weight.data, taps, x.requires_grad, const_data
+        )
+        accumulate_grad(x, dx)  # a no-op when x needs no gradient
+        accumulate_grad(weight, dw)
+        accumulate_grad(bias, dy.sum(axis=(0, 1, 2)))
+        if const is not None:
+            accumulate_grad(const, dconst)
+
+    return from_op(out, parents, backprop)
 
 
 # ---------------------------------------------------------------------------

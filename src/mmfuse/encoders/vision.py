@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..autodiff import ops
-from ..nn import BatchNorm, Conv2d, Layer
+from ..nn import ConvBlock, Layer
 
 
 @dataclass
@@ -45,9 +45,7 @@ class VisionBackbone(Layer):
         self.stages = []
         in_ch = 3
         for out_ch in config.channels:
-            conv = Conv2d(in_ch, out_ch, rng, stride=config.stride)
-            bn = BatchNorm(out_ch)
-            self.stages.append((conv, bn))
+            self.stages.append(ConvBlock(in_ch, out_ch, rng, stride=config.stride))
             in_ch = out_ch
 
     def feature_map(self, x, training):
@@ -56,8 +54,8 @@ class VisionBackbone(Layer):
             raise ValueError(
                 f"backbone expects {self.config.input_side}-pixel inputs, got {x.shape}"
             )
-        for conv, bn in self.stages:
-            x = ops.relu(bn(conv(x), training))
+        for stage in self.stages:
+            x = stage(x, training)
         return x
 
     def __call__(self, x, training):
@@ -66,8 +64,4 @@ class VisionBackbone(Layer):
         return ops.avg_pool_spatial(fmap), fmap
 
     def _children(self):
-        children = {}
-        for i, (conv, bn) in enumerate(self.stages):
-            children[f"stage{i}.conv"] = conv
-            children[f"stage{i}.bn"] = bn
-        return children
+        return {f"stage{i}": stage for i, stage in enumerate(self.stages)}

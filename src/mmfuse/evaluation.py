@@ -104,8 +104,8 @@ def evaluate(scored):
         auc=_auc(tps, fps, n_pos, n_neg),
         balanced_accuracy=float(0.5 * (recall[half] + (n_neg - fps[half]) / n_neg)),
         # only the +inf row predicts nothing; its precision is 1 by convention
-        pr_points=list(zip(ts, recall, [1.0, *precision[1:]])),
-        roc_points=list(zip(ts, fps / n_neg, recall)),
+        pr_points=list(zip(ts, recall.tolist(), [1.0, *precision[1:].tolist()])),
+        roc_points=list(zip(ts, (fps / n_neg).tolist(), recall.tolist())),
     )
 
 

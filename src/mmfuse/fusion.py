@@ -4,7 +4,10 @@ FCM concatenates the pooled visual vector with both text encodings and runs a
 fully connected stack. SCM tiles the text encodings at every spatial location
 of the visual feature map before further convolution. TKM generates 1x1
 convolution kernels from each text encoding, convolves them with the visual
-map, then proceeds like SCM. Unavailable modalities are replaced by zeros.
+map, then proceeds like SCM. The tiling is folded into the first fusion conv,
+which takes the text encodings as spatially constant input channels
+(``ops.conv_bn_relu``'s ``const``). Unavailable modalities are replaced by
+zeros.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .autodiff import ShapeMismatch, Tensor, ops
 from .encoders import TextEncoder, TextEncoderConfig, VisionBackbone, VisionBackboneConfig
-from .nn import BatchNorm, Conv2d, Dense, Layer
+from .nn import BatchNorm, ConvBlock, Dense, Layer
 
 VARIANTS = ("FCM", "SCM", "TKM")
 
@@ -125,24 +128,28 @@ class _FcStack(Layer):
 
 
 class _ConvStack(Layer):
-    """conv3x3 -> BN -> relu fusion blocks standing in for Inception-E blocks."""
+    """conv3x3 -> BN -> relu fusion blocks standing in for Inception-E blocks.
+
+    ``in_ch`` counts the map's channels and the first block's ``const`` ones.
+    """
 
     def __init__(self, in_ch, out_ch, count, rng):
         self.blocks = []
         for _ in range(count):
-            self.blocks.append((Conv2d(in_ch, out_ch, rng), BatchNorm(out_ch)))
+            self.blocks.append(ConvBlock(in_ch, out_ch, rng))
             in_ch = out_ch
 
-    def __call__(self, x, training):
-        for conv, bn in self.blocks:
-            x = ops.relu(bn(conv(x), training))
+    def __call__(self, x, training, const):
+        for block in self.blocks:
+            x = block(x, training, const)
+            const = None  # the text channels enter the first block only
         return x
 
     def _children(self):
         children = {}
-        for i, (conv, bn) in enumerate(self.blocks):
-            children[f"conv{i}"] = conv
-            children[f"bn{i}"] = bn
+        for i, block in enumerate(self.blocks):
+            children[f"conv{i}"] = block.conv
+            children[f"bn{i}"] = block.bn
         return children
 
 
@@ -190,8 +197,10 @@ class FusionHead(Layer):
                 f"{name} must be (N, {self.config.hidden_dim}), got {t.shape}",
             )
 
-    def _spatial_tail(self, fused, training, rng):
-        x = self.conv(fused, training)
+    def _spatial_tail(self, v_map, t_tweet, t_imgtext, training, rng):
+        """Fusion convs over the map with both text encodings at every pixel, then the fc stack."""
+        text = ops.concat([t_tweet, t_imgtext], axis=1)
+        x = self.conv(v_map, training, const=text)
         x = ops.dropout(x, self.config.dropout_rate, training, rng)
         x = ops.avg_pool_spatial(x)
         return self.fc(x, training)
@@ -213,17 +222,10 @@ class FusionHead(Layer):
             raise ShapeMismatch(name, f"v_map must be (N, {expected}), got {v_map.shape}")
 
     def scm_forward(self, v_map, t_tweet, t_imgtext, training=False, rng=None):
-        cfg = self.config
         self._check_map(v_map, "scm_forward")
         self._check_text(t_tweet, "t_tweet")
         self._check_text(t_imgtext, "t_imgtext")
-        side = cfg.map_side
-        fused = ops.concat(
-            [v_map, ops.tile_spatial(t_tweet, side, side), ops.tile_spatial(t_imgtext, side, side)],
-            axis=3,
-        )
-        assert fused.shape[3] == cfg.visual_dim + 2 * cfg.hidden_dim
-        return self._spatial_tail(fused, training, rng)
+        return self._spatial_tail(v_map, t_tweet, t_imgtext, training, rng)
 
     def tkm_forward(self, v_map, t_tweet, t_imgtext, training=False, rng=None):
         cfg = self.config
@@ -237,13 +239,7 @@ class FusionHead(Layer):
         mm_map = ops.dynamic_conv1x1(v_map, kernels)
         assert mm_map.shape[1:] == (cfg.map_side, cfg.map_side, cfg.kernel_count)
         mm_map = self.kernel_bn(mm_map, training)
-        side = cfg.map_side
-        fused = ops.concat(
-            [mm_map, ops.tile_spatial(t_tweet, side, side), ops.tile_spatial(t_imgtext, side, side)],
-            axis=3,
-        )
-        assert fused.shape[3] == cfg.kernel_count + 2 * cfg.hidden_dim
-        return self._spatial_tail(fused, training, rng)
+        return self._spatial_tail(mm_map, t_tweet, t_imgtext, training, rng)
 
     def __call__(self, v_input, t_tweet, t_imgtext, training=False, rng=None):
         forward = {

@@ -87,16 +87,13 @@ class Dense(Layer):
 
 
 class Conv2d(Layer):
-    """A same-padded 3x3 convolution."""
+    """The weight and bias of a same-padded 3x3 convolution (run by :class:`ConvBlock`)."""
 
     def __init__(self, in_ch, out_ch, rng, stride=1):
         self.stride = stride
         weight = glorot(rng, 9 * in_ch, 9 * out_ch, (3, 3, in_ch, out_ch))
         self.weight = Tensor(weight, requires_grad=True)
         self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
-
-    def __call__(self, x):
-        return ops.conv2d(x, self.weight, self.bias, stride=self.stride)
 
     def parameters(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -116,6 +113,28 @@ class BatchNorm(Layer):
 
     def state_arrays(self):
         return {"running_mean": self.state.running_mean, "running_var": self.state.running_var}
+
+
+class ConvBlock(Layer):
+    """conv3x3 -> batch norm -> relu, run as one ``ops.conv_bn_relu`` node.
+
+    Its parameters live in the ``conv`` and ``bn`` sub-layers. A call may pass
+    ``const``, (N, Cc) spatially constant channels that follow x's: ``in_ch``
+    then counts both.
+    """
+
+    def __init__(self, in_ch, out_ch, rng, stride=1):
+        self.conv = Conv2d(in_ch, out_ch, rng, stride=stride)
+        self.bn = BatchNorm(out_ch)
+
+    def __call__(self, x, training, const=None):
+        conv, bn = self.conv, self.bn
+        return ops.conv_bn_relu(
+            x, conv.weight, conv.bias, bn.gamma, bn.beta, bn.state, training, conv.stride, const
+        )
+
+    def _children(self):
+        return {"conv": self.conv, "bn": self.bn}
 
 
 class LSTM(Layer):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmfuse import cli, dataset, synth, training
+from mmfuse import cli, dataset, gradcheck_suite, synth, training
 from mmfuse.autodiff import load_arrays, save_arrays
 from mmfuse.autodiff.tensor import _toposort
 from mmfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
@@ -236,6 +236,28 @@ class TestEvalAndReportVerbs:
         table = (merged / "results.txt").read_text()
         assert table.splitlines()[0].split() == ["Model", "Inputs", "F", "AUC", "ACC"]
         assert "FCM" in table
+
+    def test_csv_values_parse_as_numbers(self, data_dir, run_dir, tmp_path, monkeypatch):
+        """Every value cell of the curve and gradcheck CSVs is a plain number for float()."""
+        rc = main([
+            "eval", "--checkpoint", str(run_dir / "checkpoint.mfuse"),
+            "--data", str(data_dir), "--split", "test", "--out", str(tmp_path / "eval"),
+        ])
+        assert rc == EXIT_OK
+        monkeypatch.setattr(gradcheck_suite, "model_checks", lambda seed: [])  # primitives: fast
+        assert main(["gradcheck", "--out", str(tmp_path / "gc")]) == EXIT_OK
+        tables = [
+            (tmp_path / "eval" / "pr_curve.csv", 0),
+            (tmp_path / "eval" / "roc_curve.csv", 0),
+            (tmp_path / "gc" / "gradcheck.csv", 1),  # the first column names the check
+        ]
+        for path, first in tables:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows, path
+            for row in rows:
+                for cell in row[first:]:
+                    float(cell)
 
     def test_report_without_rows_is_data_error(self, tmp_path):
         empty = tmp_path / "empty.csv"

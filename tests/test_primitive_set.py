@@ -19,6 +19,8 @@ KEEP = {
     "tanh": "the gradcheck probe calls it; so do perfbench's tracer and the reference LSTM test",
     "mul": "the gradcheck probe calls it; so do perfbench's tracer and the reference LSTM test",
     "sum_": "the gradcheck probe reduces to a scalar with it",
+    "conv2d": "perfbench's tracer wraps it by name",
+    "tile_spatial": "perfbench's tracer wraps it by name",
 }
 
 PUBLIC = sorted(

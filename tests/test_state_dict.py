@@ -145,3 +145,105 @@ def test_lstm_baseline_initial_weights_are_pinned():
     pieces = [arrays["text.embed"], *blocks, arrays["head.weight"], arrays["head.bias"]]
     digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in pieces)).hexdigest()
     assert digest == "e440cad9fe3ec142c4aeec9635010bb7355a1cd35a7fcbdd4d2572126ab7c262"
+
+
+# Names and shapes of the state dicts ``build`` makes. Saved checkpoints load
+# strictly by them, so a layer refactor must leave them as they are.
+ENCODER_KEYS = {
+    "backbone.stage0.bn.beta": (4,),
+    "backbone.stage0.bn.gamma": (4,),
+    "backbone.stage0.bn.running_mean": (4,),
+    "backbone.stage0.bn.running_var": (4,),
+    "backbone.stage0.conv.bias": (4,),
+    "backbone.stage0.conv.weight": (3, 3, 3, 4),
+    "backbone.stage1.bn.beta": (8,),
+    "backbone.stage1.bn.gamma": (8,),
+    "backbone.stage1.bn.running_mean": (8,),
+    "backbone.stage1.bn.running_var": (8,),
+    "backbone.stage1.conv.bias": (8,),
+    "backbone.stage1.conv.weight": (3, 3, 4, 8),
+    "text.embed": (20, 5),
+    "text.lstm.U": (6, 24),
+    "text.lstm.W": (5, 24),
+    "text.lstm.b": (24,),
+}
+IMGTEXT_KEYS = {
+    "imgtext.embed": (20, 5),
+    "imgtext.lstm.U": (6, 24),
+    "imgtext.lstm.W": (5, 24),
+    "imgtext.lstm.b": (24,),
+}
+HEAD_KEYS = {
+    "FCM": {
+        "head.fc.bn0.beta": (10,),
+        "head.fc.bn0.gamma": (10,),
+        "head.fc.bn0.running_mean": (10,),
+        "head.fc.bn0.running_var": (10,),
+        "head.fc.fc0.bias": (10,),
+        "head.fc.fc0.weight": (20, 10),
+        "head.fc.out.bias": (2,),
+        "head.fc.out.weight": (10, 2),
+    },
+    "SCM": {
+        "head.conv.bn0.beta": (5,),
+        "head.conv.bn0.gamma": (5,),
+        "head.conv.bn0.running_mean": (5,),
+        "head.conv.bn0.running_var": (5,),
+        "head.conv.bn1.beta": (5,),
+        "head.conv.bn1.gamma": (5,),
+        "head.conv.bn1.running_mean": (5,),
+        "head.conv.bn1.running_var": (5,),
+        "head.conv.conv0.bias": (5,),
+        "head.conv.conv0.weight": (3, 3, 20, 5),
+        "head.conv.conv1.bias": (5,),
+        "head.conv.conv1.weight": (3, 3, 5, 5),
+        "head.fc.bn0.beta": (10,),
+        "head.fc.bn0.gamma": (10,),
+        "head.fc.bn0.running_mean": (10,),
+        "head.fc.bn0.running_var": (10,),
+        "head.fc.fc0.bias": (10,),
+        "head.fc.fc0.weight": (5, 10),
+        "head.fc.out.bias": (2,),
+        "head.fc.out.weight": (10, 2),
+    },
+    "TKM": {
+        "head.conv.bn0.beta": (5,),
+        "head.conv.bn0.gamma": (5,),
+        "head.conv.bn0.running_mean": (5,),
+        "head.conv.bn0.running_var": (5,),
+        "head.conv.bn1.beta": (5,),
+        "head.conv.bn1.gamma": (5,),
+        "head.conv.bn1.running_mean": (5,),
+        "head.conv.bn1.running_var": (5,),
+        "head.conv.conv0.bias": (5,),
+        "head.conv.conv0.weight": (3, 3, 17, 5),
+        "head.conv.conv1.bias": (5,),
+        "head.conv.conv1.weight": (3, 3, 5, 5),
+        "head.fc.bn0.beta": (10,),
+        "head.fc.bn0.gamma": (10,),
+        "head.fc.bn0.running_mean": (10,),
+        "head.fc.bn0.running_var": (10,),
+        "head.fc.fc0.bias": (10,),
+        "head.fc.fc0.weight": (5, 10),
+        "head.fc.out.bias": (2,),
+        "head.fc.out.weight": (10, 2),
+        "head.kernels.bn.beta": (5,),
+        "head.kernels.bn.gamma": (5,),
+        "head.kernels.bn.running_mean": (5,),
+        "head.kernels.bn.running_var": (5,),
+        "head.kernels.imgtext.bias": (16,),
+        "head.kernels.imgtext.weight": (6, 16),
+        "head.kernels.tweet.bias": (24,),
+        "head.kernels.tweet.weight": (6, 24),
+    },
+}
+
+
+@pytest.mark.parametrize("share_text_encoder", [True, False])
+@pytest.mark.parametrize("variant", ["FCM", "SCM", "TKM"])
+def test_state_dict_keys_are_pinned(variant, share_text_encoder):
+    expected = {**ENCODER_KEYS, **HEAD_KEYS[variant]}
+    if not share_text_encoder:
+        expected.update(IMGTEXT_KEYS)
+    state = build(variant, share_text_encoder=share_text_encoder).state_dict()
+    assert sorted((name, value.shape) for name, value in state.items()) == sorted(expected.items())
