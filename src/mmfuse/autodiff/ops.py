@@ -199,7 +199,7 @@ def _tap_window(extent, out, stride, pad, offset):
     return slice(lo, hi), slice(first, first + (hi - lo - 1) * stride + 1, stride)
 
 
-def _conv_setup(primitive, x, weight, bias, stride, const_channels=0):
+def _conv_setup(primitive, x, weight, stride, const_channels=0):
     """Validate a same-padded conv's operands; return its output shape and taps.
 
     The weight's input channels are x's followed by ``const_channels`` more.
@@ -214,8 +214,6 @@ def _conv_setup(primitive, x, weight, bias, stride, const_channels=0):
         raise ShapeMismatch(
             primitive, f"input channels {cin} + {const_channels} != kernel channels {wcin}"
         )
-    if bias is not None and bias.shape != (cout,):
-        raise ShapeMismatch(primitive, f"bias shape {bias.shape} != ({cout},)")
 
     out_h, pad_t, _ = _same_pad(h, stride, kh)
     out_w, pad_l, _ = _same_pad(w, stride, kw)
@@ -289,7 +287,7 @@ def _conv_backward(grad, x, weight, taps, need_dx, const=None):
     return dx, dw, dconst
 
 
-def conv2d(x, weight, bias=None, stride=1):
+def conv2d(x, weight, stride=1):
     """Same-padded 2-D convolution; x is (N, H, W, Cin), weight (kh, kw, Cin, Cout).
 
     Each kernel tap (u, v) is one GEMM over the output window whose input
@@ -298,22 +296,15 @@ def conv2d(x, weight, bias=None, stride=1):
     the input gradient only when ``x`` requires one.
     """
     x, weight = as_tensor(x), as_tensor(weight)
-    bias = None if bias is None else as_tensor(bias)
-    out_shape, taps = _conv_setup("conv2d", x, weight, bias, stride)
+    out_shape, taps = _conv_setup("conv2d", x, weight, stride)
     data = _conv_forward(x.data, weight.data, taps, out_shape)
-    if bias is not None:
-        data += bias.data
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backprop(grad):
         dx, dw, _ = _conv_backward(grad, x.data, weight.data, taps, x.requires_grad)
         accumulate_grad(x, dx)  # a no-op when x needs no gradient
         accumulate_grad(weight, dw)
-        if bias is not None:
-            accumulate_grad(bias, grad.sum(axis=(0, 1, 2)))
 
-    return from_op(data, parents, backprop)
+    return from_op(data, (x, weight), backprop)
 
 
 def dynamic_conv1x1(feature_map, kernels):
@@ -438,8 +429,8 @@ def batch_norm(x, gamma, beta, state, training):
     return from_op(data, (x, gamma, beta), backprop)
 
 
-def conv_bn_relu(x, weight, bias, gamma, beta, state, training, stride=1, const=None):
-    """``relu(batch_norm(conv2d(x, weight, bias, stride), ...))`` as one tape node.
+def conv_bn_relu(x, weight, gamma, beta, state, training, stride=1, const=None):
+    """``relu(batch_norm(conv2d(x, weight, stride), ...))`` as one tape node.
 
     ``const`` is an optional (N, Cc) input of spatially constant channels that
     follow x's: the weight is (kh, kw, Cin + Cc, Cout), and the result equals
@@ -448,10 +439,12 @@ def conv_bn_relu(x, weight, bias, gamma, beta, state, training, stride=1, const=
     ReLU in place; backward masks the output gradient, runs the batch-norm
     backward and hands its result straight to the per-tap conv backward.
     Without ``const`` every value and gradient is bitwise the three-op chain's.
+    The conv has no bias: train-mode batch norm subtracts the batch mean, which
+    cancels it, and ``beta`` plays its role.
     """
-    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    x, weight = as_tensor(x), as_tensor(weight)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
-    parents = (x, weight, bias, gamma, beta)
+    parents = (x, weight, gamma, beta)
     const_channels = 0
     if const is not None:
         const = as_tensor(const)
@@ -459,12 +452,11 @@ def conv_bn_relu(x, weight, bias, gamma, beta, state, training, stride=1, const=
             raise ShapeMismatch("conv_bn_relu", f"const must be ({x.shape[0]}, C), got {const.shape}")
         const_channels = const.shape[1]
         parents += (const,)
-    out_shape, taps = _conv_setup("conv_bn_relu", x, weight, bias, stride, const_channels)
+    out_shape, taps = _conv_setup("conv_bn_relu", x, weight, stride, const_channels)
     _check_affine("conv_bn_relu", gamma, beta, out_shape[3])
     const_data = None if const is None else const.data
 
     data = _conv_forward(x.data, weight.data, taps, out_shape, const_data)
-    data += bias.data
     x_hat, inv_std, count = _normalize(data, state, training, out=data)
     out = gamma.data * x_hat
     out += beta.data
@@ -481,7 +473,6 @@ def conv_bn_relu(x, weight, bias, gamma, beta, state, training, stride=1, const=
         )
         accumulate_grad(x, dx)  # a no-op when x needs no gradient
         accumulate_grad(weight, dw)
-        accumulate_grad(bias, dy.sum(axis=(0, 1, 2)))
         if const is not None:
             accumulate_grad(const, dconst)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import ShapeMismatch, Tensor, ops
 from .encoders import TextEncoder, TextEncoderConfig, VisionBackbone, VisionBackboneConfig
-from .nn import BatchNorm, ConvBlock, Dense, Layer
+from .nn import BatchNorm, ConvBlock, Dense, Layer, glorot
 
 VARIANTS = ("FCM", "SCM", "TKM")
 
@@ -104,27 +104,33 @@ class FusionModelConfig:
 
 
 class _FcStack(Layer):
-    """fc -> BN -> relu pairs, ending in a plain linear classification layer."""
+    """fc -> BN -> relu pairs, ending in a plain linear classification layer.
+
+    A hidden fc layer is a weight only, ``fc{i}.weight``: the batch norm after
+    it would cancel a bias.
+    """
 
     def __init__(self, in_dim, plan, rng):
         self.blocks = []
         for out_dim in plan[:-1]:
-            self.blocks.append((Dense(in_dim, out_dim, rng), BatchNorm(out_dim)))
+            weight = Tensor(glorot(rng, in_dim, out_dim, (in_dim, out_dim)), requires_grad=True)
+            self.blocks.append((weight, BatchNorm(out_dim)))
             in_dim = out_dim
         self.final = Dense(in_dim, plan[-1], rng)
 
     def __call__(self, x, training):
-        for dense, bn in self.blocks:
-            x = ops.relu(bn(dense(x), training))
+        for weight, bn in self.blocks:
+            x = ops.relu(bn(ops.matmul(x, weight), training))
         return self.final(x)
 
     def _children(self):
-        children = {}
-        for i, (dense, bn) in enumerate(self.blocks):
-            children[f"fc{i}"] = dense
-            children[f"bn{i}"] = bn
+        children = {f"bn{i}": bn for i, (_, bn) in enumerate(self.blocks)}
         children["out"] = self.final
         return children
+
+    def parameters(self):
+        weights = {f"fc{i}.weight": weight for i, (weight, _) in enumerate(self.blocks)}
+        return {**weights, **super().parameters()}
 
 
 class _ConvStack(Layer):
@@ -146,11 +152,11 @@ class _ConvStack(Layer):
         return x
 
     def _children(self):
-        children = {}
-        for i, block in enumerate(self.blocks):
-            children[f"conv{i}"] = block.conv
-            children[f"bn{i}"] = block.bn
-        return children
+        return {f"bn{i}": block.bn for i, block in enumerate(self.blocks)}
+
+    def parameters(self):
+        weights = {f"conv{i}.weight": block.weight for i, block in enumerate(self.blocks)}
+        return {**weights, **super().parameters()}
 
 
 class FusionHead(Layer):

@@ -62,10 +62,9 @@ def primitive_checks(seed=0):
     s_conv = _probe(rng, (2, 3, 3, 4))
     case(
         "conv2d",
-        lambda x, w, b: s_conv(ops.conv2d(x, w, b, stride=2)),
+        lambda x, w: s_conv(ops.conv2d(x, w, stride=2)),
         t((2, 5, 5, 3)),
         t((3, 3, 3, 4)),
-        t((4,)),
     )
     s_dyn = _probe(rng, (2, 3, 3, 4))
     case(
@@ -123,27 +122,22 @@ def primitive_checks(seed=0):
     s_conv1 = _probe(rng, (2, 4, 4, 3))  # the fusion blocks' shape: 4x4 map, 3x3 kernel
     case(
         "conv2d_stride1",
-        lambda x, w, b: s_conv1(ops.conv2d(x, w, b, stride=1)),
+        lambda x, w: s_conv1(ops.conv2d(x, w, stride=1)),
         t((2, 4, 4, 5)),
         t((3, 3, 5, 3)),
-        t((3,)),
     )
     images = Tensor(rng.standard_normal((2, 5, 5, 3)))  # like the backbone's input: no gradient
     case(
         "conv2d_const_input",
-        lambda x, w, b: s_conv(ops.conv2d(x, w, b, stride=2)),
+        lambda x, w: s_conv(ops.conv2d(x, w, stride=2)),
         images,
         t((3, 3, 3, 4)),
-        t((4,)),
     )
     s_block = _probe(rng, (2, 4, 4, 3))  # a fusion block: 4x4 map plus constant text channels
-    # Batch statistics cancel the conv bias, so its gradient is zero up to
-    # rounding, which a relative error cannot judge: the bias is held constant.
-    block_bias = Tensor(rng.standard_normal(3))
     case(
         "conv_bn_relu_const_train",
         lambda x, w, g, be, c: s_block(
-            ops.conv_bn_relu(x, w, block_bias, g, be, BatchNormState(3), True, stride=1, const=c)
+            ops.conv_bn_relu(x, w, g, be, BatchNormState(3), True, stride=1, const=c)
         ),
         t((2, 4, 4, 3)),
         t((3, 3, 7, 3)),
@@ -152,18 +146,17 @@ def primitive_checks(seed=0):
         t((2, 4)),
     )
 
-    def block_eval(x, w, b, g, be):
+    def block_eval(x, w, g, be):
         state = BatchNormState(4)
         state.running_mean = np.linspace(-0.5, 0.5, 4)
         state.running_var = np.linspace(0.5, 1.5, 4)
-        return s_conv(ops.conv_bn_relu(x, w, b, g, be, state, False, stride=2))
+        return s_conv(ops.conv_bn_relu(x, w, g, be, state, False, stride=2))
 
     case(
         "conv_bn_relu_stride2_eval",
         block_eval,
         t((2, 5, 5, 3)),
         t((3, 3, 3, 4)),
-        t((4,)),
         t((4,)),
         t((4,)),
     )

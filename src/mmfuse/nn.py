@@ -86,19 +86,6 @@ class Dense(Layer):
         return {"weight": self.weight, "bias": self.bias}
 
 
-class Conv2d(Layer):
-    """The weight and bias of a same-padded 3x3 convolution (run by :class:`ConvBlock`)."""
-
-    def __init__(self, in_ch, out_ch, rng, stride=1):
-        self.stride = stride
-        weight = glorot(rng, 9 * in_ch, 9 * out_ch, (3, 3, in_ch, out_ch))
-        self.weight = Tensor(weight, requires_grad=True)
-        self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
-
-    def parameters(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-
 class BatchNorm(Layer):
     def __init__(self, channels):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
@@ -118,23 +105,28 @@ class BatchNorm(Layer):
 class ConvBlock(Layer):
     """conv3x3 -> batch norm -> relu, run as one ``ops.conv_bn_relu`` node.
 
-    Its parameters live in the ``conv`` and ``bn`` sub-layers. A call may pass
-    ``const``, (N, Cc) spatially constant channels that follow x's: ``in_ch``
-    then counts both.
+    Its parameters are ``conv.weight`` and the ``bn`` sub-layer's. The conv has
+    no bias: batch norm would cancel it. A call may pass ``const``, (N, Cc)
+    spatially constant channels that follow x's: ``in_ch`` then counts both.
     """
 
     def __init__(self, in_ch, out_ch, rng, stride=1):
-        self.conv = Conv2d(in_ch, out_ch, rng, stride=stride)
+        self.stride = stride
+        weight = glorot(rng, 9 * in_ch, 9 * out_ch, (3, 3, in_ch, out_ch))
+        self.weight = Tensor(weight, requires_grad=True)
         self.bn = BatchNorm(out_ch)
 
     def __call__(self, x, training, const=None):
-        conv, bn = self.conv, self.bn
+        bn = self.bn
         return ops.conv_bn_relu(
-            x, conv.weight, conv.bias, bn.gamma, bn.beta, bn.state, training, conv.stride, const
+            x, self.weight, bn.gamma, bn.beta, bn.state, training, self.stride, const
         )
 
     def _children(self):
-        return {"conv": self.conv, "bn": self.bn}
+        return {"bn": self.bn}
+
+    def parameters(self):
+        return {"conv.weight": self.weight, **super().parameters()}
 
 
 class LSTM(Layer):

@@ -62,7 +62,6 @@ class TrainHistory:
     best_step: int = -1
     best_val_auc: float = float("nan")
     diverged: str = ""  # why training stopped early, if it did: the non-finite value
-    nonfinite_grad: str = ""  # the first parameter with a non-finite gradient, if any
 
     def write_csv(self, path):
         evals = dict(self.evals)
@@ -145,8 +144,8 @@ def train(model, train_data, val_data, config):
     The model is left holding the best-validation-AUC parameters. Training
     aborts on a non-finite loss or gradient, before ADAM applies it, or on a
     non-finite validation score, and returns the last finite checkpoint;
-    ``history.diverged`` then names the cause and ``history.nonfinite_grad``
-    the first parameter whose gradient was non-finite.
+    ``history.diverged`` then names the cause: for a gradient, the first
+    parameter whose gradient was non-finite.
     """
     if len(train_data) == 0:
         raise ValueError("train split is empty")
@@ -211,7 +210,6 @@ def train(model, train_data, val_data, config):
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
             for name, grad in grads.items():
                 if not np.isfinite(grad).all():
-                    history.nonfinite_grad = name
                     history.diverged = f"non-finite gradient of {name!r}"
                     return diverge()
             adam_step(params, grads, adam)

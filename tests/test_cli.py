@@ -358,12 +358,19 @@ BAD_IMAGE_CONTENT = {
 }
 
 
+def with_conv_bias(lines):
+    """Add the zero ``backbone.stage0.conv.bias`` record that older checkpoints hold."""
+    width = next(line.split()[2] for line in lines if line.startswith("backbone.stage0.bn.beta "))
+    return lines + [f"backbone.stage0.conv.bias 1 {width}", " ".join(["0.0"] * int(width))]
+
+
 # Each case edits the lines of the FCM run's checkpoint and adds eval overrides.
 BAD_CHECKPOINTS = {
     "wrong_variant": (lambda lines: lines, ["--set", "model.variant=TKM"]),
     "wrong_hidden_dim": (lambda lines: lines, ["--set", "model.hidden_dim=16"]),
     "missing_key": (lambda lines: lines[:1] + lines[3:], []),
     "unexpected_key": (lambda lines: lines + ["zzz.extra 1 2", "0.5 0.25"], []),
+    "dropped_conv_bias": (with_conv_bias, []),
     "truncated_record": (lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0]], []),
     "non_integer_dim": (
         lambda lines: [lines[0], lines[1].rsplit(" ", 1)[0] + " x"] + lines[2:], []
@@ -390,6 +397,8 @@ class TestDataErrors:
         assert err.startswith("data error: ")
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+        if case == "dropped_conv_bias":
+            assert "unexpected key 'backbone.stage0.conv.bias'" in err
 
     def test_single_class_test_split_exits_3(self, data_dir, run_dir, tmp_path, capsys):
         data = tmp_path / "data"

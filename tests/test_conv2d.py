@@ -15,8 +15,8 @@ def same_padding(extent, stride, kernel):
     return out, total // 2, total - total // 2
 
 
-def direct_conv(x, w, b, stride, grad):
-    """Forward and the x, w, b gradients of ``sum(conv(x) * grad)``, one window at a time."""
+def direct_conv(x, w, stride, grad):
+    """Forward and the x, w gradients of ``sum(conv(x) * grad)``, one window at a time."""
     n, h, wd, cin = x.shape
     kh, kw, _, cout = w.shape
     out_h, top, bottom = same_padding(h, stride, kh)
@@ -30,19 +30,18 @@ def direct_conv(x, w, b, stride, grad):
             rows = slice(i * stride, i * stride + kh)
             cols = slice(j * stride, j * stride + kw)
             window = xp[:, rows, cols]
-            y[:, i, j] = np.einsum("nuvc,uvco->no", window, w) + b
+            y[:, i, j] = np.einsum("nuvc,uvco->no", window, w)
             dw += np.einsum("nuvc,no->uvco", window, grad[:, i, j])
             dxp[:, rows, cols] += np.einsum("no,uvco->nuvc", grad[:, i, j], w)
-    return y, dxp[:, top : top + h, left : left + wd], dw, grad.sum(axis=(0, 1, 2))
+    return y, dxp[:, top : top + h, left : left + wd], dw
 
 
-def run_conv(x_data, w_data, b_data, stride, grad, x_requires_grad=True):
+def run_conv(x_data, w_data, stride, grad, x_requires_grad=True):
     x = Tensor(x_data, requires_grad=x_requires_grad)
     w = Tensor(w_data, requires_grad=True)
-    b = Tensor(b_data, requires_grad=True)
-    y = ops.conv2d(x, w, b, stride=stride)
+    y = ops.conv2d(x, w, stride=stride)
     backward(ops.sum_(ops.mul(y, Tensor(grad))))
-    return y.data, x.grad, w.grad, b.grad
+    return y.data, x.grad, w.grad
 
 
 @settings(max_examples=80, deadline=None)
@@ -61,17 +60,15 @@ def test_matches_direct_sum(n, h, w, cin, cout, kh, kw, stride, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, h, w, cin))
     weight = rng.standard_normal((kh, kw, cin, cout))
-    bias = rng.standard_normal(cout)
     out_shape = (n, -(-h // stride), -(-w // stride), cout)
     grad = rng.standard_normal(out_shape)
 
-    got = run_conv(x, weight, bias, stride, grad)
-    want = direct_conv(x, weight, bias, stride, grad)
+    got = run_conv(x, weight, stride, grad)
+    want = direct_conv(x, weight, stride, grad)
     assert got[0].shape == out_shape
-    for name, g, r in zip(("y", "dx", "dw", "db"), got, want):
+    for name, g, r in zip(("y", "dx", "dw"), got, want):
         np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=name)
 
-    _, dx, dw, db = run_conv(x, weight, bias, stride, grad, x_requires_grad=False)
+    _, dx, dw = run_conv(x, weight, stride, grad, x_requires_grad=False)
     assert dx is None
     assert np.array_equal(dw, got[2])
-    assert np.array_equal(db, got[3])

@@ -17,18 +17,18 @@ def bn_state(rng, channels, training):
 
 
 def run(fused, arrays, state, training, stride, x_requires_grad=True, const=None):
-    """Output, then gradients of x, W, b, gamma, beta and const of ``sum(block * probe)``."""
-    x_data, w_data, b_data, g_data, be_data, probe = arrays
+    """Output, then gradients of x, W, gamma, beta and const of ``sum(block * probe)``."""
+    x_data, w_data, g_data, be_data, probe = arrays
     x = Tensor(x_data, requires_grad=x_requires_grad)
-    w, b, gamma, beta = (Tensor(a, requires_grad=True) for a in (w_data, b_data, g_data, be_data))
+    w, gamma, beta = (Tensor(a, requires_grad=True) for a in (w_data, g_data, be_data))
     c = None if const is None else Tensor(const, requires_grad=True)
     if fused:
-        y = ops.conv_bn_relu(x, w, b, gamma, beta, state, training, stride, const=c)
+        y = ops.conv_bn_relu(x, w, gamma, beta, state, training, stride, const=c)
     else:
         x_in = x if c is None else ops.concat([x, ops.tile_spatial(c, *x.shape[1:3])], axis=3)
-        y = ops.relu(ops.batch_norm(ops.conv2d(x_in, w, b, stride), gamma, beta, state, training))
+        y = ops.relu(ops.batch_norm(ops.conv2d(x_in, w, stride), gamma, beta, state, training))
     backward(ops.sum_(ops.mul(y, Tensor(probe))))
-    return [y.data, x.grad, w.grad, b.grad, gamma.grad, beta.grad, None if c is None else c.grad]
+    return [y.data, x.grad, w.grad, gamma.grad, beta.grad, None if c is None else c.grad]
 
 
 def draw(rng, n, h, w, cin, cout, stride):
@@ -38,12 +38,11 @@ def draw(rng, n, h, w, cin, cout, stride):
         rng.standard_normal((3, 3, cin, cout)),
         rng.standard_normal(cout),
         rng.standard_normal(cout),
-        rng.standard_normal(cout),
         rng.standard_normal((n, out_h, out_w, cout)),
     ]
 
 
-NAMES = ("y", "dx", "dW", "db", "dgamma", "dbeta")
+NAMES = ("y", "dx", "dW", "dgamma", "dbeta")
 
 
 @settings(max_examples=80, deadline=None)

@@ -167,8 +167,7 @@ class TestSpatialProperties:
         fused = ops.concat(
             [v, ops.tile_spatial(tt, side, side), ops.tile_spatial(it, side, side)], axis=3
         )
-        conv = head.conv.blocks[0].conv
-        out = ops.conv2d(fused, conv.weight, conv.bias).data
+        out = ops.conv2d(fused, head.conv.blocks[0].weight).data
         interior = out[0, 1:3, 1:3, :]
         assert np.allclose(interior, interior[0, 0], atol=1e-10)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmfuse import gradcheck_suite
-from mmfuse.autodiff import Tensor, check_gradients, ops
+from mmfuse.autodiff import Tensor, backward, check_gradients, ops
 from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig
 from mmfuse.fusion import FusionModelConfig, MultimodalModel
 from mmfuse.training import ModelData, TextOnlyModel, TrainConfig, score_dataset, train
@@ -91,6 +91,26 @@ def test_every_primitive_is_reached_by_training_or_kept(monkeypatch):
     reached = calls_into(monkeypatch, train_and_score)
     assert set(PUBLIC) - reached - set(KEEP) == set()
     assert set(KEEP) <= set(PUBLIC)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_parameter_gets_a_gradient(variant):
+    """One training step on all inputs gives every parameter a gradient above rounding.
+
+    A bias in front of a train-mode batch norm fails this: the batch mean
+    cancels it, and its gradient is rounding error (under 1e-15 here).
+    """
+    model, batch = build(variant), data(8)
+    logits = model.forward(
+        batch.images, batch.tweet_ids, batch.imgtext_ids, training=True,
+        rng=np.random.default_rng(0),
+    )
+    backward(ops.softmax_cross_entropy(logits, batch.labels))
+    largest = {
+        name: 0.0 if p.grad is None else float(np.abs(p.grad).max())
+        for name, p in model.parameters().items()
+    }
+    assert {name: g for name, g in largest.items() if g <= 1e-10} == {}
 
 
 @st.composite

@@ -154,13 +154,11 @@ ENCODER_KEYS = {
     "backbone.stage0.bn.gamma": (4,),
     "backbone.stage0.bn.running_mean": (4,),
     "backbone.stage0.bn.running_var": (4,),
-    "backbone.stage0.conv.bias": (4,),
     "backbone.stage0.conv.weight": (3, 3, 3, 4),
     "backbone.stage1.bn.beta": (8,),
     "backbone.stage1.bn.gamma": (8,),
     "backbone.stage1.bn.running_mean": (8,),
     "backbone.stage1.bn.running_var": (8,),
-    "backbone.stage1.conv.bias": (8,),
     "backbone.stage1.conv.weight": (3, 3, 4, 8),
     "text.embed": (20, 5),
     "text.lstm.U": (6, 24),
@@ -179,7 +177,6 @@ HEAD_KEYS = {
         "head.fc.bn0.gamma": (10,),
         "head.fc.bn0.running_mean": (10,),
         "head.fc.bn0.running_var": (10,),
-        "head.fc.fc0.bias": (10,),
         "head.fc.fc0.weight": (20, 10),
         "head.fc.out.bias": (2,),
         "head.fc.out.weight": (10, 2),
@@ -193,15 +190,12 @@ HEAD_KEYS = {
         "head.conv.bn1.gamma": (5,),
         "head.conv.bn1.running_mean": (5,),
         "head.conv.bn1.running_var": (5,),
-        "head.conv.conv0.bias": (5,),
         "head.conv.conv0.weight": (3, 3, 20, 5),
-        "head.conv.conv1.bias": (5,),
         "head.conv.conv1.weight": (3, 3, 5, 5),
         "head.fc.bn0.beta": (10,),
         "head.fc.bn0.gamma": (10,),
         "head.fc.bn0.running_mean": (10,),
         "head.fc.bn0.running_var": (10,),
-        "head.fc.fc0.bias": (10,),
         "head.fc.fc0.weight": (5, 10),
         "head.fc.out.bias": (2,),
         "head.fc.out.weight": (10, 2),
@@ -215,15 +209,12 @@ HEAD_KEYS = {
         "head.conv.bn1.gamma": (5,),
         "head.conv.bn1.running_mean": (5,),
         "head.conv.bn1.running_var": (5,),
-        "head.conv.conv0.bias": (5,),
         "head.conv.conv0.weight": (3, 3, 17, 5),
-        "head.conv.conv1.bias": (5,),
         "head.conv.conv1.weight": (3, 3, 5, 5),
         "head.fc.bn0.beta": (10,),
         "head.fc.bn0.gamma": (10,),
         "head.fc.bn0.running_mean": (10,),
         "head.fc.bn0.running_var": (10,),
-        "head.fc.fc0.bias": (10,),
         "head.fc.fc0.weight": (5, 10),
         "head.fc.out.bias": (2,),
         "head.fc.out.weight": (10, 2),

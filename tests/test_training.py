@@ -194,8 +194,7 @@ class TestTrainLoop:
         train_data, val_data = synth_data(n=96, seed=8)
         config = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-2, seed=9)
         best, history = train(model, train_data, val_data, config)
-        assert history.diverged
-        assert history.nonfinite_grad == "head.bias"
+        assert history.diverged == "non-finite gradient of 'head.bias'"
         assert len(history.steps) == 2
         for name, value in model.state_dict().items():
             assert np.array_equal(value, initial[name]), name
@@ -217,7 +216,6 @@ class TestTrainLoop:
         config = TrainConfig(epochs=1, batch_size=32, learning_rate=1e30, seed=9)
         best, history = train(model, train_data, val_data, config)
         assert history.diverged == "non-finite validation score"
-        assert history.nonfinite_grad == ""
         assert len(history.steps) == 1 and history.evals == []
         for name, value in model.state_dict().items():  # the last finite checkpoint
             assert np.array_equal(value, initial[name]), name
