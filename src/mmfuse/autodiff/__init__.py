@@ -10,7 +10,7 @@ from .tensor import (
 )
 from . import ops
 from .ops import BatchNormState
-from .optim import AdamState, adam_step
+from .optim import AdamState, NonFiniteGradient, adam_step
 from .gradcheck import check_gradients
 from .checkpoint import CheckpointError, MAGIC, file_sha256, load_arrays, save_arrays
 
@@ -24,6 +24,7 @@ __all__ = [
     "ops",
     "BatchNormState",
     "AdamState",
+    "NonFiniteGradient",
     "adam_step",
     "check_gradients",
     "CheckpointError",

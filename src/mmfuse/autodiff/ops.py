@@ -12,13 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (
-    ShapeMismatch,
-    Tensor,
-    accumulate_grad,
-    as_tensor,
-    from_op,
-)
+from .tensor import ShapeMismatch, accumulate_grad, as_tensor, from_op
 
 
 def _unbroadcast(grad, shape):
@@ -525,10 +519,18 @@ def lstm_sequence(x, W, U, b, lengths):
 
     ``x`` is (N, T, E); ``W`` (E, 4H), ``U`` (H, 4H) and ``b`` (4H,) hold the
     gates as H-wide column blocks in the order i, f, g, o. Example n reads its
-    first ``lengths[n]`` steps and then keeps its state. Returns the (N, H)
-    hidden state after each example's last step (zeros for an empty one).
-    ``X @ W`` is one GEMM over all N*T rows; each step adds ``h @ U``, then
-    ``b``. Backward is hand-written BPTT with one GEMM per weight gradient.
+    first ``lengths[n]`` steps. Returns the (N, H) hidden state after each
+    example's last step (zeros for an empty one).
+
+    The batch is ranked once by length, longest first, so the examples still
+    reading step t are the first ``k_t`` of that ranking: the gate arithmetic
+    runs in place on the ``[:k_t]`` prefix of ranked, time-major buffers, and
+    the walk stops after the longest example. ``X @ W`` is one GEMM over all
+    N*T rows; each step adds ``h @ U``, then ``b``. Every GEMM runs over all
+    rows in input order, as the masked recurrence over all rows ran them: a
+    BLAS kernel may round a row differently at another row position, so
+    values stay bitwise. Backward is hand-written BPTT over the same prefixes,
+    with one GEMM per weight gradient.
     """
     x, W, U, b = as_tensor(x), as_tensor(W), as_tensor(U), as_tensor(b)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -542,47 +544,75 @@ def lstm_sequence(x, W, U, b, lengths):
     if lengths.shape != (n,) or (lengths < 0).any() or (lengths > steps).any():
         raise ShapeMismatch("lstm_sequence", f"lengths must be {n} values in [0, {steps}]")
 
+    order = np.argsort(-lengths, kind="stable")
+    run = int(lengths.max(initial=0))  # the last step any example reads
+    # input rows of the examples reading step t, longest first
+    reading = [order[:k] for k in (lengths > np.arange(run)[:, None]).sum(axis=1).tolist()]
     x2d = x.data.reshape(n * steps, e)
     xw = (x2d @ W.data).reshape(n, steps, 4 * hd)
-    active = (lengths[None, :] > np.arange(steps)[:, None])[:, :, None]  # (T, N, 1)
-    hs = np.zeros((steps + 1, n, hd))  # hs[t] is the state entering step t
-    cs = np.zeros((steps + 1, n, hd))
-    acts = np.empty((steps, n, 4 * hd))  # sigmoid of i, f, o and tanh of g
-    tanh_c = np.empty((steps, n, hd))
+    hs = np.zeros((steps + 1, n, hd))  # hs[t, rows] is the state entering step t, input order
+    cs = np.zeros((run + 1, n, hd))  # ranked rows from here on
+    acts = np.empty((run, n, 4 * hd))  # sigmoid of i, f, o and tanh of g
+    tanh_c = np.empty((run, n, hd))
+    hu, scratch = np.empty((n, 4 * hd)), np.empty((n, hd))
     i_, f_, g_, o_ = (np.s_[:, k * hd : (k + 1) * hd] for k in range(4))
-    for t in range(steps):
-        pre = (xw[:, t] + hs[t] @ U.data) + b.data
-        with np.errstate(over="ignore"):
-            a = 1.0 / (1.0 + np.exp(-pre))
-        a[g_] = np.tanh(pre[g_])
-        c_new = a[f_] * cs[t] + a[i_] * a[g_]
-        tanh_c[t] = np.tanh(c_new)
-        h_new = a[o_] * tanh_c[t]
-        hs[t + 1] = np.where(active[t], h_new, hs[t])
-        cs[t + 1] = np.where(active[t], c_new, cs[t])
-        acts[t] = a
+    with np.errstate(over="ignore"):
+        for t, rows in enumerate(reading):
+            k = len(rows)
+            a, c, tc, tmp = acts[t, :k], cs[t + 1, :k], tanh_c[t, :k], scratch[:k]
+            np.matmul(hs[t], U.data, out=hu)
+            np.add(xw[:, t], hu, out=hu)
+            np.take(hu, rows, axis=0, out=a, mode="clip")
+            a += b.data
+            np.tanh(a[g_], out=tmp)
+            np.negative(a, out=a)
+            np.exp(a, out=a)
+            a += 1.0
+            np.divide(1.0, a, out=a)
+            a[g_] = tmp
+            np.multiply(a[f_], cs[t, :k], out=c)
+            c += np.multiply(a[i_], a[g_], out=tmp)
+            np.tanh(c, out=tc)
+            hs[t + 1, rows] = np.multiply(a[o_], tc, out=tmp)
+    out = hs[lengths, np.arange(n)]
 
     def backprop(grad):
-        dpre = np.zeros((steps, n, 4 * hd))
-        dh, dc = grad, np.zeros((n, hd))
-        for t in reversed(range(steps)):
-            a, on, d = acts[t], active[t], dpre[t]
-            dh_new = np.where(on, dh, 0.0)
-            dc_new = np.where(on, dc, 0.0) + dh_new * a[o_] * (1.0 - tanh_c[t] * tanh_c[t])
-            d[i_] = dc_new * a[g_]
-            d[f_] = dc_new * cs[t]
-            d[o_] = dh_new * tanh_c[t]
-            d *= a * (1.0 - a)
-            d[g_] = dc_new * a[i_] * (1.0 - a[g_] * a[g_])
-            dh = np.where(on, 0.0, dh) + d @ U.data.T
-            dc = np.where(on, dc_new * a[f_], dc)
-        accumulate_grad(U, hs[:-1].reshape(-1, hd).T @ dpre.reshape(-1, 4 * hd))
+        dpre = np.zeros((steps, n, 4 * hd))  # input order, like hs
+        dh, dc = grad[order], np.zeros((n, hd))  # ranked
+        # gate-major (4, k, H) copies of step t's gates and their gradients:
+        # contiguous blocks run faster than the column blocks of acts
+        a_buf, d_buf = np.empty(4 * n * hd), np.empty(4 * n * hd)
+        dhu, u_buf, v_buf = np.empty((n, hd)), np.empty((n, hd)), np.empty((n, hd))
+        for t in reversed(range(run)):
+            rows = reading[t]
+            k = len(rows)
+            a, d = a_buf[: 4 * k * hd].reshape(4, k, hd), d_buf[: 4 * k * hd].reshape(4, k, hd)
+            tc, dh_k, dc_k, u, v = tanh_c[t, :k], dh[:k], dc[:k], u_buf[:k], v_buf[:k]
+            a[...] = acts[t, :k].reshape(k, 4, hd).transpose(1, 0, 2)
+            np.multiply(tc, tc, out=u)
+            np.subtract(1.0, u, out=u)
+            u *= np.multiply(dh_k, a[3], out=v)
+            dc_k += u  # the gradient of step t's cell state
+            # d is sigmoid' (tanh' for g) first, then times each gate's gradient
+            np.subtract(1.0, a, out=d)
+            d *= a
+            np.multiply(a[2], a[2], out=d[2])
+            np.subtract(1.0, d[2], out=d[2])
+            d[0] *= np.multiply(dc_k, a[2], out=u)
+            d[1] *= np.multiply(dc_k, cs[t, :k], out=u)
+            d[2] *= np.multiply(dc_k, a[0], out=u)
+            d[3] *= np.multiply(dh_k, tc, out=u)
+            dpre[t].reshape(n, 4, hd)[rows] = d.transpose(1, 0, 2)
+            np.matmul(dpre[t], U.data.T, out=dhu)
+            np.take(dhu, rows, axis=0, out=dh_k, mode="clip")
+            dc_k *= a[1]
+        accumulate_grad(U, hs[:steps].reshape(-1, hd).T @ dpre.reshape(-1, 4 * hd))
         accumulate_grad(b, dpre.sum(axis=(0, 1)))
         dxw = dpre.transpose(1, 0, 2).reshape(n * steps, 4 * hd)
         accumulate_grad(W, x2d.T @ dxw)
         accumulate_grad(x, (dxw @ W.data.T).reshape(x.shape))
 
-    return from_op(hs[steps], (x, W, U, b), backprop)
+    return from_op(out, (x, W, U, b), backprop)
 
 
 def softmax(x, axis=-1):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import AdamState, AutodiffError, Tensor, adam_step, backward, no_grad, ops
+from .autodiff import AdamState, AutodiffError, NonFiniteGradient, adam_step, backward, no_grad, ops
 from .evaluation import MetricError, ScoredExample, auc_roc
 from .fusion import InputMask
 from .nn import Dense, Layer
@@ -208,11 +208,11 @@ def train(model, train_data, val_data, config):
                 p.grad = None
             backward(loss)
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
-            for name, grad in grads.items():
-                if not np.isfinite(grad).all():
-                    history.diverged = f"non-finite gradient of {name!r}"
-                    return diverge()
-            adam_step(params, grads, adam)
+            try:
+                adam_step(params, grads, adam)
+            except NonFiniteGradient as err:
+                history.diverged = str(err)
+                return diverge()
             if config.eval_every and step % config.eval_every == 0 and evaluate_now():
                 return diverge()
         if not config.eval_every and evaluate_now():

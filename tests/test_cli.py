@@ -3,10 +3,8 @@ import csv
 import hashlib
 import io
 import json
-import os
 import re
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest

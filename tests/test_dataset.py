@@ -1,11 +1,9 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mmfuse.dataset import (
-    CATEGORIES,
     FilterReason,
     FilterRuleSet,
     TweetRecord,

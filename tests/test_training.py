@@ -200,6 +200,28 @@ class TestTrainLoop:
             assert np.array_equal(value, initial[name]), name
             assert np.array_equal(best[name], initial[name]), name
 
+    def test_nonfinite_gradients_name_the_first_parameter(self, monkeypatch):
+        """Two NaN gradients: the first in ``model.parameters()`` order is named, not the first set."""
+        model = text_only_model(seed=2)
+        initial = model.state_dict()
+        names = list(model.parameters())
+        assert names.index("text.lstm.U") < names.index("head.bias")
+        real_backward = training.backward
+
+        def nan_in_two(loss):
+            real_backward(loss)
+            model.head.bias.grad[0] = np.nan
+            model.text_encoder.lstm.U.grad[-1, -1] = np.nan
+
+        monkeypatch.setattr(training, "backward", nan_in_two)
+        train_data, val_data = synth_data(n=64, seed=8)
+        config = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-2, seed=9)
+        _, history = train(model, train_data, val_data, config)
+        assert history.diverged == "non-finite gradient of 'text.lstm.U'"
+        assert len(history.steps) == 1
+        for name, value in model.state_dict().items():
+            assert np.array_equal(value, initial[name]), name
+
     def test_nonfinite_validation_score_diverges(self):
         """An overflowing learning rate drives the validation scores to NaN."""
         fusion = FusionModelConfig(
