@@ -507,9 +507,10 @@ def embedding(weight, ids):
     data = weight.data[ids]
 
     def backprop(grad):
-        dw = np.zeros_like(weight.data)
-        np.add.at(dw, ids.reshape(-1), grad.reshape(-1, weight.shape[1]))
-        accumulate_grad(weight, dw)
+        # one bin per (id, column), summing its rows in order as np.add.at would
+        bins = (ids.reshape(-1, 1) * weight.shape[1] + np.arange(weight.shape[1])).reshape(-1)
+        dw = np.bincount(bins, weights=grad.reshape(-1), minlength=weight.data.size)
+        accumulate_grad(weight, dw.reshape(weight.shape))
 
     return from_op(data, (weight,), backprop)
 

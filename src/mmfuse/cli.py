@@ -72,8 +72,8 @@ def write_manifest(out_dir, verb, cfg, artifact_paths):
 
 def load_manifest_config(path):
     try:
-        manifest = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
     return {str(k): str(v) for k, v in manifest.get("config", {}).items()}
 
@@ -220,29 +220,20 @@ def load_split(data_dir, split, vocab):
         examples, unlabelable = dataset.label_corpus(records)
     if unlabelable:
         raise DataError(f"{path}: {len(unlabelable)} unlabelable records (all-fast votes)")
-    by_id = {r.id: r for r in records}
-    refs = []
-    tweet_ids, imgtext_ids, labels, ids = [], [], [], []
-    for ex in examples:
-        record = by_id[ex.id]
-        if record.image_ref:
-            refs.append(record.image_ref)
-        tweet_ids.append(vocab.encode(preprocess_tweet_text(record.tweet_text)))
-        imgtext_ids.append(vocab.encode(preprocess_tweet_text(record.image_text)))
-        labels.append(1 if ex.hate else 0)
-        ids.append(ex.id)
-    if refs and len(refs) != len(examples):
+    # every record is labelled, so examples[i] is records[i]
+    refs = [r.image_ref for r in records if r.image_ref]
+    if refs and len(refs) != len(records):
         raise DataError(f"{path}: some records have images and some do not")
     if refs:
         images = _load_images(Path(data_dir) / "images", refs)
     else:
-        images = np.zeros((len(examples), 0, 0, 3))
-    return ModelData(
+        images = np.zeros((len(records), 0, 0, 3))
+    return ModelData.from_id_lists(
         images=images,
-        tweet_ids=tweet_ids,
-        imgtext_ids=imgtext_ids,
-        labels=np.array(labels, dtype=np.int64),
-        ids=ids,
+        tweet_ids=[vocab.encode(preprocess_tweet_text(r.tweet_text)) for r in records],
+        imgtext_ids=[vocab.encode(preprocess_tweet_text(r.image_text)) for r in records],
+        labels=np.array([ex.hate for ex in examples], dtype=np.int64),
+        ids=[ex.id for ex in examples],
     )
 
 
@@ -427,6 +418,12 @@ def cmd_eval(args, cfg):
     out.mkdir(parents=True, exist_ok=True)
     model, cfg = _restore_model(args.checkpoint, cfg)
     vocab, splits = load_data_dir(args.data, (args.split,))
+    trained = cfgmod.get_int(cfg, "train.vocab_size")
+    if len(vocab) != trained:  # the token ids would index another embedding table
+        raise DataError(
+            f"{Path(args.data) / 'vocab.txt'} holds {len(vocab)} tokens, "
+            f"the model was trained on {trained}"
+        )
     with _reraise(DataError, f"{args.data}: "):  # images of another size than the model's
         scored = score_dataset(model, splits[args.split])
     try:

@@ -7,6 +7,7 @@ stay strings until a typed getter pulls them out.
 
 from __future__ import annotations
 
+import io
 import os
 
 
@@ -31,10 +32,15 @@ def load_config(path=None, overrides=()):
     cfg = {}
     if path:
         try:
-            with open(path) as fh:
-                cfg.update(parse_kv_lines(fh, source=path))
+            with open(path, "rb") as fh:
+                data = fh.read()
+            text = data.decode("utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+        cfg.update(parse_kv_lines(io.StringIO(text, newline=None), source=path))
     cfg.update(parse_kv_lines(overrides, source="<override>"))
     return cfg
 

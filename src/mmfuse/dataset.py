@@ -133,12 +133,12 @@ def import_corpus(path):
     """Load a JSON-lines corpus; returns (records, diagnostics).
 
     Malformed lines are reported as (line_number, message) pairs, never
-    silently dropped. Duplicate ids are malformed.
+    silently dropped. Duplicate ids and lines that are not UTF-8 are malformed.
     """
     records, diagnostics = [], []
     seen = set()
     try:
-        fh = open(path)
+        fh = open(path, "rb")
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     with fh:
@@ -146,7 +146,7 @@ def import_corpus(path):
             if not line.strip():
                 continue
             try:
-                record = TweetRecord.from_json(line)
+                record = TweetRecord.from_json(line.decode("utf-8"))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 diagnostics.append((lineno, f"line {lineno}: {exc}"))
                 continue

@@ -10,6 +10,7 @@ from .text import (
     TextEncoder,
     TextEncoderConfig,
     Vocabulary,
+    pad_ids,
     preprocess_tweet_text,
 )
 from .vision import VisionBackbone, VisionBackboneConfig
@@ -24,6 +25,7 @@ __all__ = [
     "TextEncoder",
     "TextEncoderConfig",
     "Vocabulary",
+    "pad_ids",
     "preprocess_tweet_text",
     "VisionBackbone",
     "VisionBackboneConfig",

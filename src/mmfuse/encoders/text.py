@@ -85,8 +85,14 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+        tokens = [tok for tok in text.splitlines() if tok]  # str.split() tokens hold no line break
         if tuple(tokens[: len(SPECIALS)]) != SPECIALS:
             raise ValueError(f"{path}: vocabulary file must start with {SPECIALS}")
         vocab = cls()
@@ -105,8 +111,20 @@ class TextEncoderConfig:
             raise ValueError("embedding_dim and hidden_dim must be positive")
 
 
+def pad_ids(id_lists):
+    """Right-pad token-id lists with 0 to their longest; returns (ids (N, T), lengths (N,)).
+
+    Lengths are explicit: a text holding id 0 (a literal ``<pad>``) keeps its length.
+    """
+    lengths = np.array([len(ids) for ids in id_lists], dtype=np.int64)
+    ids = np.zeros((len(id_lists), int(lengths.max(initial=0))), dtype=np.int64)
+    for row, seq in enumerate(id_lists):
+        ids[row, : len(seq)] = seq
+    return ids, lengths
+
+
 class TextEncoder(Layer):
-    """Embedding table + single-layer LSTM; encodes a batch of token-id lists.
+    """Embedding table + single-layer LSTM; encodes a padded batch of token ids.
 
     The encoding of a sequence is the hidden state after its last token; empty
     sequences encode to the zero vector.
@@ -119,21 +137,11 @@ class TextEncoder(Layer):
         )
         self.lstm = LSTM(config.embedding_dim, config.hidden_dim, rng)
 
-    @staticmethod
-    def pad_batch(id_lists):
-        """Right-pad to the batch max length; returns (ids (N, T), lengths)."""
-        lengths = np.array([len(ids) for ids in id_lists], dtype=np.int64)
-        max_len = int(lengths.max()) if len(lengths) else 0
-        ids = np.zeros((len(id_lists), max_len), dtype=np.int64)
-        for row, seq in enumerate(id_lists):
-            ids[row, : len(seq)] = seq
-        return ids, lengths
-
-    def encode(self, id_lists):
-        """Encode a list of token-id sequences to an (N, hidden_dim) Tensor."""
-        ids, lengths = self.pad_batch(id_lists)
+    def encode(self, text):
+        """Encode ``text``, a :func:`pad_ids` pair, to an (N, hidden_dim) Tensor."""
+        ids, lengths = text
         if ids.shape[1] == 0:
-            return Tensor(np.zeros((len(id_lists), self.config.hidden_dim)))
+            return Tensor(np.zeros((len(ids), self.config.hidden_dim)))
         return self.lstm(ops.embedding(self.embed, ids), lengths)
 
     def _children(self):

@@ -160,7 +160,7 @@ class _ConvStack(Layer):
 
 
 class FusionHead(Layer):
-    """Variant-dispatching fusion head over pre-encoded inputs."""
+    """The FCM, SCM or TKM fusion head over pre-encoded inputs."""
 
     def __init__(self, config, rng):
         self.config = config
@@ -180,8 +180,6 @@ class FusionHead(Layer):
             self.conv = _ConvStack(fused_depth, cfg.fusion_channels, cfg.fusion_block_count, rng)
             self.fc = _FcStack(cfg.fusion_channels, cfg.fc_plan, rng)
 
-    # -- kernels ------------------------------------------------------------
-
     def make_textual_kernels(self, t_text, which):
         """Affine-map a text encoding to a bank of 1x1 kernels (N, K, D_v).
 
@@ -194,66 +192,38 @@ class FusionHead(Layer):
         flat = gen(t_text)
         return ops.reshape(flat, (t_text.shape[0], count, self.config.visual_dim))
 
-    # -- forwards -----------------------------------------------------------
-
-    def _check_text(self, t, name):
-        if t.ndim != 2 or t.shape[1] != self.config.hidden_dim:
-            raise ShapeMismatch(
-                self.config.variant.lower() + "_forward",
-                f"{name} must be (N, {self.config.hidden_dim}), got {t.shape}",
-            )
-
-    def _spatial_tail(self, v_map, t_tweet, t_imgtext, training, rng):
-        """Fusion convs over the map with both text encodings at every pixel, then the fc stack."""
-        text = ops.concat([t_tweet, t_imgtext], axis=1)
-        x = self.conv(v_map, training, const=text)
-        x = ops.dropout(x, self.config.dropout_rate, training, rng)
-        x = ops.avg_pool_spatial(x)
-        return self.fc(x, training)
-
-    def fcm_forward(self, v_pool, t_tweet, t_imgtext, training=False, rng=None):
-        cfg = self.config
-        if v_pool.ndim != 2 or v_pool.shape[1] != cfg.visual_dim:
-            raise ShapeMismatch("fcm_forward", f"v_pool must be (N, {cfg.visual_dim}), got {v_pool.shape}")
-        self._check_text(t_tweet, "t_tweet")
-        self._check_text(t_imgtext, "t_imgtext")
-        fused = ops.concat([v_pool, t_tweet, t_imgtext], axis=1)
-        assert fused.shape[1] == cfg.concat_dim
-        return self.fc(fused, training)
-
-    def _check_map(self, v_map, name):
-        cfg = self.config
-        expected = (cfg.map_side, cfg.map_side, cfg.visual_dim)
-        if v_map.ndim != 4 or v_map.shape[1:] != expected:
-            raise ShapeMismatch(name, f"v_map must be (N, {expected}), got {v_map.shape}")
-
-    def scm_forward(self, v_map, t_tweet, t_imgtext, training=False, rng=None):
-        self._check_map(v_map, "scm_forward")
-        self._check_text(t_tweet, "t_tweet")
-        self._check_text(t_imgtext, "t_imgtext")
-        return self._spatial_tail(v_map, t_tweet, t_imgtext, training, rng)
-
-    def tkm_forward(self, v_map, t_tweet, t_imgtext, training=False, rng=None):
-        cfg = self.config
-        self._check_map(v_map, "tkm_forward")
-        self._check_text(t_tweet, "t_tweet")
-        self._check_text(t_imgtext, "t_imgtext")
-        kernels = ops.concat(
-            [self.make_textual_kernels(t_tweet, "tweet"), self.make_textual_kernels(t_imgtext, "imgtext")],
-            axis=1,
-        )
-        mm_map = ops.dynamic_conv1x1(v_map, kernels)
-        assert mm_map.shape[1:] == (cfg.map_side, cfg.map_side, cfg.kernel_count)
-        mm_map = self.kernel_bn(mm_map, training)
-        return self._spatial_tail(mm_map, t_tweet, t_imgtext, training, rng)
-
     def __call__(self, v_input, t_tweet, t_imgtext, training=False, rng=None):
-        forward = {
-            "FCM": self.fcm_forward,
-            "SCM": self.scm_forward,
-            "TKM": self.tkm_forward,
-        }[self.config.variant]
-        return forward(v_input, t_tweet, t_imgtext, training, rng)
+        """2-class logits from ``v_input`` and both (N, hidden_dim) text encodings.
+
+        ``v_input`` is the pooled (N, visual_dim) vector for FCM and the
+        (N, map_side, map_side, visual_dim) map for SCM and TKM.
+        """
+        cfg = self.config
+        fcm = cfg.variant == "FCM"
+        visual = (cfg.visual_dim,) if fcm else (cfg.map_side, cfg.map_side, cfg.visual_dim)
+        for name, t, expected in [
+            ("v_pool" if fcm else "v_map", v_input, visual),
+            ("t_tweet", t_tweet, (cfg.hidden_dim,)),
+            ("t_imgtext", t_imgtext, (cfg.hidden_dim,)),
+        ]:
+            if t.shape[1:] != expected:
+                raise ShapeMismatch(
+                    cfg.variant.lower() + "_forward",
+                    f"{name} must be (N, {', '.join(map(str, expected))}), got {t.shape}",
+                )
+        if fcm:
+            return self.fc(ops.concat([v_input, t_tweet, t_imgtext], axis=1), training)
+        x = v_input
+        if cfg.variant == "TKM":
+            kernels = ops.concat(
+                [self.make_textual_kernels(t_tweet, "tweet"), self.make_textual_kernels(t_imgtext, "imgtext")],
+                axis=1,
+            )
+            x = self.kernel_bn(ops.dynamic_conv1x1(x, kernels), training)
+        # both text encodings enter the first fusion conv at every pixel
+        x = self.conv(x, training, const=ops.concat([t_tweet, t_imgtext], axis=1))
+        x = ops.dropout(x, cfg.dropout_rate, training, rng)
+        return self.fc(ops.avg_pool_spatial(x), training)
 
     def _children(self):
         children = {}
@@ -308,21 +278,20 @@ class MultimodalModel(Layer):
         self.share_text_encoder = share_text_encoder
         self.head = FusionHead(fusion_config, rng)
 
-    def forward(self, images, tweet_ids, imgtext_ids, training=False, rng=None):
+    def forward(self, images, tweet, imgtext, training=False, rng=None):
         """2-class logits for a batch.
 
-        ``images`` is an (N, S, S, 3) array or Tensor; the token-id inputs are
-        lists of id lists. Inputs outside ``self.mask`` skip their encoder
-        entirely.
+        ``images`` is an (N, S, S, 3) array or Tensor; ``tweet`` and
+        ``imgtext`` are :func:`~mmfuse.encoders.pad_ids` pairs. Inputs outside
+        ``self.mask`` skip their encoder entirely.
         """
         mask = self.mask
-        n = len(tweet_ids)
+        n = len(tweet[1])
         cfg = self.config
         zeros_text = lambda: Tensor(np.zeros((n, cfg.hidden_dim)))
-        t_tweet = self.text_encoder.encode(tweet_ids) if mask.tweet_text else zeros_text()
-        t_imgtext = self.imgtext_encoder.encode(imgtext_ids) if mask.image_text else zeros_text()
+        t_tweet = self.text_encoder.encode(tweet) if mask.tweet_text else zeros_text()
+        t_imgtext = self.imgtext_encoder.encode(imgtext) if mask.image_text else zeros_text()
         if mask.image:
-            images = images if isinstance(images, Tensor) else Tensor(images)
             v_pool, v_map = self.backbone(images, training)
             v_input = v_pool if cfg.variant == "FCM" else v_map
         elif cfg.variant == "FCM":

@@ -46,6 +46,8 @@ class SynthSpec:
             raise ValueError("image_side must be at least 4")
         if min(self.n_train, self.n_val, self.n_test) < 0:
             raise ValueError("split sizes must be >= 0")
+        if not 1 <= self.min_tokens <= self.max_tokens:
+            raise ValueError("need 1 <= min_tokens <= max_tokens")
 
 
 @dataclass
@@ -144,7 +146,7 @@ def to_model_data(examples, vocab):
     """Pack synth examples into a batchable split."""
     from .training import ModelData
 
-    return ModelData(
+    return ModelData.from_id_lists(
         images=np.stack([ex.image for ex in examples]) if examples else np.zeros((0,)),
         tweet_ids=[vocab.encode(ex.tweet_tokens) for ex in examples],
         imgtext_ids=[vocab.encode(ex.imgtext_tokens) for ex in examples],

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import AdamState, AutodiffError, NonFiniteGradient, adam_step, backward, no_grad, ops
+from .encoders import pad_ids
 from .evaluation import MetricError, ScoredExample, auc_roc
 from .fusion import InputMask
 from .nn import Dense, Layer
@@ -78,8 +79,8 @@ class ModelData:
     """A split ready for batching: aligned images, token ids and labels."""
 
     images: np.ndarray  # (N, S, S, 3); may be a zero-size array when unused
-    tweet_ids: list
-    imgtext_ids: list
+    tweet: tuple  # (ids (N, T) int64, lengths (N,)), padded once by pad_ids
+    imgtext: tuple  # the image texts, likewise
     labels: np.ndarray  # int, 1 = hate
     ids: list = None
 
@@ -87,14 +88,26 @@ class ModelData:
         if self.ids is None:
             self.ids = [str(i) for i in range(len(self.labels))]
 
+    @classmethod
+    def from_id_lists(cls, images, tweet_ids, imgtext_ids, labels, ids=None):
+        """Pad the two lists of token-id lists into a split."""
+        return cls(images, pad_ids(tweet_ids), pad_ids(imgtext_ids), labels, ids)
+
     def __len__(self):
         return len(self.labels)
 
     def subset(self, indices):
+        """The examples at ``indices``; each text is trimmed to the batch's longest."""
+
+        def take(text):
+            ids, lengths = text
+            lengths = lengths[indices]
+            return ids[indices, : lengths.max(initial=0)], lengths
+
         return ModelData(
             images=self.images[indices] if self.images.size else self.images,
-            tweet_ids=[self.tweet_ids[i] for i in indices],
-            imgtext_ids=[self.imgtext_ids[i] for i in indices],
+            tweet=take(self.tweet),
+            imgtext=take(self.imgtext),
             labels=self.labels[indices],
             ids=[self.ids[i] for i in indices],
         )
@@ -112,8 +125,8 @@ class TextOnlyModel(Layer):
         self.head = Dense(text_encoder.config.hidden_dim, 2, rng)
         self.mask = InputMask(tweet_text=True, image_text=False, image=False)
 
-    def forward(self, images, tweet_ids, imgtext_ids, training=False, rng=None):
-        return self.head(self.text_encoder.encode(tweet_ids))
+    def forward(self, images, tweet, imgtext, training=False, rng=None):
+        return self.head(self.text_encoder.encode(tweet))
 
     def _children(self):
         return {"text": self.text_encoder, "head": self.head}
@@ -128,7 +141,7 @@ def score_dataset(model, data, batch_size=64):
     for start in range(0, len(data), batch_size):
         batch = data.subset(np.arange(start, min(start + batch_size, len(data))))
         with no_grad(), np.errstate(over="ignore", invalid="ignore"):  # checked below
-            logits = model.forward(batch.images, batch.tweet_ids, batch.imgtext_ids, training=False)
+            logits = model.forward(batch.images, batch.tweet, batch.imgtext, training=False)
             probs = ops.softmax(logits, axis=1).data
         finite = np.isfinite(probs[:, HATE])
         if not finite.all():
@@ -195,7 +208,7 @@ def train(model, train_data, val_data, config):
         for start in range(0, len(order), config.batch_size):
             batch = train_data.subset(order[start : start + config.batch_size])
             logits = model.forward(
-                batch.images, batch.tweet_ids, batch.imgtext_ids, training=True, rng=dropout_rng
+                batch.images, batch.tweet, batch.imgtext, training=True, rng=dropout_rng
             )
             loss = ops.softmax_cross_entropy(logits, batch.labels, weights)
             loss_value = loss.item()

@@ -14,7 +14,7 @@ import pytest
 from conftest import make_scored, oracle_auc, oracle_balanced_accuracy, oracle_f1, oracle_max_f1, random_instance
 from mmfuse import synth
 from mmfuse.cli import EXIT_OK, main as cli_main
-from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig
+from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig, pad_ids
 from mmfuse.evaluation import auc_roc, evaluate
 from mmfuse.fusion import FusionModelConfig, InputMask, MultimodalModel
 from mmfuse.gradcheck_suite import run_suite
@@ -158,8 +158,8 @@ def test_criterion_5_masked_modality_invariance():
     all_ok = True
     for variant in ("FCM", "SCM", "TKM"):
         model = desk_model(variant, len(vocab), seed=11, mask=InputMask.parse("TT,IT"))
-        tweets = [[1 + int(rng.integers(0, 10))] * 3 for _ in range(100)]
-        imgtexts = [[2 + int(rng.integers(0, 10))] * 2 for _ in range(100)]
+        tweets = pad_ids([[1 + int(rng.integers(0, 10))] * 3 for _ in range(100)])
+        imgtexts = pad_ids([[2 + int(rng.integers(0, 10))] * 2 for _ in range(100)])
         images_a = rng.random((100, 16, 16, 3))
         images_b = rng.random((100, 16, 16, 3))
         a = model.forward(images_a, tweets, imgtexts, training=False).data

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmfuse.autodiff import (
     AdamState,
@@ -84,6 +86,28 @@ class TestForward:
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ShapeMismatch):
             ops.matmul(Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vocab=st.integers(1, 5),
+    width=st.integers(1, 4),
+    ids=st.lists(st.integers(0, 4), max_size=24),
+    rows=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_embedding_backward_is_add_at_bitwise(vocab, width, ids, rows, seed):
+    """Repeated ids sum their gradient rows in order, bit for bit as ``np.add.at`` does."""
+    ids = np.array([i % vocab for i in ids[: len(ids) // rows * rows]], dtype=np.int64)
+    ids = ids.reshape(rows, -1)
+    rng = np.random.default_rng(seed)
+    shape = ids.shape + (width,)
+    grad = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)  # rounding shows
+    weight = Tensor(rng.standard_normal((vocab, width)), requires_grad=True)
+    backward(ops.sum_(ops.mul(ops.embedding(weight, ids), Tensor(grad))))
+    expected = np.zeros((vocab, width))
+    np.add.at(expected, ids.reshape(-1), grad.reshape(-1, width))
+    assert weight.grad.tobytes() == expected.tobytes()
 
 
 class TestBackward:

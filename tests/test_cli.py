@@ -419,6 +419,32 @@ class TestDataErrors:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_vocabulary_of_another_size_exits_3(self, data_copy, run_dir, tmp_path):
+        with open(data_copy / "vocab.txt", "a") as fh:
+            fh.write("extra\n")
+        rc, err = run_main([
+            "eval", "--checkpoint", str(run_dir / "checkpoint.mfuse"),
+            "--data", str(data_copy), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == EXIT_DATA
+        assert err == [
+            f"data error: {data_copy / 'vocab.txt'} holds 20 tokens, the model was trained on 19"
+        ]
+
+    def test_non_utf8_split_line_exits_3(self, data_copy, tmp_path, capsys):
+        path = data_copy / "train.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"filler", b"fill\xffer", 1)
+        path.write_bytes(b"".join(lines))
+        err = train_data_error(data_copy, tmp_path, capsys)
+        assert f"{path}: 1 malformed lines, first: line 3: 'utf-8' codec can't decode" in err
+
+    def test_non_utf8_vocabulary_exits_3(self, data_copy, tmp_path, capsys):
+        with open(data_copy / "vocab.txt", "ab") as fh:
+            fh.write(b"caf\xe9\n")
+        err = train_data_error(data_copy, tmp_path, capsys)
+        assert f"{data_copy / 'vocab.txt'}:20: not UTF-8 text" in err
+
     def test_malformed_vocabulary_exits_3(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
@@ -542,6 +568,23 @@ class TestSeedFallback:
 
 
 class TestConfigFile:
+    def test_non_utf8_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"synth.n_train = 8\nsynth.mode = caf\xe9\n")
+        rc, err = run_main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert err == [f"config error: {cfg}:2: not UTF-8 text (invalid continuation byte)"]
+
+    def test_non_utf8_manifest_exits_2(self, tiny_data, tmp_path):
+        data, _ = tiny_data
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'{"config": {"train.epochs": "1\xff"}}')
+        rc, err = run_main([
+            "train", "--data", str(data), "--out", str(tmp_path / "o"), "--manifest", str(manifest),
+        ])
+        assert rc == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot read manifest {manifest}")
+
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("synth.n_train = 8\nsynth.n_val = 4  # comment\nsynth.n_test = 4\n")

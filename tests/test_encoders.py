@@ -8,6 +8,7 @@ from mmfuse.encoders import (
     VisionBackbone,
     VisionBackboneConfig,
     Vocabulary,
+    pad_ids,
     preprocess_tweet_text,
 )
 from mmfuse.encoders.text import HASHTAG, NUMBER, PAD, SPECIALS, UNK, URL, USER
@@ -74,7 +75,7 @@ class TestTextEncoder:
 
     def test_empty_sequence_encodes_to_zero(self, rng):
         enc = TextEncoder(10, TextEncoderConfig(embedding_dim=4, hidden_dim=6), rng)
-        out = enc.encode([[]])
+        out = enc.encode(pad_ids([[]]))
         assert out.shape == (1, 6)
         assert np.array_equal(out.data, np.zeros((1, 6)))
 
@@ -82,7 +83,7 @@ class TestTextEncoder:
         enc = TextEncoder(10, TextEncoderConfig(embedding_dim=4, hidden_dim=6), rng)
         for tensor in enc.lstm.parameters().values():
             tensor.data = np.zeros_like(tensor.data)
-        out = enc.encode([[1, 2, 3]])
+        out = enc.encode(pad_ids([[1, 2, 3]]))
         assert np.allclose(out.data, 0.0, atol=1e-15)
 
     def test_zero_head_gives_zero_logits(self, rng):
@@ -90,19 +91,19 @@ class TestTextEncoder:
         model = TextOnlyModel(enc, rng)
         model.head.weight.data[:] = 0.0
         model.head.bias.data[:] = 0.0
-        logits = model.forward(None, [[1, 2], [3]], None)
+        logits = model.forward(None, pad_ids([[1, 2], [3]]), None)
         assert logits.shape == (2, 2)
         assert np.array_equal(logits.data, np.zeros((2, 2)))
 
     def test_variable_lengths_match_individual_encodings(self, rng):
         enc = TextEncoder(12, TextEncoderConfig(embedding_dim=5, hidden_dim=7), rng)
-        batch = enc.encode([[1, 2, 3], [4], [5, 6]]).data
+        batch = enc.encode(pad_ids([[1, 2, 3], [4], [5, 6]])).data
         for i, seq in enumerate([[1, 2, 3], [4], [5, 6]]):
-            single = enc.encode([seq]).data
+            single = enc.encode(pad_ids([seq])).data
             assert np.allclose(batch[i], single[0], atol=1e-12)
 
-    def test_pad_batch_right_pads(self):
-        ids, lengths = TextEncoder.pad_batch([[7, 8], [9]])
+    def test_pad_ids_right_pads(self):
+        ids, lengths = pad_ids([[7, 8], [9]])
         assert np.array_equal(ids, [[7, 8], [9, 0]])
         assert np.array_equal(lengths, [2, 1])
 
@@ -112,7 +113,7 @@ class TestTextEncoder:
         probe = Tensor(rng.standard_normal((2, 2)))
 
         def fn(*params):
-            logits = model.forward(None, [[1, 2], [3, 4, 5]], None)
+            logits = model.forward(None, pad_ids([[1, 2], [3, 4, 5]]), None)
             return ops.sum_(ops.mul(ops.tanh(logits), probe))
 
         inputs = list(model.parameters().values())

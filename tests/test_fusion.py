@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmfuse.autodiff import ShapeMismatch, Tensor, check_gradients, ops
-from mmfuse.encoders import TextEncoderConfig, VisionBackboneConfig
+from mmfuse.encoders import TextEncoderConfig, VisionBackboneConfig, pad_ids
 from mmfuse.fusion import FusionHead, FusionModelConfig, InputMask, MultimodalModel
 
 
@@ -184,14 +184,16 @@ class TestMultimodalModel:
     @pytest.mark.parametrize("variant", ["FCM", "SCM", "TKM"])
     def test_forward_shape(self, variant, rng):
         model = self.build(variant)
-        logits = model.forward(rng.random((3, 8, 8, 3)), [[1, 2], [3], [4, 5]], [[6], [7], [8]])
+        logits = model.forward(
+            rng.random((3, 8, 8, 3)), pad_ids([[1, 2], [3], [4, 5]]), pad_ids([[6], [7], [8]])
+        )
         assert logits.shape == (3, 2)
 
     @pytest.mark.parametrize("variant", ["FCM", "SCM", "TKM"])
     def test_masked_image_invariance(self, variant, rng):
         model = self.build(variant, mask=InputMask.parse("TT,IT"))
-        tweets = [[1, 2], [3]]
-        imgtexts = [[4], [5, 6]]
+        tweets = pad_ids([[1, 2], [3]])
+        imgtexts = pad_ids([[4], [5, 6]])
         a = model.forward(rng.random((2, 8, 8, 3)), tweets, imgtexts).data
         b = model.forward(rng.random((2, 8, 8, 3)), tweets, imgtexts).data
         assert np.array_equal(a, b)
@@ -199,8 +201,8 @@ class TestMultimodalModel:
     def test_masked_text_invariance(self, rng):
         model = self.build("FCM", mask=InputMask.parse("I"))
         images = rng.random((2, 8, 8, 3))
-        a = model.forward(images, [[1], [2]], [[3], [4]]).data
-        b = model.forward(images, [[9], [10]], [[11], [12]]).data
+        a = model.forward(images, pad_ids([[1], [2]]), pad_ids([[3], [4]])).data
+        b = model.forward(images, pad_ids([[9], [10]]), pad_ids([[11], [12]])).data
         assert np.array_equal(a, b)
 
     def test_shared_text_encoder_default(self):

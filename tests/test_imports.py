@@ -1,8 +1,13 @@
-"""No unused imports in src/ or tests/: an AST scan standing in for a linter.
+"""AST scans standing in for a linter: no unused imports, no dead public API.
 
 A module-level or local import counts as used when its bound name is read
 anywhere in the module, named in ``__all__`` (a re-export), or imported from
 ``__future__``.
+
+Every public function, class and method defined in src/ must be referenced
+from src/ or perfbench/: by a name, an attribute or a string that is exactly
+its name. Its own definition, imports and ``__all__`` do not count, and
+neither do the tests: an API kept alive only by its own unit test is dead.
 """
 
 import ast
@@ -16,6 +21,11 @@ FILES = sorted(
     for folder in ("src", "tests")
     for p in (ROOT / folder).rglob("*.py")
 )
+
+# Public names nothing in src/ or perfbench/ references, each with its reason.
+KEEP = {
+    "FusionModelConfig.reference": "criterion 4 checks the paper's reference-scale shapes from it",
+}
 
 
 def unused_imports(source):
@@ -56,3 +66,75 @@ def test_scan_finds_what_it_should():
 @pytest.mark.parametrize("path", FILES)
 def test_no_unused_imports(path):
     assert unused_imports((ROOT / path).read_text()) == []
+
+
+def public_definitions(source):
+    """Qualified names of the module's public functions and classes, and their public methods."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return names
+
+
+def references(source):
+    """Every name read, attribute taken and identifier-like string in the module, but ``__all__``."""
+    tree = ast.parse(source)
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {id(e) for e in ast.walk(node.value)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+def unreferenced(definitions, sources):
+    used = set().union(*(references(s) for s in sources))
+    return [name for name in definitions if name.rsplit(".", 1)[-1] not in used]
+
+
+def test_dead_api_scan_finds_what_it_should():
+    module = (
+        "__all__ = ['exported']\n"
+        "def exported(): pass\n"
+        "def _private(): pass\n"
+        "class Used:\n"
+        "    def method(self): pass\n"
+        "    def by_string(self): pass\n"
+        "    def dead(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "def called(): pass\n"
+    )
+    user = "Used().method()\ngetattr(Used, 'by_string')\ncalled()\n"
+    defined = public_definitions(module)
+    assert defined == [
+        "exported", "Used", "Used.method", "Used.by_string", "Used.dead", "called",
+    ]
+    assert unreferenced(defined, [module, user]) == ["exported", "Used.dead"]
+
+
+def test_every_public_definition_is_referenced():
+    sources = [
+        p.read_text() for folder in ("src", "perfbench") for p in (ROOT / folder).rglob("*.py")
+    ]
+    defined = [
+        name for p in (ROOT / "src").rglob("*.py") for name in public_definitions(p.read_text())
+    ]
+    assert sorted(unreferenced(defined, sources)) == sorted(KEEP)

@@ -143,7 +143,7 @@ def _first_step_logits(variant, batch, vocab_size, per_gate=False):
             x, packed.W, packed.U, packed.b, lengths, per_gate_products=True
         )
     return model.forward(
-        batch.images, batch.tweet_ids, batch.imgtext_ids,
+        batch.images, batch.tweet, batch.imgtext,
         training=True, rng=np.random.default_rng(1),
     )
 
@@ -162,7 +162,7 @@ def test_training_step_tape_stays_small(desk_batch):
     batch, vocab_size = desk_batch
     model = cli.build_model({**DESK, "model.variant": "TKM"}, vocab_size)
     logits = model.forward(
-        batch.images, batch.tweet_ids, batch.imgtext_ids,
+        batch.images, batch.tweet, batch.imgtext,
         training=True, rng=np.random.default_rng(1),
     )
     loss = ops.softmax_cross_entropy(logits, batch.labels)

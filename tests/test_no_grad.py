@@ -29,7 +29,7 @@ def build(variant):
 def data(n=10, seed=0):
     rng = np.random.default_rng(seed)
     texts = [list(rng.integers(1, 20, rng.integers(0, 5))) for _ in range(2 * n)]
-    return ModelData(
+    return ModelData.from_id_lists(
         images=rng.random((n, 8, 8, 3)),
         tweet_ids=texts[:n],
         imgtext_ids=texts[n:],
@@ -42,7 +42,7 @@ def taped_scores(model, split, batch_size=4):
     scores = []
     for start in range(0, len(split), batch_size):
         batch = split.subset(np.arange(start, min(start + batch_size, len(split))))
-        logits = model.forward(batch.images, batch.tweet_ids, batch.imgtext_ids, training=False)
+        logits = model.forward(batch.images, batch.tweet, batch.imgtext, training=False)
         assert logits.requires_grad
         scores.extend(ops.softmax(logits, axis=1).data[:, HATE])
     return scores
@@ -95,7 +95,7 @@ def test_training_step_after_scoring_reaches_every_parameter(variant):
     model, split = build(variant), data()
     score_dataset(model, split)
     logits = model.forward(
-        split.images, split.tweet_ids, split.imgtext_ids, training=True,
+        split.images, split.tweet, split.imgtext, training=True,
         rng=np.random.default_rng(1),
     )
     backward(ops.softmax_cross_entropy(logits, split.labels))

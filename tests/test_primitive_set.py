@@ -51,7 +51,7 @@ def build(variant):
 def data(n, seed=0):
     rng = np.random.default_rng(seed)
     texts = [list(rng.integers(1, 20, rng.integers(0, 5))) for _ in range(2 * n)]
-    return ModelData(
+    return ModelData.from_id_lists(
         images=rng.random((n, 8, 8, 3)),
         tweet_ids=texts[:n],
         imgtext_ids=texts[n:],
@@ -102,7 +102,7 @@ def test_every_parameter_gets_a_gradient(variant):
     """
     model, batch = build(variant), data(8)
     logits = model.forward(
-        batch.images, batch.tweet_ids, batch.imgtext_ids, training=True,
+        batch.images, batch.tweet, batch.imgtext, training=True,
         rng=np.random.default_rng(0),
     )
     backward(ops.softmax_cross_entropy(logits, batch.labels))

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from mmfuse.autodiff import CheckpointError, backward, load_arrays, ops, save_arrays
-from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig
+from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig, pad_ids
 from mmfuse.fusion import FusionModelConfig, MultimodalModel
 from mmfuse.training import TextOnlyModel
 
-TWEETS = [[1, 2], [3], [4, 5, 6]]
-IMGTEXTS = [[7], [8, 9], []]
+TWEETS = pad_ids([[1, 2], [3], [4, 5, 6]])
+IMGTEXTS = pad_ids([[7], [8, 9], []])
 
 
 def build(variant, seed=0, share_text_encoder=True, hidden_dim=6):

@@ -37,6 +37,15 @@ class TestSpecValidation:
             SynthSpec(multimodal_fraction=0.0)
         SynthSpec(multimodal_fraction=1.0)
 
+    @pytest.mark.parametrize("low, high", [(0, 9), (-1, 3), (6, 5), (1, 0)])
+    def test_token_counts_rejected(self, low, high):
+        with pytest.raises(ValueError, match="min_tokens"):
+            SynthSpec(min_tokens=low, max_tokens=high)
+
+    def test_single_token_texts(self):
+        spec = SynthSpec(n_train=4, n_val=0, n_test=0, min_tokens=1, max_tokens=1)
+        assert all(len(ex.tweet_tokens) == 1 for ex in generate(spec)["train"])
+
 
 class TestGeneration:
     def test_split_sizes(self):
@@ -148,7 +157,7 @@ class TestInterop:
         examples = generate(spec)["train"]
         data = synth.to_model_data(examples, synth.build_vocabulary())
         assert data.images.shape == (12, 8, 8, 3)
-        assert len(data.tweet_ids) == 12
+        assert len(data.tweet[0]) == 12
         assert set(np.unique(data.labels)) <= {0, 1}
 
     def test_to_records_round_trips_labels(self, tmp_path):

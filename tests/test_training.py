@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmfuse import synth, training
 from mmfuse.autodiff import Tensor, ops
-from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig
+from mmfuse.encoders import (
+    TextEncoder,
+    TextEncoderConfig,
+    VisionBackboneConfig,
+    pad_ids,
+    preprocess_tweet_text,
+)
 from mmfuse.evaluation import auc_roc
 from mmfuse.fusion import FusionModelConfig, InputMask, MultimodalModel
 from mmfuse.training import (
@@ -85,10 +93,51 @@ class TestTrainConfig:
             TrainConfig(class_weight_mode="other")
 
 
+def split_of(tweets, imgtexts):
+    n = len(tweets)
+    labels = np.zeros(n, dtype=np.int64)
+    return ModelData.from_id_lists(np.zeros((n, 0, 0, 3)), tweets, imgtexts, labels)
+
+
+TEXTS = st.lists(st.lists(st.integers(0, 30), max_size=6), min_size=1, max_size=8)
+
+
+class TestModelData:
+    @settings(max_examples=60, deadline=None)
+    @given(tweets=TEXTS, data=st.data())
+    def test_subset_is_pad_ids_of_the_selection(self, tweets, data):
+        n = len(tweets)
+        imgtexts = data.draw(st.lists(st.lists(st.integers(0, 30), max_size=2), min_size=n, max_size=n))
+        indices = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.int64)
+        batch = split_of(tweets, imgtexts).subset(indices)
+        for (ids, lengths), lists in [(batch.tweet, tweets), (batch.imgtext, imgtexts)]:
+            want_ids, want_lengths = pad_ids([lists[i] for i in indices])
+            assert ids.dtype == want_ids.dtype and lengths.dtype == want_lengths.dtype
+            assert np.array_equal(ids, want_ids)
+            assert np.array_equal(lengths, want_lengths)
+
+    def test_all_empty_batch_has_no_steps(self, rng):
+        batch = split_of([[], [], [4, 5]], [[], [1], []]).subset(np.array([1, 0]))
+        assert batch.tweet[0].shape == (2, 0)
+        assert batch.tweet[1].tolist() == [0, 0]
+        encoder = TextEncoder(8, TextEncoderConfig(embedding_dim=3, hidden_dim=4), rng)
+        assert np.array_equal(encoder.encode(batch.tweet).data, np.zeros((2, 4)))
+
+    def test_literal_pad_token_keeps_its_length(self, rng):
+        vocab = synth.build_vocabulary()
+        ids = vocab.encode(preprocess_tweet_text("zork <pad>"))
+        assert ids[1] == 0
+        batch = split_of([ids], [[]]).subset(np.array([0]))
+        assert batch.tweet[1].tolist() == [2]
+        encoder = TextEncoder(len(vocab), TextEncoderConfig(embedding_dim=3, hidden_dim=4), rng)
+        read_pad = encoder.encode(batch.tweet).data
+        assert not np.array_equal(read_pad, encoder.encode(pad_ids([ids[:1]])).data)
+
+
 class TestScoreDataset:
     def test_empty_data(self):
         model = text_only_model()
-        data = ModelData(np.zeros((0,)), [], [], np.zeros(0, dtype=np.int64))
+        data = ModelData.from_id_lists(np.zeros((0,)), [], [], np.zeros(0, dtype=np.int64))
         assert score_dataset(model, data) == []
 
     def test_scores_are_probabilities(self):
@@ -117,7 +166,7 @@ class TestScoreDataset:
 class TestTrainLoop:
     def test_empty_train_split_rejected(self):
         model = text_only_model()
-        empty = ModelData(np.zeros((0,)), [], [], np.zeros(0, dtype=np.int64))
+        empty = ModelData.from_id_lists(np.zeros((0,)), [], [], np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
             train(model, empty, empty, TrainConfig(epochs=1))
 
@@ -262,13 +311,13 @@ class TestTrainLoop:
         imgtexts = [[]] * 4
         for i in first:
             imgtexts[i] = [7, 8]
-        train_data = ModelData(
+        train_data = ModelData.from_id_lists(
             images=rng.random((4, 8, 8, 3)),
             tweet_ids=[[1, 2], [3], [4, 5], [6]],
             imgtext_ids=imgtexts,
             labels=np.array([0, 1, 0, 1]),
         )
-        empty = ModelData(np.zeros((0,)), [], [], np.zeros(0, dtype=np.int64))
+        empty = ModelData.from_id_lists(np.zeros((0,)), [], [], np.zeros(0, dtype=np.int64))
         before = model.imgtext_encoder.lstm.U.data.copy()
         real_adam_step = training.adam_step
         snapshots = []
