@@ -23,7 +23,7 @@ from . import config as cfgmod
 from . import dataset, evaluation, synth
 from .autodiff import AutodiffError, CheckpointError, file_sha256, load_arrays, save_arrays
 from .config import ConfigError
-from .encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig, preprocess_tweet_text
+from .encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig, encode_texts
 from .encoders.text import Vocabulary
 from .fusion import FusionModelConfig, InputMask, MultimodalModel
 from .gradcheck_suite import run_suite
@@ -230,8 +230,8 @@ def load_split(data_dir, split, vocab):
         images = np.zeros((len(records), 0, 0, 3))
     return ModelData.from_id_lists(
         images=images,
-        tweet_ids=[vocab.encode(preprocess_tweet_text(r.tweet_text)) for r in records],
-        imgtext_ids=[vocab.encode(preprocess_tweet_text(r.image_text)) for r in records],
+        tweet_ids=encode_texts(vocab, [r.tweet_text for r in records]),
+        imgtext_ids=encode_texts(vocab, [r.image_text for r in records]),
         labels=np.array([ex.hate for ex in examples], dtype=np.int64),
         ids=[ex.id for ex in examples],
     )
@@ -239,10 +239,11 @@ def load_split(data_dir, split, vocab):
 
 def load_data_dir(data_dir, splits=("train", "val", "test")):
     vocab_path = Path(data_dir) / "vocab.txt"
-    if not vocab_path.exists():
-        raise DataError(f"missing vocabulary file {vocab_path}")
     with _reraise(DataError):
-        vocab = Vocabulary.load(vocab_path)
+        try:
+            vocab = Vocabulary.load(vocab_path)
+        except OSError as exc:  # missing, a directory, or unreadable
+            raise DataError(f"{vocab_path}: cannot read vocabulary: {exc.strerror}") from None
     return vocab, {split: load_split(data_dir, split, vocab) for split in splits}
 
 

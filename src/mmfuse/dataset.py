@@ -18,10 +18,10 @@ from .encoders import preprocess_tweet_text
 HATE_CATEGORIES = ("Racist", "Sexist", "Homophobic", "ReligionAttack", "OtherHate")
 CATEGORIES = ("NotHate",) + HATE_CATEGORIES
 
-# Tie-break order among hate sub-categories (fixed; binary label unaffected).
-_CATEGORY_RANK = {cat: i for i, cat in enumerate(CATEGORIES)}
-
 DEFAULT_MIN_DURATION = 3.0  # seconds; faster hits are discarded as unreliable
+
+# json.dumps(obj, sort_keys=True) builds an encoder per call; this one is shared.
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class TweetRecord:
             raise ValueError(f"image_text_probability {p} outside [0, 1]")
 
     def to_json(self):
-        return json.dumps(
+        return _JSON_ENCODER.encode(
             {
                 "id": self.id,
                 "tweet_text": self.tweet_text,
@@ -67,8 +67,7 @@ class TweetRecord:
                     {"worker_id": a.worker_id, "category": a.category, "duration_seconds": a.duration_seconds}
                     for a in self.annotations
                 ],
-            },
-            sort_keys=True,
+            }
         )
 
     @classmethod
@@ -194,59 +193,40 @@ def gate_image_by_text_probability(record, threshold):
 # annotation aggregation
 
 
-def aggregate_annotations(annotations, min_duration=DEFAULT_MIN_DURATION):
-    """Majority-vote a record's annotations into a binary label.
-
-    Annotations faster than ``min_duration`` are dropped first. The binary
-    label is the majority over hate vs NotHate among retained votes (binary
-    ties resolve to not-hate, flagged); the winning category is the plurality
-    hate category, ties broken by the fixed category order.
-
-    Returns (label, category, retained_count, binary_tie) or None when every
-    annotation was rejected as a fast hit (unlabelable).
-    """
-    if not annotations:
-        raise ValueError("need at least one annotation")
-    retained = [a for a in annotations if a.duration_seconds >= min_duration]
-    if not retained:
-        return None
-    hate_votes = [a for a in retained if a.category != "NotHate"]
-    not_hate = len(retained) - len(hate_votes)
-    tie = len(hate_votes) == not_hate
-    hate = len(hate_votes) > not_hate
-    if hate:
-        counts = {}
-        for a in hate_votes:
-            counts[a.category] = counts.get(a.category, 0) + 1
-        best = max(counts.items(), key=lambda kv: (kv[1], -_CATEGORY_RANK[kv[0]]))
-        category = best[0]
-    else:
-        category = "NotHate"
-    return hate, category, len(retained), tie
-
-
 def label_corpus(records, min_duration=DEFAULT_MIN_DURATION):
-    """Aggregate every record; returns (examples, unlabelable_ids)."""
+    """Majority-vote every record's annotations; returns (examples, unlabelable_ids).
+
+    One pass per record counts the votes that took at least ``min_duration``
+    seconds; faster hits are dropped. The binary label is the majority over
+    hate vs NotHate among those votes (binary ties resolve to not-hate,
+    flagged); the category is the plurality hate category, ties broken by the
+    order of ``HATE_CATEGORIES``. A record whose every vote was a fast hit is
+    unlabelable; a record without annotations is a ValueError.
+    """
     examples, unlabelable = [], []
     for record in records:
-        result = aggregate_annotations(record.annotations, min_duration)
-        if result is None:
-            unlabelable.append(record.id)
-            continue
-        hate, category, retained_count, tie = result
-        counts = {cat: 0 for cat in CATEGORIES}
+        if not record.annotations:
+            raise ValueError("need at least one annotation")
+        counts = dict.fromkeys(CATEGORIES, 0)
+        retained = 0
         for a in record.annotations:
             if a.duration_seconds >= min_duration:
                 counts[a.category] += 1
-        assert sum(counts.values()) == retained_count
+                retained += 1
+        if not retained:
+            unlabelable.append(record.id)
+            continue
+        not_hate = counts["NotHate"]
+        hate = retained - not_hate > not_hate
         examples.append(
             LabeledExample(
                 id=record.id,
                 tweet_text=record.tweet_text,
                 hate=hate,
-                category=category,
+                # max keeps the first of equal counts, so the earlier category wins a tie
+                category=max(HATE_CATEGORIES, key=counts.__getitem__) if hate else "NotHate",
                 vote_counts=counts,
-                binary_tie=tie,
+                binary_tie=retained == 2 * not_hate,
             )
         )
     return examples, unlabelable

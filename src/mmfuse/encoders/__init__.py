@@ -10,6 +10,7 @@ from .text import (
     TextEncoder,
     TextEncoderConfig,
     Vocabulary,
+    encode_texts,
     pad_ids,
     preprocess_tweet_text,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "TextEncoder",
     "TextEncoderConfig",
     "Vocabulary",
+    "encode_texts",
     "pad_ids",
     "preprocess_tweet_text",
     "VisionBackbone",

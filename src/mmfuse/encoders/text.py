@@ -51,6 +51,28 @@ def preprocess_tweet_text(raw):
     return tokens
 
 
+def encode_texts(vocab, texts):
+    """``[vocab.encode(preprocess_tweet_text(t)) for t in texts]``, tokenising each piece once.
+
+    :func:`preprocess_tweet_text` maps every whitespace piece on its own, so a
+    text's ids are the concatenated ids of its pieces, and each distinct piece
+    is tokenised once. The memo lives for this call only. It pays when pieces
+    repeat across ``texts``; when none repeats, a call takes about twice as
+    long as the per-text comprehension.
+    """
+    memo = {}
+    encoded = []
+    for text in texts:
+        ids = []
+        for piece in text.split():
+            piece_ids = memo.get(piece)
+            if piece_ids is None:
+                piece_ids = memo[piece] = vocab.encode(preprocess_tweet_text(piece))
+            ids += piece_ids
+        encoded.append(ids)
+    return encoded
+
+
 class Vocabulary:
     """Dense token -> index map; the special symbols always occupy 0..5."""
 

@@ -180,9 +180,13 @@ def to_records(examples, split_name, image_dir=None):
     if image_dir is not None and examples:
         image_file = f"{split_name}.npy"
         _save_stack(Path(image_dir) / image_file, [ex.image for ex in examples])
+    # frozen, so every record of a label can share the same three votes
+    votes = {
+        label: [WorkerAnnotation(f"synth-{w}", category, 10.0) for w in range(3)]
+        for label, category in ((False, "NotHate"), (True, "OtherHate"))
+    }
     records = []
     for i, ex in enumerate(examples):
-        category = "OtherHate" if ex.label else "NotHate"
         records.append(
             TweetRecord(
                 id=f"{split_name}-{i:06d}",
@@ -191,9 +195,7 @@ def to_records(examples, split_name, image_dir=None):
                 image_ref=f"{image_file}#{i}" if image_file else None,
                 image_text=" ".join(ex.imgtext_tokens),
                 image_text_probability=0.0,
-                annotations=[
-                    WorkerAnnotation(f"synth-{w}", category, 10.0) for w in range(3)
-                ],
+                annotations=list(votes[bool(ex.label)]),
             )
         )
     return records

@@ -445,6 +445,26 @@ class TestDataErrors:
         err = train_data_error(data_copy, tmp_path, capsys)
         assert f"{data_copy / 'vocab.txt'}:20: not UTF-8 text" in err
 
+    @pytest.mark.parametrize("fault", ["missing", "directory"])
+    @pytest.mark.parametrize("verb", ["train", "eval"])
+    def test_unreadable_vocabulary_exits_3(self, verb, fault, data_copy, run_dir, tmp_path):
+        vocab = data_copy / "vocab.txt"
+        vocab.unlink()
+        if fault == "directory":
+            vocab.mkdir()
+        argv = {
+            "train": ["train", "--data", str(data_copy), "--out", str(tmp_path / "o"), *FAST_TRAIN],
+            "eval": [
+                "eval", "--checkpoint", str(run_dir / "checkpoint.mfuse"),
+                "--data", str(data_copy), "--out", str(tmp_path / "o"),
+            ],
+        }[verb]
+        rc, err = run_main(argv)
+        assert rc == EXIT_DATA
+        assert len(err) == 1, err
+        reason = {"missing": "No such file or directory", "directory": "Is a directory"}[fault]
+        assert err == [f"data error: {vocab}: cannot read vocabulary: {reason}"]
+
     def test_malformed_vocabulary_exits_3(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
@@ -732,3 +752,75 @@ class TestNonFiniteScores:
         assert rc == EXIT_NUMERIC
         assert len(err) == 1 and err[0].startswith("numeric failure: non-finite score"), err
         assert not (out / "report.csv").exists()
+
+
+FILE_MUTATIONS = ("truncate", "flip", "invalid_utf8", "nul", "overlong")
+
+
+def mutate(data, mutation, at, byte):
+    """``data`` cut, changed or added to at the fraction ``at`` of its length; ``byte`` in 1..255."""
+    i = int(at * (len(data) - 1))
+    if mutation == "truncate":
+        return data[:i]
+    if mutation == "flip":
+        return data[:i] + bytes([data[i] ^ byte]) + data[i + 1 :]
+    insert = {
+        "invalid_utf8": (b"\xff", b"\xc3", b"\xed\xa0\x80")[byte % 3],
+        "nul": b"\0",
+        "overlong": (b" ", b"a")[byte % 2] * 65536,
+    }[mutation]
+    return data[:i] + insert + data[i:]
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tiny_data):
+    """The tiny corpus and an FCM trained on it; fuzz tests restore every file they change."""
+    data, root = tiny_data
+    rc, err = run_main(["train", "--data", str(data), "--out", str(root / "fuzz_run"), *FAST_TRAIN])
+    assert rc == EXIT_OK, err
+    return data, root
+
+
+def run_on_mutated(path, mutation, at, byte, argv):
+    """(exit code, stderr lines) of ``argv`` run with ``path`` mutated, which is then restored."""
+    original = path.read_bytes()
+    path.write_bytes(mutate(original, mutation, at, byte))
+    try:
+        return run_main(argv)
+    finally:
+        path.write_bytes(original)
+
+
+def assert_clean_outcome(rc, err):
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC), err
+    if rc == EXIT_OK:
+        assert err == []
+    else:
+        assert len(err) == 1, err
+        assert err[0].startswith(("config error: ", "data error: ", "numeric failure: ", "train: "))
+
+
+mutations = st.sampled_from(FILE_MUTATIONS)
+positions = st.floats(0, 1)
+mutation_bytes = st.integers(1, 255)
+
+
+class TestFuzzedFiles:
+    @pytest.mark.parametrize("name", ["train.jsonl", "val.jsonl", "vocab.txt"])
+    @given(mutation=mutations, at=positions, byte=mutation_bytes)
+    @settings(max_examples=15, deadline=None)
+    def test_train_on_mutated_file(self, fuzz_run, name, mutation, at, byte):
+        data, root = fuzz_run
+        argv = ["train", "--data", str(data), "--out", str(root / "fuzz_train"), *FAST_TRAIN]
+        assert_clean_outcome(*run_on_mutated(data / name, mutation, at, byte, argv))
+
+    @pytest.mark.parametrize("name", ["test.jsonl", "vocab.txt"])
+    @given(mutation=mutations, at=positions, byte=mutation_bytes)
+    @settings(max_examples=15, deadline=None)
+    def test_eval_on_mutated_file(self, fuzz_run, name, mutation, at, byte):
+        data, root = fuzz_run
+        argv = [
+            "eval", "--checkpoint", str(root / "fuzz_run" / "checkpoint.mfuse"),
+            "--data", str(data), "--out", str(root / "fuzz_eval"),
+        ]
+        assert_clean_outcome(*run_on_mutated(data / name, mutation, at, byte, argv))

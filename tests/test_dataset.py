@@ -2,13 +2,16 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmfuse.dataset import (
+    CATEGORIES,
     FilterReason,
     FilterRuleSet,
+    LabeledExample,
     TweetRecord,
     WorkerAnnotation,
-    aggregate_annotations,
     build_splits,
     class_distribution,
     export_corpus,
@@ -81,6 +84,62 @@ class TestImportExport:
             import_corpus(tmp_path / "nope.jsonl")
 
 
+record_lists = st.lists(
+    st.builds(
+        TweetRecord,
+        id=st.text(min_size=1, max_size=8),
+        tweet_text=st.text(max_size=30),
+        is_retweet=st.booleans(),
+        image_ref=st.none() | st.text(max_size=12),
+        image_text=st.text(max_size=12),
+        image_text_probability=st.none() | st.floats(0, 1),
+        annotations=st.lists(
+            st.builds(
+                WorkerAnnotation, st.text(max_size=4), st.sampled_from(CATEGORIES),
+                st.floats(0, 1e6),
+            ),
+            max_size=4,
+        ),
+    ),
+    max_size=6,
+    unique_by=lambda r: r.id,
+)
+
+
+class TestJsonLines:
+    @given(record_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_to_json_is_json_dumps_sorted(self, batch):
+        for r in batch:
+            obj = {
+                "id": r.id, "tweet_text": r.tweet_text, "is_retweet": r.is_retweet,
+                "image_ref": r.image_ref, "image_text": r.image_text,
+                "image_text_probability": r.image_text_probability,
+                "annotations": [
+                    {"worker_id": a.worker_id, "category": a.category,
+                     "duration_seconds": a.duration_seconds}
+                    for a in r.annotations
+                ],
+            }
+            assert r.to_json() == json.dumps(obj, sort_keys=True)
+
+    @given(record_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_export_of_import_gives_the_same_bytes(self, tmp_path_factory, batch):
+        folder = tmp_path_factory.mktemp("jsonl")
+        export_corpus(batch, folder / "a.jsonl")
+        loaded, diagnostics = import_corpus(folder / "a.jsonl")
+        assert diagnostics == [] and loaded == batch
+        export_corpus(loaded, folder / "b.jsonl")
+        assert (folder / "b.jsonl").read_bytes() == (folder / "a.jsonl").read_bytes()
+
+    def test_fixture_corpus_round_trips_byte_for_byte(self, tmp_path):
+        loaded, diagnostics = import_corpus(FIXTURES / "corpus.jsonl")
+        assert diagnostics == []
+        export_corpus(loaded, tmp_path / "out.jsonl")
+        assert (tmp_path / "out.jsonl").read_bytes() == (FIXTURES / "corpus.jsonl").read_bytes()
+
+
 class TestFiltering:
     def test_retweet_discarded(self):
         record = make_record(is_retweet=True)
@@ -125,35 +184,100 @@ class TestGate:
         assert discarded / n == pytest.approx(0.23, abs=0.03)
 
 
+def label_one(annotations):
+    """(hate, category, retained votes, binary tie) of one record, or None when it is unlabelable."""
+    examples, unlabelable = label_corpus([make_record(annotations=annotations)])
+    if unlabelable:
+        return None
+    ex = examples[0]
+    return ex.hate, ex.category, sum(ex.vote_counts.values()), ex.binary_tie
+
+
+_RANK = {cat: i for i, cat in enumerate(CATEGORIES)}
+
+
+def two_pass_label_corpus(records, min_duration=3.0):
+    """Reference: the labelling that aggregated the votes, then counted them a second time."""
+    examples, unlabelable = [], []
+    for record in records:
+        if not record.annotations:
+            raise ValueError("need at least one annotation")
+        retained = [a for a in record.annotations if a.duration_seconds >= min_duration]
+        if not retained:
+            unlabelable.append(record.id)
+            continue
+        hate_votes = [a for a in retained if a.category != "NotHate"]
+        not_hate = len(retained) - len(hate_votes)
+        hate = len(hate_votes) > not_hate
+        category = "NotHate"
+        if hate:
+            per_category = {}
+            for a in hate_votes:
+                per_category[a.category] = per_category.get(a.category, 0) + 1
+            category = max(per_category.items(), key=lambda kv: (kv[1], -_RANK[kv[0]]))[0]
+        counts = {cat: 0 for cat in CATEGORIES}
+        for a in record.annotations:
+            if a.duration_seconds >= min_duration:
+                counts[a.category] += 1
+        examples.append(LabeledExample(
+            id=record.id, tweet_text=record.tweet_text, hate=hate, category=category,
+            vote_counts=counts, binary_tie=len(hate_votes) == not_hate,
+        ))
+    return examples, unlabelable
+
+
+votes = st.lists(
+    st.builds(
+        WorkerAnnotation,
+        st.sampled_from(["w0", "w1"]),
+        st.sampled_from(CATEGORIES),
+        st.one_of(st.sampled_from([0.0, 2.999, 3.0, 10.0]), st.floats(0, 20)),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
 class TestAggregation:
     def test_hate_majority(self):
-        result = aggregate_annotations([ann("Racist", 10), ann("NotHate", 8), ann("Racist", 12)])
+        result = label_one([ann("Racist", 10), ann("NotHate", 8), ann("Racist", 12)])
         assert result == (True, "Racist", 3, False)
 
     def test_nothate_majority(self):
-        result = aggregate_annotations([ann("NotHate", 5), ann("NotHate", 6), ann("Racist", 9)])
+        result = label_one([ann("NotHate", 5), ann("NotHate", 6), ann("Racist", 9)])
         assert result == (False, "NotHate", 3, False)
 
     def test_fast_hit_removed_then_category_tie(self):
-        result = aggregate_annotations([ann("Racist", 10), ann("Sexist", 10), ann("NotHate", 2)])
+        result = label_one([ann("Racist", 10), ann("Sexist", 10), ann("NotHate", 2)])
         assert result == (True, "Racist", 2, False)
 
     def test_binary_tie_resolves_to_nothate_flagged(self):
-        result = aggregate_annotations([ann("Racist", 10), ann("NotHate", 8), ann("Sexist", 2)])
+        result = label_one([ann("Racist", 10), ann("NotHate", 8), ann("Sexist", 2)])
         assert result == (False, "NotHate", 2, True)
 
     def test_all_fast_is_unlabelable(self):
-        assert aggregate_annotations([ann("Racist", 1.0), ann("NotHate", 2.0)]) is None
+        assert label_one([ann("Racist", 1.0), ann("NotHate", 2.0)]) is None
 
     def test_no_annotations_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_annotations([])
+            label_one([])
 
     def test_category_tie_break_order(self):
-        result = aggregate_annotations(
+        result = label_one(
             [ann("OtherHate", 10), ann("Homophobic", 10), ann("Homophobic", 10), ann("OtherHate", 10)]
         )
         assert result[1] == "Homophobic"
+
+    @given(st.lists(votes, min_size=1, max_size=8), st.sampled_from([3.0, 0.0, 5.0, 10.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_equals_two_passes(self, annotation_lists, min_duration):
+        records = [make_record(f"r{i}", annotations=a) for i, a in enumerate(annotation_lists)]
+        got = label_corpus(records, min_duration)
+        want = two_pass_label_corpus(records, min_duration)
+        assert got == want
+        assert [list(ex.vote_counts.items()) for ex in got[0]] == [
+            list(ex.vote_counts.items()) for ex in want[0]
+        ]
 
 
 class TestSplits:

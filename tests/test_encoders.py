@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmfuse.autodiff import Tensor, check_gradients, ops
 from mmfuse.encoders import (
@@ -8,6 +10,7 @@ from mmfuse.encoders import (
     VisionBackbone,
     VisionBackboneConfig,
     Vocabulary,
+    encode_texts,
     pad_ids,
     preprocess_tweet_text,
 )
@@ -33,6 +36,41 @@ class TestPreprocessing:
 
     def test_bare_symbols_dropped(self):
         assert preprocess_tweet_text("wow !! ...") == ["wow"]
+
+
+# Pieces that hit every branch of preprocess_tweet_text, and the separators str.split() cuts at.
+PIECES = [
+    "http://x.co", "(http://x.co)", "HTTPS://Example.com/Path", "www.site.org", "www.", "http://",
+    "@", "#", "@john", "#Cool", "@@", "##tag", "@john,", "#cool!", "email@x",
+    "1,000", "-3.5", "+7", "1.2.3", "12,", "1,,2", "(42)", "3rd",
+    "!!", "...", "'\"", "()", "[]", ";:",
+    "<pad>", "<PAD>", "<unk>", "<url>",
+    "Hello", "hello,", "WORLD!", "café", "Naïve", "ÉCOLE", "ß",
+]
+SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x1c", "\u00a0", "\u2003", "\u2028", "\u3000"]
+
+texts = st.one_of(
+    st.builds(
+        lambda lead, parts, trail: lead + "".join(p + s for p, s in parts) + trail,
+        st.sampled_from(["", " ", "\u3000"]),
+        st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(SEPARATORS)), max_size=8),
+        st.sampled_from(["", "\n", "\u00a0"]),
+    ),
+    st.text(max_size=20),
+)
+
+
+class TestEncodeTexts:
+    @given(st.lists(texts, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_encoding_each_text(self, batch):
+        vocab = Vocabulary(["hello", "world", "cool", "café", "tag", "john"])
+        assert encode_texts(vocab, batch) == [vocab.encode(preprocess_tweet_text(t)) for t in batch]
+
+    def test_texts_get_their_own_lists(self):
+        encoded = encode_texts(Vocabulary(["hello"]), ["hello", "hello"])
+        encoded[0].append(99)
+        assert encoded == [[6, 99], [6]]
 
 
 class TestVocabulary:

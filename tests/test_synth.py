@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmfuse import synth
-from mmfuse.dataset import label_corpus
+from mmfuse.dataset import WorkerAnnotation, label_corpus
 from mmfuse.synth import SynthSpec, generate
 
 
@@ -177,6 +177,16 @@ class TestInterop:
         synth.to_records(examples, "train", image_dir=str(tmp_path))
         np.save(tmp_path / "stacked.npy", np.stack([ex.image for ex in examples]))
         assert (tmp_path / "train.npy").read_bytes() == (tmp_path / "stacked.npy").read_bytes()
+
+    def test_records_get_their_own_vote_lists(self):
+        examples = generate(SynthSpec(n_train=6, n_val=1, n_test=1, seed=15))["train"]
+        records = synth.to_records(examples, "train")
+        assert len({id(r.annotations) for r in records}) == len(records)
+        for ex, record in zip(examples, records):
+            category = "OtherHate" if ex.label else "NotHate"
+            assert record.annotations == [
+                WorkerAnnotation(f"synth-{w}", category, 10.0) for w in range(3)
+            ]
 
     def test_no_images_without_image_dir(self):
         examples = generate(SynthSpec(n_train=3, n_val=1, n_test=1, seed=14))["train"]
