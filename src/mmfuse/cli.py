@@ -251,9 +251,22 @@ def load_data_dir(data_dir, splits=("train", "val", "test")):
 # verbs
 
 
+def _make_out_dir(path):
+    """Make the output directory ``path`` and its parents; returns it as a Path.
+
+    Every verb that takes ``--out`` calls this first. A path that cannot be a
+    directory, such as an existing file or a path under one, is a config error.
+    """
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: {exc.strerror}") from None
+    return out
+
+
 def cmd_prepare(args, cfg):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(args.out)
     records, diagnostics = dataset.import_corpus(args.corpus)
     with _reraise(ConfigError):
         rules = dataset.FilterRuleSet(
@@ -321,8 +334,8 @@ def cmd_prepare(args, cfg):
 
 
 def cmd_synth(args, cfg):
-    out = Path(args.out)
-    (out / "images").mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(args.out)
+    _make_out_dir(out / "images")
     with _reraise(ConfigError):
         spec = synth.SynthSpec(
             mode=cfgmod.get_str(cfg, "synth.mode", "crossmodal_xor"),
@@ -338,8 +351,8 @@ def cmd_synth(args, cfg):
     vocab = synth.build_vocabulary()
     vocab.save(out / "vocab.txt")
     artifacts = [out / "vocab.txt"]
-    for split, examples in splits.items():
-        records = synth.to_records(examples, split, image_dir=str(out / "images"))
+    for split, generated in splits.items():
+        records = synth.to_records(generated, split, image_dir=str(out / "images"))
         dataset.export_corpus(records, out / f"{split}.jsonl")
         artifacts += [out / f"{split}.jsonl", out / "images" / f"{split}.npy"]
     write_manifest(out, "synth", cfg, [str(p) for p in artifacts])
@@ -350,8 +363,7 @@ def cmd_synth(args, cfg):
 def cmd_train(args, cfg):
     if args.manifest:
         cfg = {**load_manifest_config(args.manifest), **cfg}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(args.out)
     vocab, splits = load_data_dir(args.data, ("train", "val"))
     images = splits["train"].images
     if images.size:
@@ -415,8 +427,7 @@ def _restore_model(checkpoint_path, cfg):
 
 
 def cmd_eval(args, cfg):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(args.out)
     model, cfg = _restore_model(args.checkpoint, cfg)
     vocab, splits = load_data_dir(args.data, (args.split,))
     trained = cfgmod.get_int(cfg, "train.vocab_size")
@@ -475,8 +486,7 @@ def _write_results(rows, out):
 
 
 def cmd_report(args, cfg):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(args.out)
     with _reraise(DataError, "malformed report: "):  # a short row, a non-number, an empty name
         rows = _read_report_rows(args.reports)
         if not rows:
@@ -487,14 +497,12 @@ def cmd_report(args, cfg):
 
 
 def cmd_ablate(args, cfg):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(args.out)
     cfg = dict(cfg)
     cfg.setdefault("model.variant", "FCM")
     report_paths = []
     for mask_text in ABLATION_MASKS:
-        arm = out / ("arm_" + mask_text.replace(",", "_"))
-        arm.mkdir(exist_ok=True)
+        arm = out / ("arm_" + mask_text.replace(",", "_"))  # cmd_train makes it
         arm_cfg = dict(cfg)
         arm_cfg["train.mask"] = mask_text
         arm_cfg["eval.name"] = cfgmod.get_str(arm_cfg, "model.variant", "FCM")
@@ -517,15 +525,14 @@ def cmd_ablate(args, cfg):
 
 def cmd_gradcheck(args, cfg):
     seed = cfgmod.get_seed(cfg, "gradcheck.seed", 0)
+    out = _make_out_dir(args.out) if args.out else None
     results = run_suite(seed=seed)
     failures = 0
     for name, err, ok in results:
         print(f"{'PASS' if ok else 'FAIL'} {name} max_rel_err={err:.3e}")
         failures += not ok
     print(f"gradcheck: {len(results) - failures}/{len(results)} checks passed")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         with open(out / "gradcheck.csv", "w") as fh:
             fh.write("check,max_rel_error,passed\n")
             for name, err, ok in results:

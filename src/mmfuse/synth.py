@@ -52,12 +52,26 @@ class SynthSpec:
 
 @dataclass
 class SynthExample:
-    image: np.ndarray  # (side, side, 3) in [0, 1]
     tweet_tokens: list
     imgtext_tokens: list
     label: int
     text_bit: int
     image_bit: int
+
+
+@dataclass
+class SynthSplit:
+    """One split: ``images[i]`` is the image of ``examples[i]``.
+
+    The images are one C-contiguous float64 (N, S, S, 3) array in [0, 1],
+    rendered in place; no example holds an image of its own.
+    """
+
+    images: np.ndarray
+    examples: list  # SynthExample, one per image row
+
+    def __len__(self):
+        return len(self.examples)
 
 
 def _sample_bits(rng, mode):
@@ -90,28 +104,30 @@ def _render_text(rng, bit, spec):
     return tokens
 
 
-def _render_image(rng, bit, side):
-    image = np.clip(rng.normal(0.0, 0.1, (side, side, 3)), 0.0, 1.0)
+def _render_image(rng, bit, image):
+    """Draw one (S, S, 3) image into ``image``, a row of its split's array."""
+    side = image.shape[0]
+    np.clip(rng.normal(0.0, 0.1, image.shape), 0.0, 1.0, out=image)
     if bit:
         patch = max(1, side // 4)
         y = int(rng.integers(0, side - patch + 1))
         x = int(rng.integers(0, side - patch + 1))
         image[y : y + patch, x : x + patch, :] = 1.0
-    return image
 
 
 def _generate_split(rng, n, spec):
+    images = np.empty((n, spec.image_side, spec.image_side, 3))
     examples = []
-    for _ in range(n):
+    for image in images:
         mode = spec.mode
         if spec.multimodal_fraction < 1.0 and rng.random() >= spec.multimodal_fraction:
             mode = "unimodal_text"
         t, v, label = _sample_bits(rng, mode)
         if rng.random() < spec.noise_rate:
             label = 1 - label
+        _render_image(rng, v, image)
         examples.append(
             SynthExample(
-                image=_render_image(rng, v, spec.image_side),
                 tweet_tokens=_render_text(rng, t, spec),
                 imgtext_tokens=_render_text(rng, int(rng.integers(0, 2)), spec),
                 label=label,
@@ -119,11 +135,11 @@ def _generate_split(rng, n, spec):
                 image_bit=v,
             )
         )
-    return examples
+    return SynthSplit(images, examples)
 
 
 def generate(spec):
-    """Deterministically build {'train', 'val', 'test'} example lists."""
+    """Deterministically build the {'train', 'val', 'test'} SynthSplits."""
     sizes = {"train": spec.n_train, "val": spec.n_val, "test": spec.n_test}
     out = {}
     for i, (split, n) in enumerate(sizes.items()):
@@ -142,51 +158,38 @@ def build_vocabulary():
     return vocab
 
 
-def to_model_data(examples, vocab):
-    """Pack synth examples into a batchable split."""
+def to_model_data(split, vocab):
+    """Pack a SynthSplit into a batchable split; its image array is used as it is."""
     from .training import ModelData
 
+    examples = split.examples
     return ModelData.from_id_lists(
-        images=np.stack([ex.image for ex in examples]) if examples else np.zeros((0,)),
+        images=split.images,
         tweet_ids=[vocab.encode(ex.tweet_tokens) for ex in examples],
         imgtext_ids=[vocab.encode(ex.imgtext_tokens) for ex in examples],
         labels=np.array([ex.label for ex in examples], dtype=np.int64),
     )
 
 
-def _save_stack(path, images):
-    """Write ``np.stack(images)`` to ``path`` as ``np.save`` would, one image at a time.
+def to_records(split, split_name, image_dir=None):
+    """Convert a SynthSplit to the corpus record format.
 
-    The file is byte for byte ``np.save``'s, but no stacked copy of the split
-    is ever held beside the images themselves.
-    """
-    header = np.lib.format.header_data_from_array_1_0(images[0])
-    header["shape"] = (len(images), *images[0].shape)
-    with open(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, header)
-        for image in images:
-            fh.write(image.tobytes())
-
-
-def to_records(examples, split_name, image_dir=None):
-    """Convert synth examples to the corpus record format.
-
-    When ``image_dir`` is given, the split's images are saved there as one
-    ``(N, S, S, 3)`` array, ``<split_name>.npy``, and record ``i`` refers to
-    its row as ``<split_name>.npy#i``; annotations are three consistent slow
+    When ``image_dir`` is given, the split's image array is saved there with
+    one ``np.save``, as ``<split_name>.npy``, and record ``i`` refers to its
+    row as ``<split_name>.npy#i``; annotations are three consistent slow
     votes so the aggregation pipeline reproduces the generated labels.
     """
     image_file = None
-    if image_dir is not None and examples:
+    if image_dir is not None and len(split):
         image_file = f"{split_name}.npy"
-        _save_stack(Path(image_dir) / image_file, [ex.image for ex in examples])
+        np.save(Path(image_dir) / image_file, split.images)
     # frozen, so every record of a label can share the same three votes
     votes = {
         label: [WorkerAnnotation(f"synth-{w}", category, 10.0) for w in range(3)]
         for label, category in ((False, "NotHate"), (True, "OtherHate"))
     }
     records = []
-    for i, ex in enumerate(examples):
+    for i, ex in enumerate(split.examples):
         records.append(
             TweetRecord(
                 id=f"{split_name}-{i:06d}",

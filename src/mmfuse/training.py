@@ -155,10 +155,13 @@ def train(model, train_data, val_data, config):
     """Run the training loop; returns (best_arrays, history).
 
     The model is left holding the best-validation-AUC parameters. Training
-    aborts on a non-finite loss or gradient, before ADAM applies it, or on a
-    non-finite validation score, and returns the last finite checkpoint;
-    ``history.diverged`` then names the cause: for a gradient, the first
-    parameter whose gradient was non-finite.
+    aborts on a non-finite loss or gradient, before ADAM applies it, on a
+    non-finite running statistic, or on a non-finite validation score, and
+    returns the last finite checkpoint; ``history.diverged`` then names the
+    cause: for a gradient, the first parameter whose gradient was non-finite,
+    and for a running statistic, the first such statistic. The running
+    statistics are checked where they are read: before each validation and
+    before the final parameters are returned.
     """
     if len(train_data) == 0:
         raise ValueError("train split is empty")
@@ -185,8 +188,12 @@ def train(model, train_data, val_data, config):
         return best, history
 
     def evaluate_now():
-        """Record the validation AUC; True, with history.diverged set, on a non-finite score."""
+        """Record the validation AUC; True, with history.diverged set, on a non-finite value."""
         nonlocal best, best_auc
+        for name, value in model.state_arrays().items():
+            if not np.isfinite(value).all():
+                history.diverged = f"non-finite running statistic {name!r}"
+                return True
         if len(val_data) == 0 or (history.evals and history.evals[-1][0] == step):
             return
         try:
@@ -207,10 +214,12 @@ def train(model, train_data, val_data, config):
         order = rng.permutation(len(train_data))
         for start in range(0, len(order), config.batch_size):
             batch = train_data.subset(order[start : start + config.batch_size])
-            logits = model.forward(
-                batch.images, batch.tweet, batch.imgtext, training=True, rng=dropout_rng
-            )
-            loss = ops.softmax_cross_entropy(logits, batch.labels, weights)
+            # an overflow shows up in the loss or the running statistics, both checked
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits = model.forward(
+                    batch.images, batch.tweet, batch.imgtext, training=True, rng=dropout_rng
+                )
+                loss = ops.softmax_cross_entropy(logits, batch.labels, weights)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 history.diverged = "non-finite loss"

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -753,6 +754,55 @@ class TestNonFiniteScores:
         assert len(err) == 1 and err[0].startswith("numeric failure: non-finite score"), err
         assert not (out / "report.csv").exists()
 
+    def test_overflowing_running_statistic_exits_4(self, data_copy, tmp_path):
+        """A huge but finite pixel overflows the stem's batch variance, not the loss."""
+        path = data_copy / "images" / "train.npy"
+        images = np.load(path)
+        images[5, 3, 4, 1] = 1e300
+        np.save(path, images)
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, err = run_main(["train", "--data", str(data_copy), "--out", str(out), *FAST_TRAIN])
+        assert rc == EXIT_NUMERIC
+        assert err == [
+            "train: diverged (non-finite running statistic 'backbone.stage0.bn.running_var'); "
+            "kept last finite checkpoint"
+        ]
+        assert [str(w.message) for w in caught] == []
+        arrays = load_arrays(out / "checkpoint.mfuse")
+        assert all(np.isfinite(a).all() for a in arrays.values())
+        rc, err = run_main([
+            "eval", "--checkpoint", str(out / "checkpoint.mfuse"),
+            "--data", str(data_copy), "--out", str(tmp_path / "eval"),
+        ])
+        assert rc == EXIT_OK, err
+
+
+# Each verb that takes --out, with inputs it never reaches: the output directory comes first.
+OUT_VERB_ARGS = {
+    "prepare": ["--corpus", "corpus.jsonl"],
+    "synth": [],
+    "train": ["--data", "data"],
+    "eval": ["--checkpoint", "checkpoint.mfuse", "--data", "data"],
+    "ablate": ["--data", "data"],
+    "gradcheck": [],
+    "report": ["report.csv"],
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("verb", sorted(OUT_VERB_ARGS))
+def test_out_that_cannot_be_a_directory_exits_2(verb, under, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken / "sub" if under else taken
+    rc, err = run_main([verb, *OUT_VERB_ARGS[verb], "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    reason = "Not a directory" if under else "File exists"
+    assert err == [f"config error: --out {out}: {reason}"]
+    assert taken.read_text() == "keep"
+
 
 FILE_MUTATIONS = ("truncate", "flip", "invalid_utf8", "nul", "overlong")
 
@@ -805,8 +855,14 @@ positions = st.floats(0, 1)
 mutation_bytes = st.integers(1, 255)
 
 
+# the files of the trained run; the other fuzzed files are the corpus's
+RUN_FILES = ("checkpoint.mfuse", "model.cfg")
+
+
 class TestFuzzedFiles:
-    @pytest.mark.parametrize("name", ["train.jsonl", "val.jsonl", "vocab.txt"])
+    @pytest.mark.parametrize(
+        "name", ["train.jsonl", "val.jsonl", "vocab.txt", "images/train.npy"]
+    )
     @given(mutation=mutations, at=positions, byte=mutation_bytes)
     @settings(max_examples=15, deadline=None)
     def test_train_on_mutated_file(self, fuzz_run, name, mutation, at, byte):
@@ -814,13 +870,17 @@ class TestFuzzedFiles:
         argv = ["train", "--data", str(data), "--out", str(root / "fuzz_train"), *FAST_TRAIN]
         assert_clean_outcome(*run_on_mutated(data / name, mutation, at, byte, argv))
 
-    @pytest.mark.parametrize("name", ["test.jsonl", "vocab.txt"])
+    @pytest.mark.parametrize(
+        "name", ["test.jsonl", "vocab.txt", "images/test.npy", *RUN_FILES]
+    )
     @given(mutation=mutations, at=positions, byte=mutation_bytes)
     @settings(max_examples=15, deadline=None)
     def test_eval_on_mutated_file(self, fuzz_run, name, mutation, at, byte):
         data, root = fuzz_run
+        run = root / "fuzz_run"
         argv = [
-            "eval", "--checkpoint", str(root / "fuzz_run" / "checkpoint.mfuse"),
+            "eval", "--checkpoint", str(run / "checkpoint.mfuse"),
             "--data", str(data), "--out", str(root / "fuzz_eval"),
         ]
-        assert_clean_outcome(*run_on_mutated(data / name, mutation, at, byte, argv))
+        path = (run if name in RUN_FILES else data) / name
+        assert_clean_outcome(*run_on_mutated(path, mutation, at, byte, argv))

@@ -8,6 +8,8 @@ Every public function, class and method defined in src/ must be referenced
 from src/ or perfbench/: by a name, an attribute or a string that is exactly
 its name. Its own definition, imports and ``__all__`` do not count, and
 neither do the tests: an API kept alive only by its own unit test is dead.
+The same holds for every private (``_name``) module-level function and class
+in src/, so a helper cannot outlive its last caller.
 """
 
 import ast
@@ -83,6 +85,17 @@ def public_definitions(source):
     return names
 
 
+def private_definitions(source):
+    """Names of the module's private module-level functions and classes; dunders are not private."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    ]
+
+
 def references(source):
     """Every name read, attribute taken and identifier-like string in the module, but ``__all__``."""
     tree = ast.parse(source)
@@ -121,6 +134,9 @@ def test_dead_api_scan_finds_what_it_should():
         "    def dead(self): pass\n"
         "    def __len__(self): return 0\n"
         "def called(): pass\n"
+        "class _Helper:\n"
+        "    def _inner(self): pass\n"
+        "def __getattr__(name): return _Helper\n"
     )
     user = "Used().method()\ngetattr(Used, 'by_string')\ncalled()\n"
     defined = public_definitions(module)
@@ -128,6 +144,9 @@ def test_dead_api_scan_finds_what_it_should():
         "exported", "Used", "Used.method", "Used.by_string", "Used.dead", "called",
     ]
     assert unreferenced(defined, [module, user]) == ["exported", "Used.dead"]
+    private = private_definitions(module)
+    assert private == ["_private", "_Helper"]
+    assert unreferenced(private, [module, user]) == ["_private"]
 
 
 def test_every_public_definition_is_referenced():
@@ -138,3 +157,13 @@ def test_every_public_definition_is_referenced():
         name for p in (ROOT / "src").rglob("*.py") for name in public_definitions(p.read_text())
     ]
     assert sorted(unreferenced(defined, sources)) == sorted(KEEP)
+
+
+def test_every_private_definition_is_referenced():
+    sources = [
+        p.read_text() for folder in ("src", "perfbench") for p in (ROOT / folder).rglob("*.py")
+    ]
+    defined = [
+        name for p in (ROOT / "src").rglob("*.py") for name in private_definitions(p.read_text())
+    ]
+    assert unreferenced(defined, sources) == []
