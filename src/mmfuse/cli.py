@@ -1,9 +1,10 @@
 """Command-line entry point wiring the full pipeline.
 
 Verbs: prepare, synth, train, eval, ablate, gradcheck, report. Every run
-writes a manifest (resolved config, seed, artifact hashes) into its output
-directory; `train --manifest` re-runs a training from a manifest and
-reproduces its checkpoint bitwise.
+writes a manifest (resolved config, artifact hashes) into its output
+directory. A training run's manifest is its only record: `train --manifest`
+re-runs the training and reproduces its checkpoint bitwise, and `eval`
+rebuilds the model from the manifest beside the checkpoint.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 """
@@ -70,12 +71,16 @@ def write_manifest(out_dir, verb, cfg, artifact_paths):
     return manifest
 
 
-def load_manifest_config(path):
+def load_manifest_config(path, error=ConfigError):
+    """The ``config`` block of the manifest at ``path`` as strings; a fault raises ``error``."""
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
-    return {str(k): str(v) for k, v in manifest.get("config", {}).items()}
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
+        raise error(f"cannot read manifest {path}: {exc}") from exc
+    config = manifest.get("config", {}) if isinstance(manifest, dict) else None
+    if not isinstance(config, dict):
+        raise error(f"{path}: a manifest is a JSON object whose \"config\" is an object")
+    return {str(k): str(v) for k, v in config.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +392,6 @@ def cmd_train(args, cfg):
     resolved = dict(cfg)
     resolved.setdefault("model.variant", "TKM")
     resolved["train.vocab_size"] = str(len(vocab))
-    with open(out / "model.cfg", "w") as fh:
-        for key in sorted(resolved):
-            if key.startswith(("model.", "train.")):
-                fh.write(f"{key} = {resolved[key]}\n")
     write_manifest(out, "train", resolved, [str(checkpoint), str(out / "history.csv")])
     if history.diverged:
         print(f"train: diverged ({history.diverged}); kept last finite checkpoint", file=sys.stderr)
@@ -403,27 +404,25 @@ def cmd_train(args, cfg):
 
 
 def _restore_model(checkpoint_path, cfg):
+    """The model at ``checkpoint_path``, built from its train manifest's keys under ``cfg``."""
     if not Path(checkpoint_path).exists():
         raise DataError(f"missing checkpoint {checkpoint_path}")
-    model_cfg_path = Path(checkpoint_path).parent / "model.cfg"
-    if model_cfg_path.exists():
-        stored = cfgmod.load_config(model_cfg_path)
-        trained = model_mask(stored)
-        stored.update(cfg)
-        # another mask would score the model with zeros in place of inputs it learned from
-        if "train.mask" in cfg and model_mask(stored) != trained:
-            raise ConfigError(
-                f"train.mask={cfg['train.mask']} differs from the model's train.mask={trained.label()}"
-            )
-        cfg = stored
-    vocab_size = cfgmod.get_int(cfg, "train.vocab_size")
-    model = build_model(cfg, vocab_size)
+    manifest = load_manifest_config(Path(checkpoint_path).parent / "manifest.json", DataError)
+    stored = {k: v for k, v in manifest.items() if k.startswith(("model.", "train."))}
+    trained = model_mask(stored)
+    stored.update(cfg)
+    # another mask would score the model with zeros in place of inputs it learned from
+    if "train.mask" in cfg and model_mask(stored) != trained:
+        raise ConfigError(
+            f"train.mask={cfg['train.mask']} differs from the model's train.mask={trained.label()}"
+        )
+    model = build_model(stored, cfgmod.get_int(stored, "train.vocab_size"))
     arrays = load_arrays(checkpoint_path)
     try:
         model.load_state_dict(arrays)
     except CheckpointError as exc:
         raise CheckpointError(f"{checkpoint_path} does not fit the model config: {exc}") from None
-    return model, cfg
+    return model, stored
 
 
 def cmd_eval(args, cfg):
@@ -510,13 +509,14 @@ def cmd_ablate(args, cfg):
         status = cmd_train(train_args, dict(arm_cfg))
         if status != EXIT_OK:
             return status
-        eval_args = argparse.Namespace(
-            checkpoint=str(arm / "checkpoint.mfuse"), data=args.data, split="test", out=str(arm)
+        eval_args = argparse.Namespace(  # not arm itself: its manifest.json is the train record
+            checkpoint=str(arm / "checkpoint.mfuse"), data=args.data, split="test",
+            out=str(arm / "eval"),
         )
         status = cmd_eval(eval_args, dict(arm_cfg))
         if status != EXIT_OK:
             return status
-        report_paths.append(arm / "report.csv")
+        report_paths.append(arm / "eval" / "report.csv")
     rows = _read_report_rows(report_paths)
     _write_results(rows, out)
     write_manifest(out, "ablate", cfg, [str(out / "results.csv"), str(out / "results.txt")])
@@ -558,8 +558,7 @@ def build_parser():
             "--set", dest="overrides", action="append", default=[],
             metavar="KEY=VALUE", help="config override (repeatable)",
         )
-        if out_required:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=out_required, help="output directory")
 
     p = sub.add_parser("prepare", help="filter, aggregate and split a raw corpus")
     p.add_argument("--corpus", required=True, help="line-delimited corpus file")
@@ -584,9 +583,7 @@ def build_parser():
     common(p)
 
     p = sub.add_parser("gradcheck", help="run the gradient-check suite")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--out", help="optional output directory for the results CSV")
+    common(p, out_required=False)
 
     p = sub.add_parser("report", help="merge eval reports into a comparison table")
     p.add_argument("reports", nargs="+", help="report.csv files to merge")

@@ -8,7 +8,6 @@ stay strings until a typed getter pulls them out.
 from __future__ import annotations
 
 import io
-import os
 
 
 class ConfigError(Exception):
@@ -88,10 +87,8 @@ def get_strs(cfg, key, default=""):
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-def get_seed(cfg, key="seed", default=0):
-    """Config seed, falling back to MFUSE_SEED, then the default; never negative."""
-    if key not in cfg:
-        cfg, key = os.environ, "MFUSE_SEED"
+def get_seed(cfg, key, default=0):
+    """The seed at ``key``, or ``default`` when the config is silent; never negative."""
     seed = get_int(cfg, key, default)
     if seed < 0:
         raise ConfigError(f"{key} must be a non-negative integer, got {seed}")

@@ -145,8 +145,9 @@ class TestLoadSplit:
 
 class TestTrainVerb:
     def test_artifacts(self, run_dir):
-        for name in ("checkpoint.mfuse", "history.csv", "model.cfg", "manifest.json"):
-            assert (run_dir / name).exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "checkpoint.mfuse", "history.csv", "manifest.json"
+        ]
 
     def test_missing_data_dir_is_data_error(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
@@ -176,6 +177,23 @@ class TestTrainVerb:
         second = json.loads((rerun / "manifest.json").read_text())
         assert first["artifacts"]["checkpoint.mfuse"] == second["artifacts"]["checkpoint.mfuse"]
 
+    def test_replay_does_not_read_the_environment(self, data_dir, tmp_path, monkeypatch):
+        first, second = tmp_path / "first", tmp_path / "second"
+        monkeypatch.setenv("MFUSE_SEED", "77")
+        rc = main(["train", "--data", str(data_dir), "--out", str(first), *FAST_TRAIN])
+        assert rc == EXIT_OK
+        monkeypatch.delenv("MFUSE_SEED")
+        rc = main([
+            "train", "--data", str(data_dir), "--out", str(second),
+            "--manifest", str(first / "manifest.json"),
+        ])
+        assert rc == EXIT_OK
+        hashes = [
+            json.loads((run / "manifest.json").read_text())["artifacts"]["checkpoint.mfuse"]
+            for run in (first, second)
+        ]
+        assert hashes[0] == hashes[1]
+
     def test_image_side_comes_from_the_data(self, tmp_path):
         data = tmp_path / "data"
         rc = main([
@@ -186,7 +204,8 @@ class TestTrainVerb:
         (data / "manifest.json").unlink()
         rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"), *FAST_TRAIN])
         assert rc == EXIT_OK
-        assert "model.image_side = 8" in (tmp_path / "run" / "model.cfg").read_text()
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["config"]["model.image_side"] == "8"
         rc = main([
             "train", "--data", str(data), "--out", str(tmp_path / "bad"), *FAST_TRAIN,
             "--set", "model.image_side=16",
@@ -299,6 +318,36 @@ class TestEvalAndReportVerbs:
         ])
         assert rc == EXIT_DATA
 
+    def test_checkpoint_without_its_manifest_exits_3(self, data_dir, run_dir, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(run_dir / "checkpoint.mfuse", run)
+        rc, err = run_main([
+            "eval", "--checkpoint", str(run / "checkpoint.mfuse"),
+            "--data", str(data_dir), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == EXIT_DATA
+        assert len(err) == 1 and err[0].startswith(
+            f"data error: cannot read manifest {run / 'manifest.json'}: "
+        ), err
+
+    def test_eval_reads_model_keys_from_the_manifest(self, data_dir, run_dir, tmp_path):
+        """The train manifest alone rebuilds the model; its other keys do not reach eval."""
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(run_dir / "checkpoint.mfuse", run)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["config"]["eval.name"] = "stored"
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "eval"
+        rc, err = run_main([
+            "eval", "--checkpoint", str(run / "checkpoint.mfuse"),
+            "--data", str(data_dir), "--out", str(out),
+        ])
+        assert rc == EXIT_OK, err
+        row = list(csv.reader((out / "report.csv").read_text().splitlines()))[1]
+        assert row[:2] == ["FCM", "TT,IT,I"]
+
 
 class TestAblateVerb:
     def test_one_arm_per_input_mask(self, tmp_path):
@@ -311,11 +360,23 @@ class TestAblateVerb:
         out = tmp_path / "ablate"
         rc = main(["ablate", "--data", str(data), "--out", str(out), "--set", "train.epochs=1"])
         assert rc == EXIT_OK
-        rows = list(csv.reader((out / "results.csv").read_text().splitlines()))[1:]
-        assert [row[1] for row in rows] == ["TT", "TT,IT", "I", "TT,IT,I"]
+        # where each arm's eval writes must not change the merged table
+        assert (out / "results.csv").read_text() == (
+            "Model,Inputs,F,AUC,ACC\n"
+            "FCM (TT),TT,0.723,0.529,50.0\n"
+            '"FCM (TT,IT)","TT,IT",0.708,0.533,50.0\n'
+            "FCM (I),I,0.723,0.392,50.0\n"
+            '"FCM (TT,IT,I)","TT,IT,I",0.723,0.482,50.0\n'
+        )
         for inputs in ("TT", "TT,IT", "I", "TT,IT,I"):
-            model_cfg = (out / ("arm_" + inputs.replace(",", "_")) / "model.cfg").read_text()
-            assert f"train.mask = {inputs}\n" in model_cfg
+            arm = out / ("arm_" + inputs.replace(",", "_"))
+            manifest = json.loads((arm / "manifest.json").read_text())
+            assert manifest["verb"] == "train"
+            assert manifest["config"]["train.mask"] == inputs
+            checkpoint = hashlib.sha256((arm / "checkpoint.mfuse").read_bytes()).hexdigest()
+            assert manifest["artifacts"]["checkpoint.mfuse"] == checkpoint
+            assert json.loads((arm / "eval" / "manifest.json").read_text())["verb"] == "eval"
+            assert (arm / "eval" / "report.csv").exists()
 
 
 def train_images():
@@ -383,7 +444,7 @@ class TestDataErrors:
         edit, overrides = BAD_CHECKPOINTS[case]
         run = tmp_path / "run"
         run.mkdir()
-        shutil.copy(run_dir / "model.cfg", run)
+        shutil.copy(run_dir / "manifest.json", run)
         lines = (run_dir / "checkpoint.mfuse").read_text().splitlines()
         (run / "checkpoint.mfuse").write_text("\n".join(edit(lines)) + "\n")
         capsys.readouterr()
@@ -572,20 +633,12 @@ class TestPrepareVerb:
         assert rc == EXIT_DATA
 
 
-class TestSeedFallback:
-    def test_env_seed_used_when_config_silent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MFUSE_SEED", "77")
-        a = tmp_path / "a"
-        rc = main(["synth", "--out", str(a), "--set", "synth.n_train=10",
-                   "--set", "synth.n_val=4", "--set", "synth.n_test=4"])
-        assert rc == EXIT_OK
-        monkeypatch.delenv("MFUSE_SEED")
-        b = tmp_path / "b"
-        rc = main(["synth", "--out", str(b), "--set", "synth.n_train=10",
-                   "--set", "synth.n_val=4", "--set", "synth.n_test=4",
-                   "--set", "synth.seed=77"])
-        assert rc == EXIT_OK
-        assert (a / "train.jsonl").read_text() == (b / "train.jsonl").read_text()
+# JSON that parses to no manifest, or that the parser gives up on
+NOT_A_MANIFEST = {
+    "list": "[]",
+    "config_list": '{"config": [1]}',
+    "deep": "[" * 100_000 + "]" * 100_000,
+}
 
 
 class TestConfigFile:
@@ -605,6 +658,29 @@ class TestConfigFile:
         ])
         assert rc == EXIT_CONFIG
         assert len(err) == 1 and err[0].startswith(f"config error: cannot read manifest {manifest}")
+
+    @pytest.mark.parametrize("case", sorted(NOT_A_MANIFEST))
+    @pytest.mark.parametrize("verb", ["train", "eval"])
+    def test_json_that_is_not_a_manifest_exits_with_one_line(
+        self, verb, case, tiny_data, tmp_path
+    ):
+        data, _ = tiny_data
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(NOT_A_MANIFEST[case])
+        checkpoint = tmp_path / "checkpoint.mfuse"
+        checkpoint.write_text("")  # eval reads the manifest beside it first
+        argv = {
+            "train": ["train", "--data", str(data), "--manifest", str(manifest)],
+            "eval": ["eval", "--checkpoint", str(checkpoint), "--data", str(data)],
+        }[verb]
+        rc, err = run_main([*argv, "--out", str(tmp_path / "o")])
+        kind, code = {"train": ("config", EXIT_CONFIG), "eval": ("data", EXIT_DATA)}[verb]
+        assert rc == code
+        if case == "deep":
+            expected = f"cannot read manifest {manifest}: maximum recursion depth exceeded"
+        else:
+            expected = f'{manifest}: a manifest is a JSON object whose "config" is an object'
+        assert len(err) == 1 and err[0].startswith(f"{kind} error: {expected}"), err
 
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -691,13 +767,6 @@ class TestConfigFaults:
         assert rc == EXIT_CONFIG
         assert err == ["config error: synth.seed must be a non-negative integer, got -1"]
 
-    def test_negative_env_seed_exits_2(self, tiny_data, monkeypatch):
-        _, root = tiny_data
-        monkeypatch.setenv("MFUSE_SEED", "-5")
-        rc, err = run_main(["synth", "--out", str(root / "env"), *TINY_SYNTH])
-        assert rc == EXIT_CONFIG
-        assert err == ["config error: MFUSE_SEED must be a non-negative integer, got -5"]
-
     @given(
         variant=st.sampled_from(["FCM", "SCM", "TKM", "LSTM"]),
         key=st.sampled_from(TRAIN_KEYS),
@@ -742,7 +811,7 @@ class TestNonFiniteScores:
     def test_huge_weights_exit_4_at_eval(self, data_dir, run_dir, tmp_path):
         run = tmp_path / "run"
         run.mkdir()
-        shutil.copy(run_dir / "model.cfg", run)
+        shutil.copy(run_dir / "manifest.json", run)
         arrays = load_arrays(run_dir / "checkpoint.mfuse")
         save_arrays(run / "checkpoint.mfuse", {k: v * 1e300 for k, v in arrays.items()})
         out = tmp_path / "o"
@@ -824,10 +893,15 @@ def mutate(data, mutation, at, byte):
 
 @pytest.fixture(scope="module")
 def fuzz_run(tiny_data):
-    """The tiny corpus and an FCM trained on it; fuzz tests restore every file they change."""
+    """The tiny corpus, an FCM trained on it and its settings as a ``--config`` file.
+
+    Fuzz tests restore every file they change.
+    """
     data, root = tiny_data
     rc, err = run_main(["train", "--data", str(data), "--out", str(root / "fuzz_run"), *FAST_TRAIN])
     assert rc == EXIT_OK, err
+    pairs = FAST_TRAIN[1::2]
+    (root / "fuzz.cfg").write_text("".join(p.replace("=", " = ") + "\n" for p in pairs))
     return data, root
 
 
@@ -856,7 +930,7 @@ mutation_bytes = st.integers(1, 255)
 
 
 # the files of the trained run; the other fuzzed files are the corpus's
-RUN_FILES = ("checkpoint.mfuse", "model.cfg")
+RUN_FILES = ("checkpoint.mfuse", "manifest.json")
 
 
 class TestFuzzedFiles:
@@ -869,6 +943,18 @@ class TestFuzzedFiles:
         data, root = fuzz_run
         argv = ["train", "--data", str(data), "--out", str(root / "fuzz_train"), *FAST_TRAIN]
         assert_clean_outcome(*run_on_mutated(data / name, mutation, at, byte, argv))
+
+    @pytest.mark.parametrize("option", ["--config", "--manifest"])
+    @given(mutation=mutations, at=positions, byte=mutation_bytes)
+    @settings(max_examples=15, deadline=None)
+    def test_train_on_mutated_option_file(self, fuzz_run, option, mutation, at, byte):
+        data, root = fuzz_run
+        path = {"--config": root / "fuzz.cfg", "--manifest": root / "fuzz_run" / "manifest.json"}
+        argv = [
+            "train", "--data", str(data), "--out", str(root / "fuzz_train"),
+            option, str(path[option]),
+        ]
+        assert_clean_outcome(*run_on_mutated(path[option], mutation, at, byte, argv))
 
     @pytest.mark.parametrize(
         "name", ["test.jsonl", "vocab.txt", "images/test.npy", *RUN_FILES]
