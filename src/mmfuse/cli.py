@@ -404,25 +404,44 @@ def cmd_train(args, cfg):
 
 
 def _restore_model(checkpoint_path, cfg):
-    """The model at ``checkpoint_path``, built from its train manifest's keys under ``cfg``."""
+    """The model at ``checkpoint_path``, built from its train manifest's keys under ``cfg``.
+
+    A damaged key in the manifest is a data error naming it; a bad override in
+    ``cfg`` stays a config error.
+    """
     if not Path(checkpoint_path).exists():
         raise DataError(f"missing checkpoint {checkpoint_path}")
-    manifest = load_manifest_config(Path(checkpoint_path).parent / "manifest.json", DataError)
+    path = Path(checkpoint_path).parent / "manifest.json"
+    manifest = load_manifest_config(path, DataError)
     stored = {k: v for k, v in manifest.items() if k.startswith(("model.", "train."))}
-    trained = model_mask(stored)
-    stored.update(cfg)
+
+    def build(keys):
+        return build_model(keys, cfgmod.get_int(keys, "train.vocab_size"))
+
+    try:
+        trained = model_mask(stored)
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    merged = {**stored, **cfg}
     # another mask would score the model with zeros in place of inputs it learned from
-    if "train.mask" in cfg and model_mask(stored) != trained:
+    if "train.mask" in cfg and model_mask(merged) != trained:
         raise ConfigError(
             f"train.mask={cfg['train.mask']} differs from the model's train.mask={trained.label()}"
         )
-    model = build_model(stored, cfgmod.get_int(stored, "train.vocab_size"))
+    try:
+        model = build(merged)
+    except ConfigError:
+        try:  # the override is at fault only if the manifest's own keys build
+            build(stored)
+        except ConfigError as stored_exc:
+            raise DataError(f"{path}: {stored_exc}") from None
+        raise
     arrays = load_arrays(checkpoint_path)
     try:
         model.load_state_dict(arrays)
     except CheckpointError as exc:
         raise CheckpointError(f"{checkpoint_path} does not fit the model config: {exc}") from None
-    return model, stored
+    return model, merged
 
 
 def cmd_eval(args, cfg):
@@ -502,9 +521,7 @@ def cmd_ablate(args, cfg):
     report_paths = []
     for mask_text in ABLATION_MASKS:
         arm = out / ("arm_" + mask_text.replace(",", "_"))  # cmd_train makes it
-        arm_cfg = dict(cfg)
-        arm_cfg["train.mask"] = mask_text
-        arm_cfg["eval.name"] = cfgmod.get_str(arm_cfg, "model.variant", "FCM")
+        arm_cfg = {**cfg, "train.mask": mask_text}
         train_args = argparse.Namespace(data=args.data, out=str(arm), manifest=None)
         status = cmd_train(train_args, dict(arm_cfg))
         if status != EXIT_OK:
@@ -513,7 +530,7 @@ def cmd_ablate(args, cfg):
             checkpoint=str(arm / "checkpoint.mfuse"), data=args.data, split="test",
             out=str(arm / "eval"),
         )
-        status = cmd_eval(eval_args, dict(arm_cfg))
+        status = cmd_eval(eval_args, {**arm_cfg, "eval.name": cfg["model.variant"]})
         if status != EXIT_OK:
             return status
         report_paths.append(arm / "eval" / "report.csv")

@@ -15,11 +15,25 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import TweetRecord, WorkerAnnotation
+from .encoders import PAD, Vocabulary
+from .training import ModelData
 
 MODES = ("unimodal_text", "unimodal_image", "crossmodal_and", "crossmodal_xor")
 
 SIGNAL_TOKEN = "zork"
 DISTRACTOR_TOKENS = tuple(f"filler{i}" for i in range(12))
+
+# A SynthSplit's texts are indices into TOKENS; index 0 pads.
+TOKENS = (PAD, SIGNAL_TOKEN, *DISTRACTOR_TOKENS)
+_PAD, _SIGNAL, _FIRST_DISTRACTOR = 0, 1, 2
+
+# label of a row that follows the mode, from its text and image bits
+_RULES = {
+    "unimodal_text": lambda t, v: t,
+    "unimodal_image": lambda t, v: v,
+    "crossmodal_and": np.logical_and,
+    "crossmodal_xor": np.logical_xor,
+}
 
 
 @dataclass
@@ -51,124 +65,116 @@ class SynthSpec:
 
 
 @dataclass
-class SynthExample:
-    tweet_tokens: list
-    imgtext_tokens: list
-    label: int
-    text_bit: int
-    image_bit: int
-
-
-@dataclass
 class SynthSplit:
-    """One split: ``images[i]`` is the image of ``examples[i]``.
+    """One split of N examples, held as arrays; row ``i`` of each is example ``i``.
 
-    The images are one C-contiguous float64 (N, S, S, 3) array in [0, 1],
-    rendered in place; no example holds an image of its own.
+    ``images`` is one C-contiguous float64 (N, S, S, 3) array in [0, 1].
+    ``tweet`` and ``imgtext`` are (indices, lengths) pairs: indices into
+    ``TOKENS`` as an (N, max_tokens) int64 array, 0 (``<pad>``) past each
+    text's length, and the (N,) lengths.
     """
 
     images: np.ndarray
-    examples: list  # SynthExample, one per image row
+    tweet: tuple
+    imgtext: tuple
+    labels: np.ndarray  # (N,) int64, 1 = hate
+    text_bits: np.ndarray  # (N,) bool
+    image_bits: np.ndarray  # (N,) bool
 
     def __len__(self):
-        return len(self.examples)
+        return len(self.labels)
 
 
-def _sample_bits(rng, mode):
-    """Draw (text_bit, image_bit, label) with 50/50 label balance.
+def _draw_bits(rng, n, spec):
+    """Draw (text_bits, image_bits, labels) for ``n`` rows, labels 50/50 balanced.
 
-    xor is balanced for independent fair bits. For the and rule the cells are
-    reweighted: label 1 forces (1,1); label 0 draws uniformly from the other
-    three cells.
+    A row is unimodal_text with probability 1 - ``multimodal_fraction`` and
+    follows ``spec.mode`` otherwise. Each row draws one cell: uniformly from
+    the four (t, v) cells, or, for a crossmodal_and row, from six slots where
+    slots 0, 1, 2 are (0,0), (0,1), (1,0) and slots 3-5 are (1,1), so that
+    label 1 forces (1,1) and label 0 is uniform over the other three cells.
+    Cell 3 of the four is (1,1) too, so one mapping serves both.
     """
-    if mode == "crossmodal_and":
-        if rng.random() < 0.5:
-            return 1, 1, 1
-        t, v = [(0, 0), (0, 1), (1, 0)][int(rng.integers(0, 3))]
-        return t, v, 0
-    t = int(rng.integers(0, 2))
-    v = int(rng.integers(0, 2))
-    label = {
-        "unimodal_text": t,
-        "unimodal_image": v,
-        "crossmodal_xor": t ^ v,
-    }[mode]
-    return t, v, label
+    follows_mode = rng.random(n) < spec.multimodal_fraction
+    slots = np.where(follows_mode, 6, 4) if spec.mode == "crossmodal_and" else 4
+    cells = rng.integers(0, slots, n)
+    text_bits = cells >= 2
+    image_bits = (cells == 1) | (cells >= 3)
+    labels = np.where(follows_mode, _RULES[spec.mode](text_bits, image_bits), text_bits)
+    return text_bits, image_bits, labels
 
 
-def _render_text(rng, bit, spec):
-    count = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
-    tokens = [DISTRACTOR_TOKENS[int(i)] for i in rng.integers(0, len(DISTRACTOR_TOKENS), count)]
-    if bit:
-        tokens[int(rng.integers(0, count))] = SIGNAL_TOKEN
-    return tokens
-
-
-def _render_image(rng, bit, image):
-    """Draw one (S, S, 3) image into ``image``, a row of its split's array."""
-    side = image.shape[0]
-    np.clip(rng.normal(0.0, 0.1, image.shape), 0.0, 1.0, out=image)
-    if bit:
-        patch = max(1, side // 4)
-        y = int(rng.integers(0, side - patch + 1))
-        x = int(rng.integers(0, side - patch + 1))
-        image[y : y + patch, x : x + patch, :] = 1.0
+def _draw_texts(rng, bits, spec):
+    """(indices, lengths) of one text per row; a row whose bit is set holds the signal once."""
+    n = len(bits)
+    lengths = rng.integers(spec.min_tokens, spec.max_tokens + 1, n)
+    tokens = rng.integers(_FIRST_DISTRACTOR, len(TOKENS), (n, spec.max_tokens))
+    signal_at = rng.integers(0, lengths)
+    rows = np.flatnonzero(bits)
+    tokens[rows, signal_at[rows]] = _SIGNAL
+    tokens[np.arange(spec.max_tokens) >= lengths[:, None]] = _PAD
+    return tokens, lengths
 
 
 def _generate_split(rng, n, spec):
-    images = np.empty((n, spec.image_side, spec.image_side, 3))
-    examples = []
-    for image in images:
-        mode = spec.mode
-        if spec.multimodal_fraction < 1.0 and rng.random() >= spec.multimodal_fraction:
-            mode = "unimodal_text"
-        t, v, label = _sample_bits(rng, mode)
-        if rng.random() < spec.noise_rate:
-            label = 1 - label
-        _render_image(rng, v, image)
-        examples.append(
-            SynthExample(
-                tweet_tokens=_render_text(rng, t, spec),
-                imgtext_tokens=_render_text(rng, int(rng.integers(0, 2)), spec),
-                label=label,
-                text_bit=t,
-                image_bit=v,
-            )
-        )
-    return SynthSplit(images, examples)
+    """Draw one split; every random quantity is drawn once for all ``n`` rows."""
+    side = spec.image_side
+    images = np.empty((n, side, side, 3))
+    rng.standard_normal(out=images)
+    images *= 0.1
+    np.clip(images, 0.0, 1.0, out=images)
+    text_bits, image_bits, labels = _draw_bits(rng, n, spec)
+    labels = (labels ^ (rng.random(n) < spec.noise_rate)).astype(np.int64)
+    # a bright square patch marks the image bit
+    patch = max(1, side // 4)
+    corners = rng.integers(0, side - patch + 1, (n, 2))
+    rows = np.flatnonzero(image_bits)
+    span = np.arange(patch)
+    ys = corners[rows, 0, None] + span
+    xs = corners[rows, 1, None] + span
+    images[rows[:, None, None], ys[:, :, None], xs[:, None, :]] = 1.0
+    tweet = _draw_texts(rng, text_bits, spec)
+    imgtext = _draw_texts(rng, rng.integers(0, 2, n).astype(bool), spec)
+    return SynthSplit(images, tweet, imgtext, labels, text_bits, image_bits)
 
 
 def generate(spec):
-    """Deterministically build the {'train', 'val', 'test'} SynthSplits."""
+    """Deterministically build the {'train', 'val', 'test'} SynthSplits.
+
+    Each split draws from its own child of ``SeedSequence(seed)``, so a split
+    does not depend on the sizes of the others; its rows do depend on its own
+    size. Not ``default_rng([seed, i])``: ``[seed, 0]`` is the stream of
+    ``default_rng(seed)``, so a model seeded with the same number would draw
+    its initial weights from the train split's pixel noise.
+    """
     sizes = {"train": spec.n_train, "val": spec.n_val, "test": spec.n_test}
-    out = {}
-    for i, (split, n) in enumerate(sizes.items()):
-        rng = np.random.default_rng([spec.seed, i])
-        out[split] = _generate_split(rng, n, spec)
-    return out
+    streams = np.random.SeedSequence(spec.seed).spawn(len(sizes))
+    return {
+        split: _generate_split(np.random.default_rng(stream), n, spec)
+        for (split, n), stream in zip(sizes.items(), streams)
+    }
 
 
 def build_vocabulary():
-    from .encoders import Vocabulary
-
-    vocab = Vocabulary()
-    vocab.add(SIGNAL_TOKEN)
-    for token in DISTRACTOR_TOKENS:
-        vocab.add(token)
-    return vocab
+    return Vocabulary(TOKENS[_SIGNAL:])
 
 
 def to_model_data(split, vocab):
     """Pack a SynthSplit into a batchable split; its image array is used as it is."""
-    from .training import ModelData
+    lookup = np.array([vocab.lookup(token) for token in TOKENS])
 
-    examples = split.examples
-    return ModelData.from_id_lists(
-        images=split.images,
-        tweet_ids=[vocab.encode(ex.tweet_tokens) for ex in examples],
-        imgtext_ids=[vocab.encode(ex.imgtext_tokens) for ex in examples],
-        labels=np.array([ex.label for ex in examples], dtype=np.int64),
-    )
+    def ids(text):  # as pad_ids gives them: padded with 0 to the longest text
+        tokens, lengths = text
+        return lookup[tokens[:, : lengths.max(initial=0)]], lengths
+
+    return ModelData(split.images, ids(split.tweet), ids(split.imgtext), split.labels)
+
+
+def _joined(text):
+    """Each text of an (indices, lengths) pair as its tokens joined by spaces."""
+    tokens, lengths = text
+    words = np.array(TOKENS, dtype=object)[tokens].tolist()
+    return [" ".join(row[:length]) for row, length in zip(words, lengths.tolist())]
 
 
 def to_records(split, split_name, image_dir=None):
@@ -186,19 +192,20 @@ def to_records(split, split_name, image_dir=None):
     # frozen, so every record of a label can share the same three votes
     votes = {
         label: [WorkerAnnotation(f"synth-{w}", category, 10.0) for w in range(3)]
-        for label, category in ((False, "NotHate"), (True, "OtherHate"))
+        for label, category in ((0, "NotHate"), (1, "OtherHate"))
     }
     records = []
-    for i, ex in enumerate(split.examples):
+    texts = zip(_joined(split.tweet), _joined(split.imgtext), split.labels.tolist())
+    for i, (tweet_text, image_text, label) in enumerate(texts):
         records.append(
             TweetRecord(
                 id=f"{split_name}-{i:06d}",
-                tweet_text=" ".join(ex.tweet_tokens),
+                tweet_text=tweet_text,
                 is_retweet=False,
                 image_ref=f"{image_file}#{i}" if image_file else None,
-                image_text=" ".join(ex.imgtext_tokens),
+                image_text=image_text,
                 image_text_probability=0.0,
-                annotations=list(votes[bool(ex.label)]),
+                annotations=list(votes[label]),
             )
         )
     return records

@@ -6,6 +6,7 @@ import json
 import re
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +236,22 @@ class TestTrainVerb:
         assert match.group(1) in load_arrays(out / "checkpoint.mfuse")
 
 
+# Each case damages one key of a train manifest: (key, new value or None to drop it).
+DAMAGED_MANIFESTS = {
+    "missing_vocab_size": ("train.vocab_size", None),
+    "unknown_variant": ("model.variant", "XYZ"),
+    "non_integer_hidden_dim": ("model.hidden_dim", "x"),
+    "unknown_mask": ("train.mask", "Q"),
+}
+
+# Each case is an eval --set override that cannot build the trained model.
+BAD_EVAL_OVERRIDES = {
+    "unknown_variant": "model.variant=XYZ",
+    "non_integer_hidden_dim": "model.hidden_dim=x",
+    "non_integer_vocab_size": "train.vocab_size=x",
+}
+
+
 class TestEvalAndReportVerbs:
     def test_eval_writes_report_and_curves(self, data_dir, run_dir, tmp_path):
         out = tmp_path / "eval"
@@ -348,6 +365,35 @@ class TestEvalAndReportVerbs:
         row = list(csv.reader((out / "report.csv").read_text().splitlines()))[1]
         assert row[:2] == ["FCM", "TT,IT,I"]
 
+    @pytest.mark.parametrize("case", sorted(DAMAGED_MANIFESTS))
+    def test_damaged_manifest_key_exits_3(self, case, data_dir, run_dir, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(run_dir / "checkpoint.mfuse", run)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        key, value = DAMAGED_MANIFESTS[case]
+        if value is None:
+            del manifest["config"][key]
+        else:
+            manifest["config"][key] = value
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        rc, err = run_main([
+            "eval", "--checkpoint", str(run / "checkpoint.mfuse"),
+            "--data", str(data_dir), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == EXIT_DATA
+        assert len(err) == 1 and err[0].startswith(f"data error: {run / 'manifest.json'}: "), err
+
+    @pytest.mark.parametrize("case", sorted(BAD_EVAL_OVERRIDES))
+    def test_bad_override_exits_2(self, case, data_dir, run_dir, tmp_path):
+        rc, err = run_main([
+            "eval", "--checkpoint", str(run_dir / "checkpoint.mfuse"),
+            "--data", str(data_dir), "--out", str(tmp_path / "o"),
+            "--set", BAD_EVAL_OVERRIDES[case],
+        ])
+        assert rc == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+
 
 class TestAblateVerb:
     def test_one_arm_per_input_mask(self, tmp_path):
@@ -363,19 +409,21 @@ class TestAblateVerb:
         # where each arm's eval writes must not change the merged table
         assert (out / "results.csv").read_text() == (
             "Model,Inputs,F,AUC,ACC\n"
-            "FCM (TT),TT,0.723,0.529,50.0\n"
-            '"FCM (TT,IT)","TT,IT",0.708,0.533,50.0\n'
-            "FCM (I),I,0.723,0.392,50.0\n"
-            '"FCM (TT,IT,I)","TT,IT,I",0.723,0.482,50.0\n'
+            "FCM (TT),TT,0.815,0.495,50.0\n"
+            '"FCM (TT,IT)","TT,IT",0.815,0.550,50.0\n'
+            "FCM (I),I,0.830,0.468,50.0\n"
+            '"FCM (TT,IT,I)","TT,IT,I",0.824,0.491,50.0\n'
         )
         for inputs in ("TT", "TT,IT", "I", "TT,IT,I"):
             arm = out / ("arm_" + inputs.replace(",", "_"))
             manifest = json.loads((arm / "manifest.json").read_text())
             assert manifest["verb"] == "train"
             assert manifest["config"]["train.mask"] == inputs
+            assert not [key for key in manifest["config"] if key.startswith("eval.")]
             checkpoint = hashlib.sha256((arm / "checkpoint.mfuse").read_bytes()).hexdigest()
             assert manifest["artifacts"]["checkpoint.mfuse"] == checkpoint
-            assert json.loads((arm / "eval" / "manifest.json").read_text())["verb"] == "eval"
+            evaluated = json.loads((arm / "eval" / "manifest.json").read_text())
+            assert evaluated["verb"] == "eval" and evaluated["config"]["eval.name"] == "FCM"
             assert (arm / "eval" / "report.csv").exists()
 
 
@@ -933,6 +981,14 @@ mutation_bytes = st.integers(1, 255)
 RUN_FILES = ("checkpoint.mfuse", "manifest.json")
 
 
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """A copy of the raw corpus criterion 8 checks, for prepare; fuzz tests restore it."""
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    shutil.copy(Path(__file__).parent / "fixtures" / "corpus.jsonl", path)
+    return path
+
+
 class TestFuzzedFiles:
     @pytest.mark.parametrize(
         "name", ["train.jsonl", "val.jsonl", "vocab.txt", "images/train.npy"]
@@ -955,6 +1011,16 @@ class TestFuzzedFiles:
             option, str(path[option]),
         ]
         assert_clean_outcome(*run_on_mutated(path[option], mutation, at, byte, argv))
+
+    @given(mutation=mutations, at=positions, byte=mutation_bytes)
+    @settings(max_examples=15, deadline=None)
+    def test_prepare_on_mutated_corpus(self, fuzz_corpus, mutation, at, byte):
+        argv = [
+            "prepare", "--corpus", str(fuzz_corpus), "--out", str(fuzz_corpus.parent / "out"),
+            *sets(["dataset.val_size=8", "dataset.test_size=12", "dataset.seed=13",
+                   "dataset.banned_terms=badword", "dataset.keywords=termx,termy,termz"]),
+        ]
+        assert_clean_outcome(*run_on_mutated(fuzz_corpus, mutation, at, byte, argv))
 
     @pytest.mark.parametrize(
         "name", ["test.jsonl", "vocab.txt", "images/test.npy", *RUN_FILES]

@@ -1,11 +1,15 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmfuse import synth
 from mmfuse.dataset import WorkerAnnotation, label_corpus
 from mmfuse.synth import SynthSpec, generate
+from mmfuse.training import ModelData
 
 
 def bayes_accuracy_text_only(spec):
@@ -24,31 +28,69 @@ def bayes_accuracy_text_only(spec):
     return (1.0 - spec.noise_rate) * mixed + spec.noise_rate * (1.0 - mixed)
 
 
-def per_example_images(spec, split_index, n):
-    """The images of split ``split_index`` as the per-example generator drew them.
+CELLS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+AND_SLOTS = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 1), (1, 1)]  # label 1 is half the mass
+RULES = {
+    "unimodal_text": lambda t, v: t,
+    "unimodal_image": lambda t, v: v,
+    "crossmodal_and": lambda t, v: t & v,
+    "crossmodal_xor": lambda t, v: t ^ v,
+}
 
-    A copy of its loop: each image is a fresh (S, S, 3) array and the split is
-    their ``np.stack``. The text draws are kept so the RNG stream lines up.
+
+def texts_of(text):
+    """The token lists of an (indices, lengths) pair."""
+    tokens, lengths = text
+    return [[synth.TOKENS[i] for i in row[:n]] for row, n in zip(tokens.tolist(), lengths.tolist())]
+
+
+def per_row_reference(spec, split_index, n):
+    """Split ``split_index`` drawn from the same stream, then built row by row.
+
+    Each random quantity is taken whole from the split's rng, in the
+    generator's order; the bits, labels, patches and texts are then made by
+    plain per-row loops. Returns (images, tweet texts, image texts, labels,
+    text bits, image bits), the texts as token lists.
     """
-    rng = np.random.default_rng([spec.seed, split_index])
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(3)[split_index])
     side = spec.image_side
-    images = []
-    for _ in range(n):
-        mode = spec.mode
-        if spec.multimodal_fraction < 1.0 and rng.random() >= spec.multimodal_fraction:
-            mode = "unimodal_text"
-        t, v, _ = synth._sample_bits(rng, mode)
-        rng.random()  # the label-noise draw
-        image = np.clip(rng.normal(0.0, 0.1, (side, side, 3)), 0.0, 1.0)
+    images = np.clip(0.1 * rng.standard_normal((n, side, side, 3)), 0.0, 1.0)
+    follows_mode = rng.random(n) < spec.multimodal_fraction
+    if spec.mode == "crossmodal_and":
+        cells = rng.integers(0, [6 if f else 4 for f in follows_mode], n)
+    else:
+        cells = rng.integers(0, 4, n)
+    flips = rng.random(n) < spec.noise_rate
+    bits, labels = [], []
+    for follows, cell, flip in zip(follows_mode, cells, flips):
+        and_row = follows and spec.mode == "crossmodal_and"
+        t, v = (AND_SLOTS if and_row else CELLS)[cell]
+        label = RULES[spec.mode if follows else "unimodal_text"](t, v)
+        bits.append((t, v))
+        labels.append(label ^ int(flip))
+    patch = max(1, side // 4)
+    corners = rng.integers(0, side - patch + 1, (n, 2))
+    for image, (_, v), (y, x) in zip(images, bits, corners):
         if v:
-            patch = max(1, side // 4)
-            y = int(rng.integers(0, side - patch + 1))
-            x = int(rng.integers(0, side - patch + 1))
             image[y : y + patch, x : x + patch, :] = 1.0
-        synth._render_text(rng, t, spec)
-        synth._render_text(rng, int(rng.integers(0, 2)), spec)
-        images.append(image)
-    return np.stack(images) if images else np.zeros((0, side, side, 3))
+
+    def draw_texts(text_bits):
+        lengths = rng.integers(spec.min_tokens, spec.max_tokens + 1, n)
+        tokens = rng.integers(2, len(synth.TOKENS), (n, spec.max_tokens))
+        signal_at = rng.integers(0, lengths)
+        texts = []
+        for bit, row, length, at in zip(text_bits, tokens, lengths, signal_at):
+            words = [synth.TOKENS[i] for i in row[:length]]
+            if bit:
+                words[at] = synth.SIGNAL_TOKEN
+            texts.append(words)
+        return texts
+
+    tweets = draw_texts([t for t, _ in bits])
+    imgtexts = draw_texts(rng.integers(0, 2, n))
+    text_bits = [t for t, _ in bits]
+    image_bits = [v for _, v in bits]
+    return images, tweets, imgtexts, labels, text_bits, image_bits
 
 
 PIXEL_SPECS = [
@@ -81,7 +123,9 @@ class TestSpecValidation:
 
     def test_single_token_texts(self):
         spec = SynthSpec(n_train=4, n_val=0, n_test=0, min_tokens=1, max_tokens=1)
-        assert all(len(ex.tweet_tokens) == 1 for ex in generate(spec)["train"].examples)
+        split = generate(spec)["train"]
+        assert split.tweet[1].tolist() == [1] * 4
+        assert split.tweet[0].shape == (4, 1)
 
 
 class TestGeneration:
@@ -95,9 +139,8 @@ class TestGeneration:
         a = generate(spec)["train"]
         b = generate(spec)["train"]
         assert a.images.tobytes() == b.images.tobytes()
-        for x, y in zip(a.examples, b.examples):
-            assert x.tweet_tokens == y.tweet_tokens
-            assert x.label == y.label
+        assert texts_of(a.tweet) == texts_of(b.tweet)
+        assert np.array_equal(a.labels, b.labels)
 
     def test_splits_differ_from_each_other(self):
         spec = SynthSpec(n_train=20, n_val=20, n_test=20, seed=2)
@@ -107,52 +150,42 @@ class TestGeneration:
     @pytest.mark.parametrize("mode", synth.MODES)
     def test_class_balance(self, mode):
         spec = SynthSpec(mode=mode, n_train=4000, n_val=10, n_test=10, seed=3)
-        labels = [ex.label for ex in generate(spec)["train"].examples]
+        labels = generate(spec)["train"].labels
         assert abs(np.mean(labels) - 0.5) <= 0.02
 
     def test_label_rules(self):
-        for mode, rule in [
-            ("unimodal_text", lambda t, v: t),
-            ("unimodal_image", lambda t, v: v),
-            ("crossmodal_and", lambda t, v: t & v),
-            ("crossmodal_xor", lambda t, v: t ^ v),
-        ]:
+        for mode, rule in RULES.items():
             spec = SynthSpec(mode=mode, n_train=500, n_val=5, n_test=5, seed=4)
-            for ex in generate(spec)["train"].examples:
-                assert ex.label == rule(ex.text_bit, ex.image_bit), mode
+            split = generate(spec)["train"]
+            assert np.array_equal(split.labels, rule(split.text_bits, split.image_bits)), mode
 
     def test_signal_token_matches_text_bit(self):
         spec = SynthSpec(n_train=300, n_val=5, n_test=5, seed=5)
-        for ex in generate(spec)["train"].examples:
-            assert (synth.SIGNAL_TOKEN in ex.tweet_tokens) == bool(ex.text_bit)
+        split = generate(spec)["train"]
+        for tokens, bit in zip(texts_of(split.tweet), split.text_bits):
+            assert (synth.SIGNAL_TOKEN in tokens) == bit
 
     def test_image_patch_matches_image_bit(self):
         spec = SynthSpec(n_train=200, n_val=5, n_test=5, seed=6, image_side=16)
         split = generate(spec)["train"]
-        for image, ex in zip(split.images, split.examples):
+        for image, bit in zip(split.images, split.image_bits):
             has_patch = (image == 1.0).all(axis=2).sum() >= 16
-            assert has_patch == bool(ex.image_bit)
+            assert has_patch == bit
 
     def test_xor_marginal_independence(self):
         spec = SynthSpec(mode="crossmodal_xor", n_train=10_000, n_val=10, n_test=10, seed=7)
-        examples = generate(spec)["train"].examples
-        t = np.array([ex.text_bit for ex in examples], dtype=float)
-        y = np.array([ex.label for ex in examples], dtype=float)
-        r = np.corrcoef(t, y)[0, 1]
+        split = generate(spec)["train"]
+        r = np.corrcoef(split.text_bits.astype(float), split.labels.astype(float))[0, 1]
         assert abs(r) <= 0.05
 
     def test_noise_rate_flips_labels(self):
         clean = SynthSpec(n_train=2000, n_val=5, n_test=5, seed=8)
         noisy = SynthSpec(n_train=2000, n_val=5, n_test=5, seed=8, noise_rate=0.2)
-        flips = np.mean(
-            [
-                ex.label != (ex.text_bit ^ ex.image_bit)
-                for ex in generate(noisy)["train"].examples
-            ]
-        )
+        split = generate(noisy)["train"]
+        flips = np.mean(split.labels != (split.text_bits ^ split.image_bits))
         assert flips == pytest.approx(0.2, abs=0.03)
-        clean_examples = generate(clean)["train"].examples
-        assert all(ex.label == (ex.text_bit ^ ex.image_bit) for ex in clean_examples)
+        split = generate(clean)["train"]
+        assert np.array_equal(split.labels, split.text_bits ^ split.image_bits)
 
 
 class TestBayesAccuracy:
@@ -172,9 +205,9 @@ class TestBayesAccuracy:
 
     def test_and_mode_empirical_text_only_accuracy(self):
         spec = SynthSpec(mode="crossmodal_and", n_train=8000, n_val=5, n_test=5, seed=10)
-        examples = generate(spec)["train"].examples
+        split = generate(spec)["train"]
         # Bayes text-only rule: predict 1 iff the text bit is set
-        correct = np.mean([(ex.text_bit == ex.label) for ex in examples])
+        correct = np.mean(split.text_bits == split.labels)
         assert correct == pytest.approx(5 / 6, abs=0.02)
 
     def test_and_mode_unweighted_cells_give_three_quarters(self):
@@ -204,25 +237,31 @@ class TestInterop:
         records = synth.to_records(split, "train", image_dir=str(tmp_path))
         labeled, unlabelable = label_corpus(records)
         assert unlabelable == []
-        for ex, lab in zip(split.examples, labeled):
-            assert bool(ex.label) == lab.hate
+        assert [lab.hate for lab in labeled] == split.labels.astype(bool).tolist()
         assert [r.image_ref for r in records] == [f"train.npy#{i}" for i in range(20)]
         assert np.array_equal(np.load(tmp_path / "train.npy"), split.images)
 
     @pytest.mark.parametrize(
         "spec", PIXEL_SPECS, ids=lambda spec: f"{spec.mode}-{spec.image_side}px"
     )
-    def test_pixels_and_file_are_the_per_example_loops(self, spec, tmp_path):
+    def test_split_and_file_are_the_per_row_loops(self, spec, tmp_path):
         for index, (name, split) in enumerate(generate(spec).items()):
-            expected = per_example_images(spec, index, len(split))
+            images, tweets, imgtexts, labels, text_bits, image_bits = per_row_reference(
+                spec, index, len(split)
+            )
             assert split.images.flags.c_contiguous
-            assert split.images.shape == expected.shape
-            assert split.images.tobytes() == expected.tobytes()
+            assert split.images.shape == images.shape
+            assert split.images.tobytes() == images.tobytes()
+            assert texts_of(split.tweet) == tweets
+            assert texts_of(split.imgtext) == imgtexts
+            assert split.labels.tolist() == labels
+            assert split.text_bits.tolist() == text_bits
+            assert split.image_bits.tolist() == image_bits
             if len(split):
                 synth.to_records(split, name, image_dir=str(tmp_path))
-                np.save(tmp_path / "stacked.npy", expected)
+                np.save(tmp_path / "reference.npy", images)
                 assert (tmp_path / f"{name}.npy").read_bytes() == (
-                    tmp_path / "stacked.npy"
+                    tmp_path / "reference.npy"
                 ).read_bytes()
 
     def test_split_images_are_held_once(self):
@@ -242,8 +281,8 @@ class TestInterop:
         split = generate(SynthSpec(n_train=6, n_val=1, n_test=1, seed=15))["train"]
         records = synth.to_records(split, "train")
         assert len({id(r.annotations) for r in records}) == len(records)
-        for ex, record in zip(split.examples, records):
-            category = "OtherHate" if ex.label else "NotHate"
+        for label, record in zip(split.labels, records):
+            category = "OtherHate" if label else "NotHate"
             assert record.annotations == [
                 WorkerAnnotation(f"synth-{w}", category, 10.0) for w in range(3)
             ]
@@ -251,3 +290,138 @@ class TestInterop:
     def test_no_images_without_image_dir(self):
         split = generate(SynthSpec(n_train=3, n_val=1, n_test=1, seed=14))["train"]
         assert all(r.image_ref is None for r in synth.to_records(split, "train"))
+
+
+@st.composite
+def specs(draw):
+    min_tokens = draw(st.integers(1, 6))
+    return SynthSpec(
+        mode=draw(st.sampled_from(synth.MODES)),
+        n_train=draw(st.integers(0, 12)),
+        n_val=draw(st.integers(0, 5)),
+        n_test=draw(st.integers(0, 5)),
+        noise_rate=draw(st.sampled_from([0.0, 0.0, 0.1, 0.49])),
+        multimodal_fraction=draw(st.sampled_from([1.0, 1.0, 0.6, 0.05])),
+        image_side=draw(st.integers(4, 33)),
+        min_tokens=min_tokens,
+        max_tokens=draw(st.integers(min_tokens, min_tokens + 4)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def split_bytes(split):
+    """Every array of ``split`` with its dtype and shape, as bytes."""
+    arrays = [split.images, *split.tweet, *split.imgtext, split.labels]
+    arrays += [split.text_bits, split.image_bits]
+    return b"".join(f"{a.dtype}{a.shape}".encode() + a.tobytes() for a in arrays)
+
+
+class TestProperties:
+    @given(spec=specs())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_splits(self, spec):
+        splits = generate(spec)
+        side, vocab = spec.image_side, synth.build_vocabulary()
+        patch = max(1, side // 4)
+        for name, split in splits.items():
+            n = getattr(spec, f"n_{name}")
+            assert len(split) == n
+            assert split.images.shape == (n, side, side, 3)
+            assert split.images.dtype == np.float64 and split.images.flags.c_contiguous
+            assert ((split.images >= 0.0) & (split.images <= 1.0)).all()
+            assert split.labels.dtype == np.int64 and split.labels.shape == (n,)
+            assert split.text_bits.dtype == split.image_bits.dtype == np.bool_
+            # noise never reaches 1.0, so the all-ones pixels are the patch
+            ones = (split.images == 1.0).all(axis=3)
+            for mask, bit in zip(ones, split.image_bits):
+                ys, xs = np.nonzero(mask)
+                if bit:
+                    assert len(ys) == patch * patch
+                    assert np.ptp(ys) == np.ptp(xs) == patch - 1
+                else:
+                    assert len(ys) == 0
+            for text, bits in ((split.tweet, split.text_bits), (split.imgtext, None)):
+                tokens, lengths = text
+                assert tokens.shape == (n, spec.max_tokens) and lengths.shape == (n,)
+                assert ((lengths >= spec.min_tokens) & (lengths <= spec.max_tokens)).all()
+                inside = np.arange(spec.max_tokens) < lengths[:, None]
+                assert (tokens[~inside] == 0).all() and (tokens[inside] > 0).all()
+                signals = ((tokens == 1) & inside).sum(axis=1)
+                assert (signals <= 1).all()
+                if bits is not None:
+                    assert np.array_equal(signals == 1, bits)
+            if spec.noise_rate == 0.0:
+                rule = RULES[spec.mode](split.text_bits, split.image_bits)
+                follows = split.labels == rule
+                if spec.multimodal_fraction == 1.0:
+                    assert follows.all()
+                else:  # the other rows are unimodal_text
+                    assert (follows | (split.labels == split.text_bits)).all()
+            data = synth.to_model_data(split, vocab)
+            expected = ModelData.from_id_lists(
+                images=split.images,
+                tweet_ids=[vocab.encode(t) for t in texts_of(split.tweet)],
+                imgtext_ids=[vocab.encode(t) for t in texts_of(split.imgtext)],
+                labels=split.labels,
+            )
+            assert data.images is split.images
+            for got, want in ((data.tweet, expected.tweet), (data.imgtext, expected.imgtext)):
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert np.array_equal(a, b)
+            assert np.array_equal(data.labels, expected.labels) and data.ids == expected.ids
+            records = synth.to_records(split, name)
+            assert [r.tweet_text for r in records] == [" ".join(t) for t in texts_of(split.tweet)]
+            assert [r.image_text for r in records] == [
+                " ".join(t) for t in texts_of(split.imgtext)
+            ]
+        again = generate(spec)
+        assert all(split_bytes(again[k]) == split_bytes(v) for k, v in splits.items())
+        bigger = generate(SynthSpec(**{**vars(spec), "n_train": spec.n_train + 3}))
+        for name in ("val", "test"):
+            assert split_bytes(bigger[name]) == split_bytes(splits[name])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SynthSpec(n_train=768, n_val=384, n_test=512, image_side=32,
+                      min_tokens=1, max_tokens=2, seed=3),
+            SynthSpec(mode="unimodal_text", n_train=1024, n_val=256, n_test=1536, seed=3),
+        ],
+        ids=["32px", "16px"],
+    )
+    def test_generate_holds_no_second_image_array(self, spec):
+        """The pixel noise is drawn into the split's array: no full-size temporary."""
+        tracemalloc.start()
+        try:
+            splits = generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * sum(split.images.nbytes for split in splits.values())
+
+
+class TestStream:
+    def test_pinned_stream(self):
+        """A fixed seed gives these bytes; an accidental change to the draws fails here."""
+        spec = SynthSpec(mode="crossmodal_and", n_train=7, n_val=3, n_test=0, noise_rate=0.2,
+                         multimodal_fraction=0.5, image_side=5, min_tokens=1, max_tokens=4,
+                         seed=2024)
+        digest = hashlib.sha256()
+        for split in generate(spec).values():
+            digest.update(split_bytes(split))
+        assert digest.hexdigest() == (
+            "27c0fa9c910c0b4bf83dde8beca0c2a6111d201b84a81434d82a2d6274cd81cb"
+        )
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_no_split_draws_from_a_plain_seed_stream(self, seed):
+        """No split draws from ``default_rng(seed)``, a model's init stream, or ``[seed, i]``.
+
+        ``default_rng(seed)`` and ``default_rng([seed, 0])`` are one stream.
+        """
+        spec = SynthSpec(n_train=2, n_val=2, n_test=2, image_side=4, seed=seed)
+        for name, split in generate(spec).items():
+            for entropy in (seed, *([seed, i] for i in range(3))):
+                noise = np.random.default_rng(entropy).standard_normal(split.images.shape)
+                assert not np.array_equal(split.images, np.clip(0.1 * noise, 0.0, 1.0)), name
