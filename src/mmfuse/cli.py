@@ -1,10 +1,12 @@
 """Command-line entry point wiring the full pipeline.
 
-Verbs: prepare, synth, train, eval, ablate, gradcheck, report. Every run
-writes a manifest (resolved config, artifact hashes) into its output
-directory. A training run's manifest is its only record: `train --manifest`
-re-runs the training and reproduces its checkpoint bitwise, and `eval`
-rebuilds the model from the manifest beside the checkpoint.
+Verbs: prepare, synth, train, eval, ablate, gradcheck, report. Each verb
+reads the config keys :data:`config.KEYS` gives it, and any other key is a
+config error. Every run writes a manifest (the text of every key the verb
+read, defaults included, and artifact hashes) into its output directory. A
+training run's manifest is its only record: `train --manifest` re-runs the
+training and reproduces its checkpoint bitwise, and `eval` rebuilds the
+model from the manifest beside the checkpoint.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 """
@@ -26,7 +28,7 @@ from .autodiff import AutodiffError, CheckpointError, file_sha256, load_arrays, 
 from .config import ConfigError
 from .encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig, encode_texts
 from .encoders.text import Vocabulary
-from .fusion import FusionModelConfig, InputMask, MultimodalModel
+from .fusion import FusionModelConfig, MultimodalModel
 from .gradcheck_suite import run_suite
 from .training import ModelData, TextOnlyModel, TrainConfig, score_dataset, train
 
@@ -36,6 +38,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 ABLATION_MASKS = ("TT", "TT,IT", "I", "TT,IT,I")
+REPORT_METRICS = ("f1_at_half", "max_f1", "auc", "balanced_accuracy")
 
 
 class DataError(Exception):
@@ -86,65 +89,74 @@ def load_manifest_config(path, error=ConfigError):
 # ---------------------------------------------------------------------------
 # model construction from config
 
-
-def build_text_config(cfg):
-    return TextEncoderConfig(
-        embedding_dim=cfgmod.get_int(cfg, "model.embedding_dim", 16),
-        hidden_dim=cfgmod.get_int(cfg, "model.hidden_dim", 32),
-    )
+# the keys of a train manifest that eval rebuilds the model from
+_RUN_KEYS = [name for name, key in cfgmod.KEYS.items() if {"train", "eval"} <= set(key.verbs)]
 
 
-def build_model_config(cfg):
-    channels = cfgmod.get_ints(cfg, "model.backbone_channels", "8,16")
-    image_side = cfgmod.get_int(cfg, "model.image_side", 16)
-    backbone = VisionBackboneConfig(input_side=image_side, channels=channels)
-    text = build_text_config(cfg)
-    fusion = FusionModelConfig(
-        variant=cfgmod.get_str(cfg, "model.variant", "TKM"),
-        visual_dim=backbone.map_channels,
-        map_side=backbone.map_side,
-        hidden_dim=text.hidden_dim,
-        tweet_kernels=cfgmod.get_int(cfg, "model.tweet_kernels", 4),
-        imgtext_kernels=cfgmod.get_int(cfg, "model.imgtext_kernels", 2),
-        fc_plan=cfgmod.get_ints(cfg, "model.fc_plan", "32,16,2"),
-        fusion_channels=cfgmod.get_int(cfg, "model.fusion_channels", 16),
-        dropout_rate=cfgmod.get_float(cfg, "model.dropout_rate", 0.5),
-    )
-    return backbone, fusion, text
+def _model_spec(values):
+    """``(mask, text, backbone, fusion)``: the configs of the model ``values`` name.
 
-
-def model_mask(cfg):
-    """The inputs ``train.mask`` names: all of them by default, tweet text for the LSTM."""
-    lstm = cfgmod.get_str(cfg, "model.variant", "TKM") == "LSTM"
-    with _reraise(ConfigError):
-        return InputMask.parse(cfgmod.get_str(cfg, "train.mask", "TT" if lstm else "TT,IT,I"))
-
-
-def build_model(cfg, vocab_size):
-    """The configured model; ``model.variant=LSTM`` is the text-only baseline.
-
-    ``train.mask`` picks the inputs the model reads (see :func:`model_mask`);
-    the LSTM reads nothing but tweet text.
+    ``values`` are typed, as :func:`config.resolve` gives them. The LSTM
+    baseline has no backbone or fusion config. Every fault is a ConfigError,
+    raised before any weight is drawn.
     """
-    seed = cfgmod.get_seed(cfg, "model.seed", 0)
-    lstm = cfgmod.get_str(cfg, "model.variant", "TKM") == "LSTM"
-    mask = model_mask(cfg)
+    variant, mask = values["model.variant"], values["train.mask"]
+    if variant == "LSTM" and mask.label() != "TT":
+        raise ConfigError(f"model.variant=LSTM reads tweet text only, not {mask.label()}")
+    if variant == "TKM" and not (mask.tweet_text or mask.image_text):
+        # the kernels come from the texts: without one the model scores every example alike
+        raise ConfigError(f"model.variant=TKM makes its kernels from TT or IT, not {mask.label()}")
     with _reraise(ConfigError):
-        if lstm:
-            if mask.label() != "TT":
-                raise ConfigError(f"model.variant=LSTM reads tweet text only, not {mask.label()}")
+        text = TextEncoderConfig(
+            embedding_dim=values["model.embedding_dim"], hidden_dim=values["model.hidden_dim"]
+        )
+        if variant == "LSTM":
+            return mask, text, None, None
+        backbone = VisionBackboneConfig(
+            input_side=values["model.image_side"], channels=values["model.backbone_channels"]
+        )
+        fusion = FusionModelConfig(
+            variant=variant,
+            visual_dim=backbone.map_channels,
+            map_side=backbone.map_side,
+            hidden_dim=text.hidden_dim,
+            tweet_kernels=values["model.tweet_kernels"],
+            imgtext_kernels=values["model.imgtext_kernels"],
+            fc_plan=values["model.fc_plan"],
+            fusion_channels=values["model.fusion_channels"],
+            dropout_rate=values["model.dropout_rate"],
+        )
+    return mask, text, backbone, fusion
+
+
+def _build(values):
+    """The model the typed ``values`` name, for ``train.vocab_size`` tokens."""
+    mask, text, backbone, fusion = _model_spec(values)
+    seed, vocab_size = values["model.seed"], values["train.vocab_size"]
+    with _reraise(ConfigError):
+        if fusion is None:
             rng = np.random.default_rng(seed)
-            return TextOnlyModel(TextEncoder(vocab_size, build_text_config(cfg), rng), rng)
-        backbone, fusion, text = build_model_config(cfg)
+            return TextOnlyModel(TextEncoder(vocab_size, text, rng), rng)
         return MultimodalModel(
             vocab_size,
             fusion,
             backbone_config=backbone,
             text_config=text,
             seed=seed,
-            share_text_encoder=cfgmod.get_bool(cfg, "model.share_text_encoder", True),
+            share_text_encoder=values["model.share_text_encoder"],
             mask=mask,
         )
+
+
+def build_model(cfg, vocab_size):
+    """The model the string config ``cfg`` names, read as ``train`` reads it.
+
+    ``model.variant=LSTM`` is the text-only baseline. ``train.mask`` picks
+    the inputs the model reads; the LSTM reads nothing but tweet text, and a
+    TKM needs one text at least.
+    """
+    _, values = cfgmod.resolve({**cfg, "train.vocab_size": str(vocab_size)}, "train")
+    return _build(values)
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +164,11 @@ def build_model(cfg, vocab_size):
 
 
 def _parse_image_ref(image_dir, ref):
-    """Split ``file.npy#row`` into (file, row); a plain ``file.npy`` has row None."""
+    """Split ``file.npy#row`` into (file, row)."""
     name, hashmark, row = ref.partition("#")
     if not name or name.startswith("/") or ".." in name.split("/"):
         raise DataError(f"image ref {ref!r} must name a file inside {image_dir}")
-    if not hashmark:
-        return name, None
-    if not (row.isascii() and row.isdigit()):
+    if not (hashmark and row.isascii() and row.isdigit()):
         raise DataError(f"{image_dir / name}: image ref {ref!r} needs a decimal row after '#'")
     return name, int(row)
 
@@ -180,11 +190,10 @@ def _read_image_file(path):
 def _load_images(image_dir, refs):
     """The images a non-empty list of ``refs`` names, as one (len(refs), S, S, 3) array.
 
-    A ref is ``file.npy#row``, row ``row`` of an (N, S, S, 3) array, or a
-    plain ``file.npy`` holding one (S, S, 3) image; files lie inside
-    ``image_dir``. Each file is loaded once. When the refs are rows 0..N-1
-    of one file in order, as ``synth`` writes a split, the result is that
-    array as loaded, not a copy.
+    A ref is ``file.npy#row``, row ``row`` of an (N, S, S, 3) array in a file
+    inside ``image_dir``. Each file is loaded once. When the refs are rows
+    0..N-1 of one file in order, as ``synth`` writes a split, the result is
+    that array as loaded, not a copy.
     """
     parsed = [_parse_image_ref(image_dir, ref) for ref in refs]
     arrays = {}
@@ -192,20 +201,18 @@ def _load_images(image_dir, refs):
         if name not in arrays:
             arrays[name] = _read_image_file(image_dir / name)
         shape = arrays[name].shape
-        ndim = 3 if row is None else 4
-        if len(shape) != ndim or shape[-1] != 3 or shape[-2] != shape[-3] or shape[-2] == 0:
-            expected = "(S, S, 3)" if row is None else "(N, S, S, 3)"
+        if len(shape) != 4 or shape[-1] != 3 or shape[-2] != shape[-3] or shape[-2] == 0:
             raise DataError(
-                f"{image_dir / name}: image ref {ref!r} needs shape {expected}, not {shape}"
+                f"{image_dir / name}: image ref {ref!r} needs shape (N, S, S, 3), not {shape}"
             )
-        if row is not None and row >= shape[0]:
+        if row >= shape[0]:
             raise DataError(f"{image_dir / name}: image ref {ref!r} is past its {shape[0]} rows")
     first = next(iter(arrays.values()))
     if len(arrays) == 1 and [row for _, row in parsed] == list(range(len(first))):
         images = first
     else:
         with _reraise(DataError, f"{image_dir}: images of different sizes: "):
-            images = np.stack([arrays[n] if row is None else arrays[n][row] for n, row in parsed])
+            images = np.stack([arrays[name][row] for name, row in parsed])
     if images.dtype.kind == "f":
         finite = np.isfinite(images).all(axis=(1, 2, 3))
         if not finite.all():
@@ -272,16 +279,15 @@ def _make_out_dir(path):
 
 def cmd_prepare(args, cfg):
     out = _make_out_dir(args.out)
-    records, diagnostics = dataset.import_corpus(args.corpus)
+    texts, values = cfgmod.resolve(cfg, "prepare")
     with _reraise(ConfigError):
         rules = dataset.FilterRuleSet(
-            min_word_count=cfgmod.get_int(cfg, "dataset.min_word_count", 3),
-            banned_terms=cfgmod.get_strs(cfg, "dataset.banned_terms", ""),
-            keyword_list=cfgmod.get_strs(cfg, "dataset.keywords", ""),
-            text_probability_threshold=cfgmod.get_float(
-                cfg, "dataset.text_probability_threshold", 0.3
-            ),
+            min_word_count=values["dataset.min_word_count"],
+            banned_terms=values["dataset.banned_terms"],
+            keyword_list=values["dataset.keywords"],
+            text_probability_threshold=values["dataset.text_probability_threshold"],
         )
+    records, diagnostics = dataset.import_corpus(args.corpus)
     kept, filter_log = [], []
     for record in records:
         reason = dataset.filter_tweet(record, rules)
@@ -294,15 +300,14 @@ def cmd_prepare(args, cfg):
             continue
         kept.append(record)
 
-    min_duration = cfgmod.get_float(cfg, "dataset.min_duration", 3.0)
     with _reraise(DataError, f"{args.corpus}: "):
-        examples, unlabelable = dataset.label_corpus(kept, min_duration=min_duration)
-    seed = cfgmod.get_seed(cfg, "dataset.seed", 0)
-    val_size = cfgmod.get_int(cfg, "dataset.val_size", 0)
-    test_size = cfgmod.get_int(cfg, "dataset.test_size", 0)
+        examples, unlabelable = dataset.label_corpus(
+            kept, min_duration=values["dataset.min_duration"]
+        )
+    val_size, test_size = values["dataset.val_size"], values["dataset.test_size"]
     if val_size or test_size:
         with _reraise(DataError):
-            dataset.build_splits(examples, val_size, test_size, seed)
+            dataset.build_splits(examples, val_size, test_size, values["dataset.seed"])
     else:
         for ex in examples:
             ex.split = "train"
@@ -330,7 +335,7 @@ def cmd_prepare(args, cfg):
         counts[ex.category] = counts.get(ex.category, 0) + 1
     if counts:
         dataset.write_class_distribution_csv(counts, out / "class_distribution.csv")
-    write_manifest(out, "prepare", cfg, sorted(str(p) for p in out.iterdir() if p.is_file()))
+    write_manifest(out, "prepare", texts, sorted(str(p) for p in out.iterdir() if p.is_file()))
     print(
         f"prepare: {len(records)} records in, {len(kept)} kept, "
         f"{len(examples)} labeled, {len(diagnostics)} malformed lines"
@@ -341,16 +346,17 @@ def cmd_prepare(args, cfg):
 def cmd_synth(args, cfg):
     out = _make_out_dir(args.out)
     _make_out_dir(out / "images")
+    texts, values = cfgmod.resolve(cfg, "synth")
     with _reraise(ConfigError):
         spec = synth.SynthSpec(
-            mode=cfgmod.get_str(cfg, "synth.mode", "crossmodal_xor"),
-            n_train=cfgmod.get_int(cfg, "synth.n_train", 8000),
-            n_val=cfgmod.get_int(cfg, "synth.n_val", 1000),
-            n_test=cfgmod.get_int(cfg, "synth.n_test", 2000),
-            noise_rate=cfgmod.get_float(cfg, "synth.noise_rate", 0.0),
-            multimodal_fraction=cfgmod.get_float(cfg, "synth.multimodal_fraction", 1.0),
-            image_side=cfgmod.get_int(cfg, "synth.image_side", 16),
-            seed=cfgmod.get_seed(cfg, "synth.seed", 0),
+            mode=values["synth.mode"],
+            n_train=values["synth.n_train"],
+            n_val=values["synth.n_val"],
+            n_test=values["synth.n_test"],
+            noise_rate=values["synth.noise_rate"],
+            multimodal_fraction=values["synth.multimodal_fraction"],
+            image_side=values["synth.image_side"],
+            seed=values["synth.seed"],
         )
     splits = synth.generate(spec)
     vocab = synth.build_vocabulary()
@@ -360,39 +366,57 @@ def cmd_synth(args, cfg):
         records = synth.to_records(generated, split, image_dir=str(out / "images"))
         dataset.export_corpus(records, out / f"{split}.jsonl")
         artifacts += [out / f"{split}.jsonl", out / "images" / f"{split}.npy"]
-    write_manifest(out, "synth", cfg, [str(p) for p in artifacts])
+    write_manifest(out, "synth", texts, [str(p) for p in artifacts])
     print(f"synth: wrote {', '.join(f'{len(v)} {k}' for k, v in splits.items())} to {out}")
     return EXIT_OK
 
 
-def cmd_train(args, cfg):
-    if args.manifest:
-        cfg = {**load_manifest_config(args.manifest), **cfg}
-    out = _make_out_dir(args.out)
-    vocab, splits = load_data_dir(args.data, ("train", "val"))
-    images = splits["train"].images
-    if images.size:
-        cfg.setdefault("model.image_side", str(images.shape[1]))
-    model = build_model(cfg, len(vocab))
-    with _reraise(ConfigError):
-        train_config = TrainConfig(
-            learning_rate=cfgmod.get_float(cfg, "train.lr", 1e-4),
-            batch_size=cfgmod.get_int(cfg, "train.batch_size", 32),
-            epochs=cfgmod.get_int(cfg, "train.epochs", 3),
-            seed=cfgmod.get_seed(cfg, "train.seed", 0),
-            class_weight_mode=cfgmod.get_str(cfg, "train.class_weight_mode", "balanced"),
-            eval_every=cfgmod.get_int(cfg, "train.eval_every", 0),
+def _check_vocab(data_dir, vocab, trained):
+    if len(vocab) != trained:  # the token ids would index another embedding table
+        raise DataError(
+            f"{Path(data_dir) / 'vocab.txt'} holds {len(vocab)} tokens, "
+            f"the model was trained on {trained}"
         )
+
+
+def _resolve_on_data(cfg, verb, data_dir, vocab, train_split):
+    """``verb``'s texts and values; the data gives the vocabulary size and image side.
+
+    ``train.vocab_size`` is the size of ``vocab`` unless ``cfg`` sets it, and
+    then it must be that size. ``model.image_side`` is the side of the
+    training images, when there are any, unless ``cfg`` sets it.
+    """
+    found = {"train.vocab_size": str(len(vocab))}
+    if train_split.images.size:
+        found["model.image_side"] = str(train_split.images.shape[1])
+    texts, values = cfgmod.resolve({**found, **cfg}, verb)
+    _check_vocab(data_dir, vocab, values["train.vocab_size"])
+    return texts, values
+
+
+def _train_config(values):
+    with _reraise(ConfigError):
+        return TrainConfig(
+            learning_rate=values["train.lr"],
+            batch_size=values["train.batch_size"],
+            epochs=values["train.epochs"],
+            seed=values["train.seed"],
+            class_weight_mode=values["train.class_weight_mode"],
+            eval_every=values["train.eval_every"],
+        )
+
+
+def _fit(out, data_dir, texts, values, splits):
+    """Train the model ``values`` name; write its checkpoint, history and manifest to ``out``."""
+    model = _build(values)
+    train_config = _train_config(values)
     # an empty or single-class split, or images of another size than the model's
-    with _reraise(DataError, f"{args.data}: "):
+    with _reraise(DataError, f"{data_dir}: "):
         best, history = train(model, splits["train"], splits["val"], train_config)
     checkpoint = out / "checkpoint.mfuse"
     save_arrays(checkpoint, best)
     history.write_csv(out / "history.csv")
-    resolved = dict(cfg)
-    resolved.setdefault("model.variant", "TKM")
-    resolved["train.vocab_size"] = str(len(vocab))
-    write_manifest(out, "train", resolved, [str(checkpoint), str(out / "history.csv")])
+    write_manifest(out, "train", texts, [str(checkpoint), str(out / "history.csv")])
     if history.diverged:
         print(f"train: diverged ({history.diverged}); kept last finite checkpoint", file=sys.stderr)
         return EXIT_NUMERIC
@@ -403,67 +427,68 @@ def cmd_train(args, cfg):
     return EXIT_OK
 
 
-def _restore_model(checkpoint_path, cfg):
-    """The model at ``checkpoint_path``, built from its train manifest's keys under ``cfg``.
+def cmd_train(args, cfg):
+    if args.manifest:
+        cfg = {**load_manifest_config(args.manifest), **cfg}
+    out = _make_out_dir(args.out)
+    vocab, splits = load_data_dir(args.data, ("train", "val"))
+    texts, values = _resolve_on_data(cfg, "train", args.data, vocab, splits["train"])
+    return _fit(out, args.data, texts, values, splits)
 
-    A damaged key in the manifest is a data error naming it; a bad override in
-    ``cfg`` stays a config error.
+
+def _restore_model(checkpoint_path, cfg):
+    """The model at ``checkpoint_path``, with the texts and values of eval's keys.
+
+    The model is rebuilt from the keys of the train manifest beside the
+    checkpoint, which must hold every key it is built from, under the
+    overrides ``cfg``. The manifest's keys are resolved first: a fault there
+    is a data error naming the file. A fault in ``cfg`` is a config error.
     """
     if not Path(checkpoint_path).exists():
         raise DataError(f"missing checkpoint {checkpoint_path}")
     path = Path(checkpoint_path).parent / "manifest.json"
-    manifest = load_manifest_config(path, DataError)
-    stored = {k: v for k, v in manifest.items() if k.startswith(("model.", "train."))}
-
-    def build(keys):
-        return build_model(keys, cfgmod.get_int(keys, "train.vocab_size"))
-
+    stored = load_manifest_config(path, DataError)
+    # keys of other verbs, such as train.lr, do not reach eval; unknown keys fail
+    recorded = {k: v for k, v in stored.items() if k in _RUN_KEYS or k not in cfgmod.KEYS}
     try:
-        trained = model_mask(stored)
+        missing = [name for name in _RUN_KEYS if name not in recorded]
+        if missing:
+            raise ConfigError(f"missing key {missing[0]}")
+        _, trained = cfgmod.resolve(recorded, "eval")
+        _model_spec(trained)
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from None
-    merged = {**stored, **cfg}
+    texts, values = cfgmod.resolve({**recorded, **cfg}, "eval")
     # another mask would score the model with zeros in place of inputs it learned from
-    if "train.mask" in cfg and model_mask(merged) != trained:
+    if values["train.mask"] != trained["train.mask"]:
         raise ConfigError(
-            f"train.mask={cfg['train.mask']} differs from the model's train.mask={trained.label()}"
+            f"train.mask={texts['train.mask']} differs from the model's "
+            f"train.mask={trained['train.mask'].label()}"
         )
-    try:
-        model = build(merged)
-    except ConfigError:
-        try:  # the override is at fault only if the manifest's own keys build
-            build(stored)
-        except ConfigError as stored_exc:
-            raise DataError(f"{path}: {stored_exc}") from None
-        raise
+    model = _build(values)
     arrays = load_arrays(checkpoint_path)
     try:
         model.load_state_dict(arrays)
     except CheckpointError as exc:
         raise CheckpointError(f"{checkpoint_path} does not fit the model config: {exc}") from None
-    return model, merged
+    return model, texts, values
 
 
 def cmd_eval(args, cfg):
     out = _make_out_dir(args.out)
-    model, cfg = _restore_model(args.checkpoint, cfg)
+    model, texts, values = _restore_model(args.checkpoint, cfg)
     vocab, splits = load_data_dir(args.data, (args.split,))
-    trained = cfgmod.get_int(cfg, "train.vocab_size")
-    if len(vocab) != trained:  # the token ids would index another embedding table
-        raise DataError(
-            f"{Path(args.data) / 'vocab.txt'} holds {len(vocab)} tokens, "
-            f"the model was trained on {trained}"
-        )
+    _check_vocab(args.data, vocab, values["train.vocab_size"])
     with _reraise(DataError, f"{args.data}: "):  # images of another size than the model's
         scored = score_dataset(model, splits[args.split])
     try:
         report = evaluation.evaluate(scored)
     except evaluation.MetricError as exc:  # a split with one class only
         raise DataError(f"{args.data}: {args.split} split: {exc}") from None
-    name = cfgmod.get_str(cfg, "eval.name", cfgmod.get_str(cfg, "model.variant", "TKM"))
+    name = values["eval.name"]
     with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["model", "inputs", "f1_at_half", "max_f1", "auc", "balanced_accuracy"])
+        writer.writerow(["model", "inputs", *REPORT_METRICS])
         writer.writerow(
             [name, model.mask.label(), repr(report.f1_at_half), repr(report.max_f1),
              repr(report.auc), repr(report.balanced_accuracy)]
@@ -471,7 +496,7 @@ def cmd_eval(args, cfg):
     evaluation.write_curve_csv(report.pr_points, out / "pr_curve.csv")
     evaluation.write_curve_csv(report.roc_points, out / "roc_curve.csv")
     write_manifest(
-        out, "eval", cfg,
+        out, "eval", texts,
         [str(out / n) for n in ("report.csv", "pr_curve.csv", "roc_curve.csv")],
     )
     print(
@@ -482,13 +507,31 @@ def cmd_eval(args, cfg):
 
 
 def _read_report_rows(paths):
+    """The rows of the ``report.csv`` files at ``paths``; a fault is a DataError naming the file.
+
+    Each row names a model, and each metric is a number in [0, 1].
+    """
     rows = []
     for path in paths:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            for name, inputs, f1_half, max_f1, auc, bacc in reader:
-                rows.append((name, inputs, float(f1_half), float(max_f1), float(auc), float(bacc)))
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                next(reader, None)
+                for row in reader:
+                    where = f"line {reader.line_num}"
+                    if len(row) != 2 + len(REPORT_METRICS):
+                        raise ValueError(f"{where} has {len(row)} fields")
+                    if not row[0]:
+                        raise ValueError(f"{where} names no model")
+                    metrics = [float(text) for text in row[2:]]
+                    for column, value in zip(REPORT_METRICS, metrics):
+                        if not 0.0 <= value <= 1.0:  # also refuses nan
+                            raise ValueError(f"{where}: {column} {value} is not in [0, 1]")
+                    rows.append((row[0], row[1], *metrics))
+        except OSError as exc:  # missing, a directory, unreadable
+            raise DataError(f"cannot read report {path}: {exc.strerror or exc}") from None
+        except (ValueError, csv.Error) as exc:  # not UTF-8, not a number, a short row
+            raise DataError(f"{path}: malformed report: {exc}") from None
     return rows
 
 
@@ -505,45 +548,47 @@ def _write_results(rows, out):
 
 def cmd_report(args, cfg):
     out = _make_out_dir(args.out)
-    with _reraise(DataError, "malformed report: "):  # a short row, a non-number, an empty name
-        rows = _read_report_rows(args.reports)
-        if not rows:
-            raise DataError("no report rows found")
-        _write_results(rows, out)
-    write_manifest(out, "report", cfg, [str(out / "results.csv"), str(out / "results.txt")])
+    rows = _read_report_rows(args.reports)
+    if not rows:
+        raise DataError("no report rows found")
+    _write_results(rows, out)
+    write_manifest(out, "report", {}, [str(out / "results.csv"), str(out / "results.txt")])
     return EXIT_OK
 
 
 def cmd_ablate(args, cfg):
     out = _make_out_dir(args.out)
-    cfg = dict(cfg)
-    cfg.setdefault("model.variant", "FCM")
+    vocab, splits = load_data_dir(args.data, ("train", "val"))
+    texts, _ = _resolve_on_data(cfg, "ablate", args.data, vocab, splits["train"])
+    arms = []
+    for mask_text in ABLATION_MASKS:  # every arm's config is checked before the first one trains
+        arm_texts, arm_values = cfgmod.resolve({**texts, "train.mask": mask_text}, "train")
+        _model_spec(arm_values)
+        _train_config(arm_values)
+        arms.append((out / ("arm_" + mask_text.replace(",", "_")), arm_texts, arm_values))
     report_paths = []
-    for mask_text in ABLATION_MASKS:
-        arm = out / ("arm_" + mask_text.replace(",", "_"))  # cmd_train makes it
-        arm_cfg = {**cfg, "train.mask": mask_text}
-        train_args = argparse.Namespace(data=args.data, out=str(arm), manifest=None)
-        status = cmd_train(train_args, dict(arm_cfg))
+    for arm, arm_texts, arm_values in arms:
+        status = _fit(_make_out_dir(arm), args.data, arm_texts, arm_values, splits)
         if status != EXIT_OK:
             return status
         eval_args = argparse.Namespace(  # not arm itself: its manifest.json is the train record
             checkpoint=str(arm / "checkpoint.mfuse"), data=args.data, split="test",
             out=str(arm / "eval"),
         )
-        status = cmd_eval(eval_args, {**arm_cfg, "eval.name": cfg["model.variant"]})
+        status = cmd_eval(eval_args, {})
         if status != EXIT_OK:
             return status
         report_paths.append(arm / "eval" / "report.csv")
     rows = _read_report_rows(report_paths)
     _write_results(rows, out)
-    write_manifest(out, "ablate", cfg, [str(out / "results.csv"), str(out / "results.txt")])
+    write_manifest(out, "ablate", texts, [str(out / "results.csv"), str(out / "results.txt")])
     return EXIT_OK
 
 
 def cmd_gradcheck(args, cfg):
-    seed = cfgmod.get_seed(cfg, "gradcheck.seed", 0)
+    texts, values = cfgmod.resolve(cfg, "gradcheck")
     out = _make_out_dir(args.out) if args.out else None
-    results = run_suite(seed=seed)
+    results = run_suite(seed=values["gradcheck.seed"])
     failures = 0
     for name, err, ok in results:
         print(f"{'PASS' if ok else 'FAIL'} {name} max_rel_err={err:.3e}")
@@ -554,7 +599,7 @@ def cmd_gradcheck(args, cfg):
             fh.write("check,max_rel_error,passed\n")
             for name, err, ok in results:
                 fh.write(f"{name},{err!r},{int(ok)}\n")
-        write_manifest(out, "gradcheck", cfg, [str(out / "gradcheck.csv")])
+        write_manifest(out, "gradcheck", texts, [str(out / "gradcheck.csv")])
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
@@ -624,6 +669,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = cfgmod.load_config(getattr(args, "config", None), getattr(args, "overrides", []))
+        cfgmod.check_keys(cfg, args.verb)
         return COMMANDS[args.verb](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,13 +1,19 @@
-"""Flat key=value configuration with dotted namespaces.
+"""Flat key=value configuration with dotted namespaces, and the table of keys.
 
 Files hold one ``section.key = value`` pair per line; ``#`` starts a comment.
 Command-line overrides use the same syntax and win over file values. Values
-stay strings until a typed getter pulls them out.
+stay strings until :func:`resolve` reads a verb's keys through :data:`KEYS`,
+the one place where a key's parser, default and verbs are written.
 """
 
 from __future__ import annotations
 
+import difflib
 import io
+from dataclasses import dataclass
+from typing import Callable
+
+from .fusion import InputMask
 
 
 class ConfigError(Exception):
@@ -44,52 +50,177 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
-def get_str(cfg, key, default=None):
-    value = cfg.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing required config key {key}")
-    return str(value)
+# ---------------------------------------------------------------------------
+# parsers: text -> value, a ValueError saying what the text must be
 
 
-def get_int(cfg, key, default=None):
+def _int(text):
     try:
-        return int(get_str(cfg, key, None if default is None else str(default)))
+        return int(text)
     except ValueError:
-        raise ConfigError(f"config key {key} must be an integer, got {cfg[key]!r}")
+        raise ValueError(f"must be an integer, got {text!r}") from None
 
 
-def get_float(cfg, key, default=None):
+def _at_least(least, what):
+    def parse(text):
+        value = _int(text)
+        if value < least:
+            raise ValueError(f"must be {what}, got {value}")
+        return value
+
+    return parse
+
+
+def _float(text):
     try:
-        return float(get_str(cfg, key, None if default is None else str(default)))
+        return float(text)
     except ValueError:
-        raise ConfigError(f"config key {key} must be a float, got {cfg[key]!r}")
+        raise ValueError(f"must be a number, got {text!r}") from None
 
 
-def get_bool(cfg, key, default=None):
-    text = get_str(cfg, key, None if default is None else str(default)).lower()
-    if text in ("1", "true", "yes", "on"):
+def _bool(text):
+    if text.lower() in ("1", "true", "yes", "on"):
         return True
-    if text in ("0", "false", "no", "off"):
+    if text.lower() in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"config key {key} must be a boolean, got {cfg[key]!r}")
+    raise ValueError(f"must be a boolean, got {text!r}")
 
 
-def get_ints(cfg, key, default=None):
-    text = get_str(cfg, key, default)
+def _ints(text):
     try:
         return tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
-        raise ConfigError(f"config key {key} must be comma-separated integers, got {text!r}")
+        raise ValueError(f"must be comma-separated integers, got {text!r}") from None
 
 
-def get_strs(cfg, key, default=""):
-    text = get_str(cfg, key, default)
+def _strs(text):
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-def get_seed(cfg, key, default=0):
-    """The seed at ``key``, or ``default`` when the config is silent; never negative."""
-    seed = get_int(cfg, key, default)
-    if seed < 0:
-        raise ConfigError(f"{key} must be a non-negative integer, got {seed}")
-    return seed
+def _mask(text):
+    try:
+        return InputMask.parse(text)
+    except ValueError:
+        raise ValueError(f"must name one or more of TT, IT and I, got {text!r}") from None
+
+
+_seed = _at_least(0, "a non-negative integer")
+
+
+# ---------------------------------------------------------------------------
+# defaults that depend on the verb or on keys read before them; each
+# docstring is the key's default as README's table of keys gives it
+
+
+def _variant_default(values, verb):
+    """`TKM`; `FCM` for ablate"""
+    return "FCM" if verb == "ablate" else "TKM"
+
+
+def _mask_default(values, verb):
+    """`TT,IT,I`; `TT` for the LSTM"""
+    return "TT" if values["model.variant"] == "LSTM" else "TT,IT,I"
+
+
+def _name_default(values, verb):
+    """the `model.variant`"""
+    return values["model.variant"]
+
+
+@dataclass(frozen=True)
+class Key:
+    """How the verbs that read a key parse its text and what they read when it is not set.
+
+    ``parse`` turns the text into a value or raises ValueError. ``default``
+    is a text; or a function of the values read so far and the verb that
+    returns one; or None, when the verb must be given the key.
+    """
+
+    parse: Callable
+    default: object
+    verbs: tuple
+
+
+_MODEL = ("train", "eval", "ablate")
+_TRAIN = ("train", "ablate")
+
+# Every key any verb reads, in the order a verb reads them.
+KEYS = {
+    "model.variant": Key(str, _variant_default, _MODEL),
+    "model.image_side": Key(_int, "16", _MODEL),
+    "model.backbone_channels": Key(_ints, "8,16", _MODEL),
+    "model.embedding_dim": Key(_int, "16", _MODEL),
+    "model.hidden_dim": Key(_int, "32", _MODEL),
+    "model.tweet_kernels": Key(_int, "4", _MODEL),
+    "model.imgtext_kernels": Key(_int, "2", _MODEL),
+    "model.fc_plan": Key(_ints, "32,16,2", _MODEL),
+    "model.fusion_channels": Key(_int, "16", _MODEL),
+    "model.dropout_rate": Key(_float, "0.5", _MODEL),
+    "model.share_text_encoder": Key(_bool, "true", _MODEL),
+    "model.seed": Key(_seed, "0", _MODEL),
+    "train.mask": Key(_mask, _mask_default, ("train", "eval")),
+    "train.vocab_size": Key(_at_least(1, "a positive integer"), None, _MODEL),
+    "train.lr": Key(_float, "1e-4", _TRAIN),
+    "train.batch_size": Key(_int, "32", _TRAIN),
+    "train.epochs": Key(_int, "3", _TRAIN),
+    "train.seed": Key(_seed, "0", _TRAIN),
+    "train.class_weight_mode": Key(str, "balanced", _TRAIN),
+    "train.eval_every": Key(_int, "0", _TRAIN),
+    "eval.name": Key(str, _name_default, ("eval",)),
+    "synth.mode": Key(str, "crossmodal_xor", ("synth",)),
+    "synth.n_train": Key(_int, "8000", ("synth",)),
+    "synth.n_val": Key(_int, "1000", ("synth",)),
+    "synth.n_test": Key(_int, "2000", ("synth",)),
+    "synth.noise_rate": Key(_float, "0.0", ("synth",)),
+    "synth.multimodal_fraction": Key(_float, "1.0", ("synth",)),
+    "synth.image_side": Key(_int, "16", ("synth",)),
+    "synth.seed": Key(_seed, "0", ("synth",)),
+    "dataset.min_word_count": Key(_int, "3", ("prepare",)),
+    "dataset.banned_terms": Key(_strs, "", ("prepare",)),
+    "dataset.keywords": Key(_strs, "", ("prepare",)),
+    "dataset.text_probability_threshold": Key(_float, "0.3", ("prepare",)),
+    "dataset.min_duration": Key(_float, "3.0", ("prepare",)),
+    "dataset.seed": Key(_seed, "0", ("prepare",)),
+    "dataset.val_size": Key(_int, "0", ("prepare",)),
+    "dataset.test_size": Key(_int, "0", ("prepare",)),
+    "gradcheck.seed": Key(_seed, "0", ("gradcheck",)),
+}
+
+
+def check_keys(cfg, verb):
+    """Raise a ConfigError at the first key of ``cfg`` that ``verb`` does not read.
+
+    The message names the closest known key to one that no verb reads, and
+    the verbs that read one that ``verb`` does not.
+    """
+    for key in cfg:
+        if key not in KEYS:
+            hint = "".join(f"; did you mean {c}?" for c in difflib.get_close_matches(key, KEYS, n=1))
+            raise ConfigError(f"unknown key {key!r}{hint}")
+        if verb not in KEYS[key].verbs:
+            raise ConfigError(f"{verb} does not read {key}, a key of {', '.join(KEYS[key].verbs)}")
+
+
+def resolve(cfg, verb):
+    """``(texts, values)``: the text and the parsed value of every key ``verb`` reads.
+
+    A key ``cfg`` does not set takes its default from :data:`KEYS`. A key
+    ``verb`` does not read, a missing required key and a text its parser
+    refuses raise a ConfigError.
+    """
+    check_keys(cfg, verb)
+    texts, values = {}, {}
+    for name, key in KEYS.items():
+        if verb not in key.verbs:
+            continue
+        text = cfg.get(name)
+        if text is None:
+            text = key.default(values, verb) if callable(key.default) else key.default
+        if text is None:
+            raise ConfigError(f"missing required config key {name}")
+        try:
+            values[name] = key.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{name} {exc}") from None
+        texts[name] = text
+    return texts, values

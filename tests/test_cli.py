@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from mmfuse import cli, dataset, gradcheck_suite, synth, training
 from mmfuse.autodiff import load_arrays, save_arrays
 from mmfuse.autodiff.tensor import _toposort
 from mmfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from mmfuse.config import KEYS, ConfigError, resolve
 
 FAST_TRAIN = [
     "--set", "train.epochs=1",
@@ -38,14 +40,6 @@ def set_image_refs(data, split, refs):
     for record, ref in zip(records, refs):
         record["image_ref"] = ref
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
-
-
-def write_one_image_files(data, split, images):
-    """Store ``images`` as one .npy file per record, the layout of a prepared corpus."""
-    refs = [f"{split}-{i:06d}.npy" for i in range(len(images))]
-    for ref, image in zip(refs, images):
-        np.save(data / "images" / ref, image)
-    set_image_refs(data, split, refs)
 
 
 @pytest.fixture(scope="module")
@@ -128,15 +122,6 @@ class TestLoadSplit:
         assert len(loaded) == 1
         assert splits["test"].images is loaded[0]
 
-    def test_one_image_files_still_load(self, data_dir, data_copy):
-        _, expected = cli.load_data_dir(data_dir)
-        for split in ("train", "val", "test"):
-            write_one_image_files(data_copy, split, expected[split].images)
-            (data_copy / "images" / f"{split}.npy").unlink(missing_ok=True)
-        _, splits = cli.load_data_dir(data_copy)
-        for split in ("train", "val", "test"):
-            assert splits[split].images.tobytes() == expected[split].images.tobytes()
-
     def test_refs_in_another_order_gather_their_rows(self, data_dir, data_copy):
         _, expected = cli.load_data_dir(data_dir, ("val",))
         set_image_refs(data_copy, "val", [f"val.npy#{i}" for i in reversed(range(40))])
@@ -177,6 +162,43 @@ class TestTrainVerb:
         first = json.loads((run_dir / "manifest.json").read_text())
         second = json.loads((rerun / "manifest.json").read_text())
         assert first["artifacts"]["checkpoint.mfuse"] == second["artifacts"]["checkpoint.mfuse"]
+
+    def test_manifest_lists_every_key_train_read(self, run_dir):
+        config = json.loads((run_dir / "manifest.json").read_text())["config"]
+        assert sorted(config) == sorted(name for name, key in KEYS.items() if "train" in key.verbs)
+        assert config["train.epochs"] == "1" and config["model.variant"] == "FCM"  # set
+        assert config["model.hidden_dim"] == "32" and config["train.mask"] == "TT,IT,I"  # defaults
+        assert config["train.vocab_size"] == "19" and config["model.image_side"] == "16"  # data
+
+    def test_replay_reads_no_default(self, data_dir, run_dir, tmp_path, monkeypatch):
+        others = {
+            "model.variant": "SCM", "model.hidden_dim": "8", "model.backbone_channels": "4",
+            "model.dropout_rate": "0.2", "model.seed": "5", "train.mask": "TT",
+            "train.lr": "0.5", "train.epochs": "2", "train.batch_size": "7", "train.seed": "9",
+        }
+        for name, default in others.items():
+            monkeypatch.setitem(KEYS, name, dataclasses.replace(KEYS[name], default=default))
+        assert resolve({"train.vocab_size": "19"}, "train")[0]["model.hidden_dim"] == "8"
+        rerun = tmp_path / "rerun"
+        rc = main([
+            "train", "--data", str(data_dir), "--out", str(rerun),
+            "--manifest", str(run_dir / "manifest.json"),
+        ])
+        assert rc == EXIT_OK
+        for name in ("checkpoint.mfuse", "history.csv", "manifest.json"):
+            assert (rerun / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_replay_on_another_vocabulary_exits_3(self, data_copy, run_dir, tmp_path):
+        with open(data_copy / "vocab.txt", "a") as fh:
+            fh.write("extra\n")
+        rc, err = run_main([
+            "train", "--data", str(data_copy), "--out", str(tmp_path / "o"),
+            "--manifest", str(run_dir / "manifest.json"),
+        ])
+        assert rc == EXIT_DATA
+        assert err == [
+            f"data error: {data_copy / 'vocab.txt'} holds 20 tokens, the model was trained on 19"
+        ]
 
     def test_replay_does_not_read_the_environment(self, data_dir, tmp_path, monkeypatch):
         first, second = tmp_path / "first", tmp_path / "second"
@@ -242,6 +264,8 @@ DAMAGED_MANIFESTS = {
     "unknown_variant": ("model.variant", "XYZ"),
     "non_integer_hidden_dim": ("model.hidden_dim", "x"),
     "unknown_mask": ("train.mask", "Q"),
+    "missing_hidden_dim": ("model.hidden_dim", None),
+    "unknown_key": ("model.hiden_dim", "32"),
 }
 
 # Each case is an eval --set override that cannot build the trained model.
@@ -305,6 +329,32 @@ class TestEvalAndReportVerbs:
         bad.write_text("model,inputs,f1_at_half,max_f1,auc,balanced_accuracy\nFCM,TT,0.5\n")
         rc = main(["report", str(bad), "--out", str(tmp_path / "out")])
         assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize("metric", ["inf", "nan", "-0.5", "1.5"])
+    def test_report_metric_outside_0_1_exits_3(self, metric, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "model,inputs,f1_at_half,max_f1,auc,balanced_accuracy\n"
+            f"FCM,TT,0.5,0.5,{metric},0.5\n"
+        )
+        out = tmp_path / "out"
+        rc, err = run_main(["report", str(bad), "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert err == [f"data error: {bad}: malformed report: line 2: auc {float(metric)} "
+                       "is not in [0, 1]"]
+        assert not (out / "results.txt").exists()
+
+    def test_report_row_without_a_name_exits_3(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("model,inputs,f1_at_half,max_f1,auc,balanced_accuracy\n,TT,0.5,0.5,0.5,0.5\n")
+        rc, err = run_main(["report", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert err == [f"data error: {bad}: malformed report: line 2 names no model"]
+
+    def test_report_on_a_directory_exits_3(self, tmp_path):
+        rc, err = run_main(["report", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert err == [f"data error: cannot read report {tmp_path}: Is a directory"]
 
     def test_other_mask_than_trained_is_config_error(self, data_dir, run_dir, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -426,18 +476,32 @@ class TestAblateVerb:
             assert evaluated["verb"] == "eval" and evaluated["config"]["eval.name"] == "FCM"
             assert (arm / "eval" / "report.csv").exists()
 
+    def test_tkm_exits_2_before_any_arm_trains(self, tiny_data):
+        data, root = tiny_data
+        out = root / "ablate_tkm"
+        rc, err = run_main(["ablate", "--data", str(data), "--out", str(out),
+                            "--set", "model.variant=TKM"])
+        assert rc == EXIT_CONFIG
+        assert err == ["config error: model.variant=TKM makes its kernels from TT or IT, not I"]
+        assert list(out.iterdir()) == []
+
 
 def train_images():
     return synth.to_model_data(synth.generate(DATA_SPEC)["train"], synth.build_vocabulary()).images
 
 
-def write_train_images(data, images, layout):
-    """Store the train split's images as one split array or as one file per record."""
-    if layout == "split":
-        np.save(data / "images" / "train.npy", images)
-        set_image_refs(data, "train", [f"train.npy#{i}" for i in range(len(images))])
-    else:
-        write_one_image_files(data, "train", images)
+def write_train_images(data, images, layout="split"):
+    """Store the train split's images as one array; returns the records' refs.
+
+    In the ``split`` layout record ``i`` is row ``i``, as ``synth`` writes it;
+    in the ``gathered`` layout the rows are stored in reverse, so loading
+    gathers them.
+    """
+    rows = range(len(images)) if layout == "split" else reversed(range(len(images)))
+    refs = [f"train.npy#{i}" for i in rows]
+    np.save(data / "images" / "train.npy", images if layout == "split" else images[::-1])
+    set_image_refs(data, "train", refs)
+    return refs
 
 
 def train_data_error(data, tmp_path, capsys):
@@ -583,34 +647,32 @@ class TestDataErrors:
         assert rc == EXIT_DATA
         assert capsys.readouterr().err.startswith("data error: ")
 
-    @pytest.mark.parametrize("layout", ["split", "files"])
+    @pytest.mark.parametrize("layout", ["split", "gathered"])
     @pytest.mark.parametrize("case", sorted(BAD_IMAGE_CONTENT))
     def test_bad_image_content_exits_3(self, case, layout, data_copy, tmp_path, capsys):
         edit, phrase = BAD_IMAGE_CONTENT[case]
-        write_train_images(data_copy, edit(train_images()), layout)
+        refs = write_train_images(data_copy, edit(train_images()), layout)
         err = train_data_error(data_copy, tmp_path, capsys)
         assert phrase in err
         if case == "nan_pixel":
-            assert ("train.npy#5" if layout == "split" else "train-000005.npy") in err
+            assert f"{refs[5]}: non-finite pixel" in err
 
     def test_mixed_image_sizes_exit_3(self, data_copy, tmp_path, capsys):
-        write_train_images(data_copy, train_images(), "split")
-        np.save(data_copy / "images" / "small.npy", np.zeros((8, 8, 3)))
-        set_image_refs(data_copy, "train", ["small.npy"] + [f"train.npy#{i}" for i in range(1, 96)])
+        refs = write_train_images(data_copy, train_images())
+        np.save(data_copy / "images" / "small.npy", np.zeros((1, 8, 8, 3)))
+        set_image_refs(data_copy, "train", ["small.npy#0"] + refs[1:])
         assert "different sizes" in train_data_error(data_copy, tmp_path, capsys)
 
     def test_directory_ref_exits_3(self, data_copy, tmp_path, capsys):
-        write_train_images(data_copy, train_images(), "files")
+        refs = write_train_images(data_copy, train_images())
         (data_copy / "images" / "folder.npy").mkdir()
-        refs = ["folder.npy"] + [f"train-{i:06d}.npy" for i in range(1, 96)]
-        set_image_refs(data_copy, "train", refs)
+        set_image_refs(data_copy, "train", ["folder.npy#0"] + refs[1:])
         err = train_data_error(data_copy, tmp_path, capsys)
         assert "folder.npy: cannot read image array" in err
 
     @pytest.mark.parametrize("ref", ["train.npy#", "train.npy#x1", "train.npy#-1", "train.npy#96"])
     def test_bad_row_exits_3(self, ref, data_copy, tmp_path, capsys):
-        write_train_images(data_copy, train_images(), "split")
-        refs = [f"train.npy#{i}" for i in range(96)]
+        refs = write_train_images(data_copy, train_images())
         refs[3] = ref
         set_image_refs(data_copy, "train", refs)
         assert f"image ref {ref!r}" in train_data_error(data_copy, tmp_path, capsys)
@@ -618,12 +680,12 @@ class TestDataErrors:
     @pytest.mark.parametrize("absolute", [False, True], ids=["dotdot", "absolute"])
     def test_ref_outside_images_exits_3(self, absolute, data_copy, tmp_path, capsys):
         images = train_images()
-        write_train_images(data_copy, images, "files")
+        refs = write_train_images(data_copy, images)
         outside = tmp_path / "other" / "images"
         outside.mkdir(parents=True)
-        np.save(outside / "x.npy", images[0])
-        ref = str(outside / "x.npy") if absolute else "../../other/images/x.npy"
-        set_image_refs(data_copy, "train", [ref] + [f"train-{i:06d}.npy" for i in range(1, 96)])
+        np.save(outside / "x.npy", images[:1])
+        ref = str(outside / "x.npy#0") if absolute else "../../other/images/x.npy#0"
+        set_image_refs(data_copy, "train", [ref] + refs[1:])
         assert "must name a file inside" in train_data_error(data_copy, tmp_path, capsys)
 
 
@@ -645,6 +707,11 @@ class TestLstmVariant:
         assert rc == EXIT_OK
         row = (out / "report.csv").read_text().splitlines()[1].split(",")
         assert row[:2] == ["LSTM", "TT"]
+
+    def test_tkm_without_text_is_refused(self):
+        with pytest.raises(ConfigError, match="^model.variant=TKM makes its kernels from TT or IT"):
+            cli.build_model({"model.variant": "TKM", "train.mask": "I"}, 19)
+        assert cli.build_model({"model.variant": "TKM", "train.mask": "IT,I"}, 19).mask.image_text
 
     def test_mask_beyond_tweet_text_is_config_error(self, data_dir, tmp_path):
         rc = main([
@@ -763,18 +830,12 @@ TINY_SYNTH = [
     "--set", "synth.image_side=8",
 ]
 
-# every key train reads but model.image_side: a size unlike the data's is a data error
+# every key train reads but the sizes the data fixes: another size is a data error
 TRAIN_KEYS = [
-    "model.variant", "model.backbone_channels", "model.embedding_dim", "model.hidden_dim",
-    "model.tweet_kernels", "model.imgtext_kernels", "model.fc_plan", "model.fusion_channels",
-    "model.dropout_rate", "model.share_text_encoder", "model.seed", "train.mask", "train.lr",
-    "train.batch_size", "train.epochs", "train.seed", "train.class_weight_mode",
-    "train.eval_every",
+    name for name, key in KEYS.items()
+    if "train" in key.verbs and name not in ("model.image_side", "train.vocab_size")
 ]
-SYNTH_KEYS = [
-    "synth.mode", "synth.n_train", "synth.n_val", "synth.n_test", "synth.noise_rate",
-    "synth.multimodal_fraction", "synth.image_side", "synth.seed",
-]
+SYNTH_KEYS = [name for name, key in KEYS.items() if "synth" in key.verbs]
 FUZZ_VALUES = ["", ",", "0", "-1", "0,2", "1,0", "nan", "inf", "x", "1.5"]
 
 CONFIG_FAULTS = {
@@ -789,6 +850,7 @@ CONFIG_FAULTS = {
     "nan_lr": ["train.lr=nan"],
     "inf_lr": ["train.lr=inf"],
     "negative_train_seed": ["train.seed=-1"],
+    "tkm_without_text": ["model.variant=TKM", "train.mask=I"],
 }
 
 
@@ -921,6 +983,39 @@ def test_out_that_cannot_be_a_directory_exits_2(verb, under, tmp_path):
     assert taken.read_text() == "keep"
 
 
+def misspellings(name):
+    """A deletion, a substitution and a transposition at the start of ``name``'s last part."""
+    i = name.index(".") + 1
+    return [
+        name[:i] + name[i + 1 :],
+        name[:i] + ("y" if name[i] == "x" else "x") + name[i + 1 :],
+        name[:i] + name[i + 1] + name[i] + name[i + 2 :],
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(KEYS))
+def test_misspelt_key_exits_2_before_any_work(name, tmp_path):
+    verb = KEYS[name].verbs[0]
+    out = tmp_path / "out"
+    for edit in misspellings(name):
+        assert edit not in KEYS
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{edit} = 1\n")
+        for source in (["--set", f"{edit}=1"], ["--config", str(config)]):
+            rc, err = run_main([verb, *OUT_VERB_ARGS[verb], "--out", str(out), *source])
+            assert rc == EXIT_CONFIG
+            assert err == [f"config error: unknown key {edit!r}; did you mean {name}?"]
+            assert not out.exists()
+
+
+def test_config_file_with_another_verbs_key_exits_2(tmp_path):
+    config = tmp_path / "shared.cfg"
+    config.write_text("synth.n_train = 8\ntrain.epochs = 1\n")
+    rc, err = run_main(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert err == ["config error: synth does not read train.epochs, a key of train, ablate"]
+
+
 FILE_MUTATIONS = ("truncate", "flip", "invalid_utf8", "nul", "overlong")
 
 
@@ -989,6 +1084,19 @@ def fuzz_corpus(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def fuzz_report(fuzz_run):
+    """The report.csv of an eval of the fuzz_run model; fuzz tests restore it."""
+    data, root = fuzz_run
+    out = root / "fuzz_report"
+    rc, err = run_main([
+        "eval", "--checkpoint", str(root / "fuzz_run" / "checkpoint.mfuse"),
+        "--data", str(data), "--out", str(out),
+    ])
+    assert rc == EXIT_OK, err
+    return out / "report.csv"
+
+
 class TestFuzzedFiles:
     @pytest.mark.parametrize(
         "name", ["train.jsonl", "val.jsonl", "vocab.txt", "images/train.npy"]
@@ -1021,6 +1129,14 @@ class TestFuzzedFiles:
                    "dataset.banned_terms=badword", "dataset.keywords=termx,termy,termz"]),
         ]
         assert_clean_outcome(*run_on_mutated(fuzz_corpus, mutation, at, byte, argv))
+
+    @given(mutation=mutations, at=positions, byte=mutation_bytes)
+    @settings(max_examples=15, deadline=None)
+    def test_report_on_mutated_report(self, fuzz_report, mutation, at, byte):
+        argv = ["report", str(fuzz_report), "--out", str(fuzz_report.parent / "fuzz_table")]
+        rc, err = run_on_mutated(fuzz_report, mutation, at, byte, argv)
+        assert rc in (EXIT_OK, EXIT_DATA), err
+        assert_clean_outcome(rc, err)
 
     @pytest.mark.parametrize(
         "name", ["test.jsonl", "vocab.txt", "images/test.npy", *RUN_FILES]

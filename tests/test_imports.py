@@ -10,12 +10,18 @@ its name. Its own definition, imports and ``__all__`` do not count, and
 neither do the tests: an API kept alive only by its own unit test is dead.
 The same holds for every private (``_name``) module-level function and class
 in src/, so a helper cannot outlive its last caller.
+
+Every string in src/ shaped like a config key, ``<namespace>.<key>``, must be
+a key of ``config.KEYS``, so a key cannot be read beside the table.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from mmfuse.config import KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -167,3 +173,35 @@ def test_every_private_definition_is_referenced():
         name for p in (ROOT / "src").rglob("*.py") for name in private_definitions(p.read_text())
     ]
     assert unreferenced(defined, sources) == []
+
+
+KEY_SHAPE = re.compile(r"(?:model|train|synth|dataset|eval|gradcheck)\.\w+")
+FILE_SUFFIXES = (".csv", ".json", ".jsonl", ".npy", ".txt", ".mfuse")
+
+
+def key_literals(source):
+    """(line, text) of every string constant shaped like a config key; file names are not."""
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and KEY_SHAPE.fullmatch(node.value)
+        and not node.value.endswith(FILE_SUFFIXES)
+    ]
+
+
+def test_key_scan_finds_what_it_should():
+    source = (
+        "a = cfg['train.epochs']\n"
+        "b = 'model.x' + f'{key}=train.lr'\n"
+        "c = out / 'gradcheck.csv'\n"
+        "d = 'dataset.min_duration is {0}'\n"
+    )
+    assert key_literals(source) == [(1, "train.epochs"), (2, "model.x")]
+
+
+@pytest.mark.parametrize("path", [f for f in FILES if f.startswith("src/")])
+def test_every_key_literal_is_in_the_table(path):
+    assert [(line, text) for line, text in key_literals((ROOT / path).read_text())
+            if text not in KEYS] == []
