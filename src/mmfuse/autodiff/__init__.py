@@ -12,7 +12,7 @@ from . import ops
 from .ops import BatchNormState
 from .optim import AdamState, NonFiniteGradient, adam_step
 from .gradcheck import check_gradients
-from .checkpoint import CheckpointError, MAGIC, file_sha256, load_arrays, save_arrays
+from .checkpoint import CheckpointError, file_sha256, load_arrays, save_arrays
 
 __all__ = [
     "AutodiffError",
@@ -28,7 +28,6 @@ __all__ = [
     "adam_step",
     "check_gradients",
     "CheckpointError",
-    "MAGIC",
     "file_sha256",
     "load_arrays",
     "save_arrays",

@@ -1,22 +1,36 @@
 """Parameter checkpoint I/O.
 
-Plain-text format, one record per named array:
+One binary layout, every integer little-endian:
 
-    MFUSE1
-    <name> <ndim> <d1> ... <dk>
-    <v1> <v2> ... (row-major, repr'd float64, exact round-trip)
+    MFUSE2\\n         7 bytes of magic
+    header length    u64
+    header           compact UTF-8 JSON: a list of {"name", "shape", "offset"}
+                     objects in sorted name order; an offset is in bytes
+                     from the start of the payload
+    payload          each array's float64 values, little-endian, row-major,
+                     back to back in header order
+    digest           SHA-256 of every byte before it
 
-Records appear in sorted name order so identical parameter sets serialize to
-identical bytes.
+Identical arrays give identical bytes, and a damaged byte anywhere fails the
+digest. The loader trusts nothing else either: every fault is a one-line
+CheckpointError naming the file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import math
+import struct
 
 import numpy as np
 
-MAGIC = "MFUSE1"
+_MAGIC = b"MFUSE2\n"
+_TEXT_MAGIC = b"MFUSE1\n"  # the text layout of earlier versions
+_LENGTH = struct.Struct("<Q")
+_DIGEST_SIZE = hashlib.sha256().digest_size
+_FLOAT = np.dtype("<f8")
+_FIELDS = {"name", "shape", "offset"}
 
 
 class CheckpointError(Exception):
@@ -25,63 +39,95 @@ class CheckpointError(Exception):
 
 def save_arrays(path, arrays):
     """Write name -> ndarray mappings; Tensors may be passed (data is taken)."""
-    with open(path, "w") as fh:
-        fh.write(MAGIC + "\n")
-        for name in sorted(arrays):
-            value = arrays[name]
-            arr = np.asarray(getattr(value, "data", value), dtype=np.float64)
-            if any(ch.isspace() for ch in name) or not name:
-                raise CheckpointError(f"invalid parameter name {name!r}")
-            dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"{name} {arr.ndim}{' ' + dims if dims else ''}\n")
-            fh.write(" ".join(repr(float(v)) for v in arr.reshape(-1)) + "\n")
+    header, payload, offset = [], [], 0
+    for name in sorted(arrays):
+        if not name or any(ch.isspace() for ch in name):
+            raise CheckpointError(f"invalid parameter name {name!r}")
+        value = arrays[name]
+        arr = np.asarray(getattr(value, "data", value), dtype=_FLOAT)
+        header.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        payload.append(arr.tobytes())
+        offset += arr.nbytes
+    head = json.dumps(header, separators=(",", ":")).encode()
+    body = b"".join([_MAGIC, _LENGTH.pack(len(head)), head, *payload])
+    with open(path, "wb") as fh:
+        fh.write(body)
+        fh.write(hashlib.sha256(body).digest())
 
 
 def load_arrays(path):
     """Read a checkpoint back into a name -> ndarray dict.
 
-    Every malformed header, non-numeric or non-finite value, value count
-    mismatch and duplicate name raises CheckpointError naming its line.
+    Checks, in order: the digest; the magic and the header size; that the
+    header is UTF-8 JSON listing {name, shape, offset} objects; the names
+    (non-empty, no whitespace, unique, sorted); the shapes (lists of
+    non-negative ints); the offsets, which must tile the payload exactly; and
+    the values, which must be finite. Each fault raises CheckpointError.
     """
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{path}: not a text checkpoint ({exc.reason})") from None
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from None
-    if not lines or lines[0] != MAGIC:
-        raise CheckpointError(f"{path}: missing {MAGIC} header")
-    arrays = {}
-    i = 1
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        header = lines[i].split()
-        try:
-            name, ndim, shape = header[0], int(header[1]), tuple(int(d) for d in header[2:])
-        except (IndexError, ValueError):
-            raise CheckpointError(f"{path}:{i + 1}: malformed record header") from None
-        if len(shape) != ndim or any(d < 0 for d in shape):
-            raise CheckpointError(f"{path}:{i + 1}: bad shape in header for {name!r}")
-        if name in arrays:
-            raise CheckpointError(f"{path}:{i + 1}: duplicate record {name!r}")
-        if i + 1 >= len(lines):
-            raise CheckpointError(f"{path}: truncated record for {name!r}")
-        try:
-            values = np.array([float(v) for v in lines[i + 1].split()])
-        except ValueError:
-            raise CheckpointError(f"{path}:{i + 2}: non-numeric value for {name!r}") from None
-        if values.size != int(np.prod(shape)):
+    if data.startswith(_TEXT_MAGIC):
+        raise CheckpointError(
+            f"{path}: a text checkpoint from an earlier version of mmfuse; retrain the model"
+        )
+    start = len(_MAGIC) + _LENGTH.size
+    end = len(data) - _DIGEST_SIZE
+    if end < start:
+        raise CheckpointError(f"{path}: {len(data)} bytes is too short for a checkpoint")
+    if hashlib.sha256(memoryview(data)[:end]).digest() != data[end:]:
+        raise CheckpointError(f"{path}: digest mismatch, the file is damaged")
+    if not data.startswith(_MAGIC):
+        raise CheckpointError(f"{path}: missing {_MAGIC.decode().strip()} magic")
+    (size,) = _LENGTH.unpack_from(data, len(_MAGIC))
+    if size > end - start:
+        raise CheckpointError(f"{path}: header length {size} runs past the end of the file")
+    try:
+        header = json.loads(data[start : start + size].decode("utf-8"))
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: header is not UTF-8") from None
+    except (ValueError, RecursionError):
+        raise CheckpointError(f"{path}: header is not JSON") from None
+    if not isinstance(header, list) or not all(
+        isinstance(entry, dict) and entry.keys() == _FIELDS for entry in header
+    ):
+        raise CheckpointError(f"{path}: header is not a list of {{name, shape, offset}} objects")
+    names = [entry["name"] for entry in header]
+    for name in names:
+        if not isinstance(name, str) or not name or any(ch.isspace() for ch in name):
+            raise CheckpointError(f"{path}: invalid array name {name!r}")
+    for before, name in zip(names, names[1:]):
+        if before == name:
+            raise CheckpointError(f"{path}: duplicate array {name!r}")
+        if before > name:
+            raise CheckpointError(f"{path}: array {name!r} is out of sorted order")
+    for entry in header:
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise CheckpointError(f"{path}: bad shape {shape!r} for {entry['name']!r}")
+    payload = end - start - size
+    filled = 0
+    for entry in header:
+        if type(entry["offset"]) is not int or entry["offset"] != filled:
             raise CheckpointError(
-                f"{path}:{i + 2}: value count mismatch for {name!r}: "
-                f"{values.size} values for shape {shape}"
+                f"{path}: {entry['name']!r} at offset {entry['offset']!r}, expected {filled}"
             )
+        filled += _FLOAT.itemsize * math.prod(entry["shape"])
+    if filled != payload:
+        raise CheckpointError(f"{path}: payload holds {payload} bytes, the header lists {filled}")
+    arrays = {}
+    for entry in header:
+        name, shape = entry["name"], entry["shape"]
+        values = np.frombuffer(data, _FLOAT, math.prod(shape), start + size + entry["offset"])
+        try:
+            values = values.reshape(shape)
+        except ValueError:  # more dims, or a larger dim, than NumPy allows
+            raise CheckpointError(f"{path}: bad shape {shape!r} for {name!r}") from None
         if not np.isfinite(values).all():
-            raise CheckpointError(f"{path}:{i + 2}: non-finite value for {name!r}")
-        arrays[name] = values.reshape(shape)
-        i += 2
+            raise CheckpointError(f"{path}: non-finite value in {name!r}")
+        arrays[name] = values.copy()
     return arrays
 
 

@@ -110,12 +110,10 @@ def evaluate(scored):
 
 
 def write_curve_csv(points, path):
-    """Emit curve points as 'threshold,x,y' rows."""
+    """Emit curve points as 'threshold,x,y' rows, the bytes csv.writer gives, in one write."""
+    rows = "".join(f"{t!r},{x!r},{y!r}\r\n" for t, x, y in points)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "x", "y"])
-        for threshold, x, y in points:
-            writer.writerow([repr(threshold), repr(x), repr(y)])
+        fh.write("threshold,x,y\r\n" + rows)
 
 
 def results_table(rows):

@@ -1,6 +1,8 @@
 """Shared brute-force oracles and small helpers for the test suite."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -61,6 +63,24 @@ def random_instance(rng, n=None):
     labels = rng.integers(0, 2, n).astype(bool)
     labels[0], labels[1] = True, False
     return scores, labels
+
+
+def checkpoint_parts(data):
+    """(header entries, payload bytes) of checkpoint bytes that ``save_arrays`` wrote."""
+    size = int.from_bytes(data[7:15], "little")
+    return json.loads(data[15 : 15 + size]), data[15 + size : -32]
+
+
+def checkpoint_bytes(header, payload, magic=b"MFUSE2\n", size=None):
+    """Checkpoint bytes for ``header`` (entries, or raw bytes) and ``payload``, with a valid digest.
+
+    ``size`` overrides the header length written after the magic.
+    """
+    if not isinstance(header, bytes):
+        header = json.dumps(header, separators=(",", ":")).encode()
+    size = len(header) if size is None else size
+    body = magic + size.to_bytes(8, "little") + header + payload
+    return body + hashlib.sha256(body).digest()
 
 
 @pytest.fixture

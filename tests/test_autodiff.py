@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import checkpoint_bytes, checkpoint_parts
 
 from mmfuse.autodiff import (
     AdamState,
     AutodiffError,
     BatchNormState,
     CheckpointError,
-    MAGIC,
     ShapeMismatch,
     Tensor,
     adam_step,
@@ -259,6 +262,146 @@ class TestAdam:
         assert np.array_equal(run(), run())
 
 
+def entries(*shapes):
+    """Header entries for arrays named a, b, ... of ``shapes``, packed back to back."""
+    out, offset = [], 0
+    for name, shape in zip("abcdefgh", shapes):
+        out.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * int(np.prod(shape))
+    return out
+
+
+def floats(*values):
+    return np.array(values, dtype="<f8").tobytes()
+
+
+# Each case of the text layout's malformed-record test, keyed by its MFUSE1
+# body, becomes the same fault in the binary layout: an edit of the header
+# entries and payload of a saved {"w": [1.0, 2.0]}, and a phrase of the error.
+MOVED_RECORD_CASES = {
+    # non-integer ndim: the shape is not a list
+    b"w x 2\n1.0 2.0\n": (lambda h, p: ([{**h[0], "shape": "2"}], p), "bad shape '2'"),
+    # non-integer dim
+    b"w 1 abc\n1.0\n": (lambda h, p: ([{**h[0], "shape": ["abc"]}], p), "bad shape ['abc']"),
+    # no ndim: the entry has no shape
+    b"w\n1.0\n": (lambda h, p: ([{"name": "w", "offset": 0}], p), "not a list of"),
+    # negative dim
+    b"w 1 -2\n\n": (lambda h, p: ([{**h[0], "shape": [-2]}], b""), "bad shape [-2]"),
+    # dim count differs from ndim: the shape lists more values than the payload holds
+    b"w 2 2\n1.0 2.0\n": (
+        lambda h, p: ([{**h[0], "shape": [2, 2]}], p), "payload holds 16 bytes, the header lists 32"
+    ),
+    # non-numeric value: a header number that is text
+    b"w 1 2\n1.0 oops\n": (lambda h, p: ([{**h[0], "offset": "0"}], p), "at offset '0'"),
+    # value count mismatch
+    b"w 1 3\n1.0 2.0\n": (
+        lambda h, p: ([{**h[0], "shape": [3]}], p), "payload holds 16 bytes, the header lists 24"
+    ),
+    # non-finite value
+    b"w 1 2\n1.0 nan\n": (lambda h, p: (h, floats(1.0, np.nan)), "non-finite value in 'w'"),
+    # duplicate name
+    b"w 1 1\n1.0\nw 1 1\n2.0\n": (
+        lambda h, p: ([{"name": "w", "shape": [1], "offset": o} for o in (0, 8)], p),
+        "duplicate array 'w'",
+    ),
+    # header without values
+    b"w 1 2\n": (lambda h, p: (h, b""), "payload holds 0 bytes, the header lists 16"),
+    # not text: a header that is not UTF-8
+    b"w 1 2\n\xff\xfe\n": (
+        lambda h, p: (json.dumps(h).encode().replace(b"w", b"w\xff\xfe"), p), "not UTF-8"
+    ),
+}
+
+
+# Damaged files, each built from the bytes of a saved {"a": (2,), "b": (2, 1)},
+# and a phrase of the error.
+DAMAGED_FILES = {
+    "short": (lambda d: d[:46], "46 bytes is too short"),
+    "digest_mismatch": (lambda d: d[:-33] + bytes([d[-33] ^ 1]) + d[-32:], "digest mismatch"),
+    "header_past_end": (
+        lambda d: checkpoint_bytes(*checkpoint_parts(d), size=len(d)), "runs past the end"
+    ),
+    "header_not_json": (lambda d: checkpoint_bytes(b"[{", checkpoint_parts(d)[1]), "not JSON"),
+    "header_not_list": (
+        lambda d: checkpoint_bytes({"a": [2]}, checkpoint_parts(d)[1]), "not a list of"
+    ),
+    "entry_not_object": (
+        lambda d: checkpoint_bytes([["a", [2], 0]], checkpoint_parts(d)[1]), "not a list of"
+    ),
+    "entry_with_extra_field": (
+        lambda d: checkpoint_bytes(
+            [{**e, "dtype": "<f8"} for e in entries((2,), (2, 1))], checkpoint_parts(d)[1]
+        ),
+        "not a list of",
+    ),
+    "empty_name": (
+        lambda d: checkpoint_bytes([{**entries((4,))[0], "name": ""}], checkpoint_parts(d)[1]),
+        "invalid array name ''",
+    ),
+    "name_with_space": (
+        lambda d: checkpoint_bytes([{**entries((4,))[0], "name": "a b"}], checkpoint_parts(d)[1]),
+        "invalid array name 'a b'",
+    ),
+    "bool_dim": (
+        lambda d: checkpoint_bytes([{**entries((4,))[0], "shape": [True]}], floats(1.0)),
+        "bad shape [True]",
+    ),
+    "float_dim": (
+        lambda d: checkpoint_bytes([{**entries((4,))[0], "shape": [4.0]}], checkpoint_parts(d)[1]),
+        "bad shape [4.0]",
+    ),
+    "dim_too_large_for_numpy": (
+        lambda d: checkpoint_bytes([{**entries((4,))[0], "shape": [0, 2**70]}], b""),
+        "bad shape [0, 1180591620717411303424]",
+    ),
+    "unsorted_names": (
+        lambda d: checkpoint_bytes(
+            [{**e, "name": n} for e, n in zip(entries((2,), (2, 1)), "ba")],
+            checkpoint_parts(d)[1],
+        ),
+        "'a' is out of sorted order",
+    ),
+    "offset_gap": (
+        lambda d: checkpoint_bytes(
+            [entries((2,))[0], {**entries((2,), (2, 1))[1], "offset": 24}],
+            checkpoint_parts(d)[1] + floats(0.0),
+        ),
+        "'b' at offset 24, expected 16",
+    ),
+    "offset_overlap": (
+        lambda d: checkpoint_bytes(
+            [entries((2,))[0], {**entries((2,), (2, 1))[1], "offset": 8}],
+            checkpoint_parts(d)[1],
+        ),
+        "'b' at offset 8, expected 16",
+    ),
+    "trailing_payload": (
+        lambda d: checkpoint_bytes(*checkpoint_parts(d[:-32] + floats(0.0) + d[-32:])),
+        "payload holds 40 bytes, the header lists 32",
+    ),
+    "nan_value": (
+        lambda d: checkpoint_bytes(checkpoint_parts(d)[0], floats(1.0, 2.0, np.nan, 4.0)),
+        "non-finite value in 'b'",
+    ),
+    "inf_value": (
+        lambda d: checkpoint_bytes(checkpoint_parts(d)[0], floats(1.0, -np.inf, 3.0, 4.0)),
+        "non-finite value in 'a'",
+    ),
+    "text_checkpoint": (
+        lambda d: b"MFUSE1\na 1 2\n1.0 2.0\nb 2 2 1\n3.0 4.0\n",
+        "a text checkpoint from an earlier version of mmfuse; retrain the model",
+    ),
+}
+
+
+def assert_rejected(path, phrase):
+    with pytest.raises(CheckpointError) as caught:
+        load_arrays(path)
+    message = str(caught.value)
+    assert message.startswith(f"{path}: ") and "\n" not in message, message
+    assert phrase in message, message
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path, rng):
         arrays = {
@@ -273,6 +416,30 @@ class TestCheckpoint:
         for name in arrays:
             assert np.array_equal(loaded[name], arrays[name])
 
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        big = np.finfo(np.float64).max
+        tiny = np.finfo(np.float64).smallest_subnormal
+        arrays = {
+            "edge": np.array([[-0.0, 0.0, tiny], [-tiny, 3 * tiny, big], [-big, 1e-310, -1e-320]]),
+            "scalar": np.array(-0.0),
+            "empty": np.zeros((0, 3)),
+        }
+        save_arrays(tmp_path / "ck", arrays)
+        loaded = load_arrays(tmp_path / "ck")
+        assert sorted(loaded) == sorted(arrays)
+        for name, value in arrays.items():
+            assert loaded[name].dtype == np.float64
+            assert loaded[name].shape == value.shape
+            assert loaded[name].tobytes() == value.tobytes(), name
+
+    def test_layout(self, tmp_path):
+        save_arrays(tmp_path / "ck", {"b": np.array([[3.0], [4.0]]), "a": np.array([1.0, 2.0])})
+        data = (tmp_path / "ck").read_bytes()
+        header, payload = checkpoint_parts(data)
+        assert header == entries((2,), (2, 1))
+        assert payload == floats(1.0, 2.0, 3.0, 4.0)
+        assert data == checkpoint_bytes(header, payload)
+
     def test_save_is_bitwise_stable(self, tmp_path, rng):
         arrays = {"w": rng.standard_normal((5, 5))}
         save_arrays(tmp_path / "a", arrays)
@@ -281,31 +448,25 @@ class TestCheckpoint:
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad"
-        path.write_text("NOTAMAGIC\n")
-        with pytest.raises(CheckpointError):
-            load_arrays(path)
+        save_arrays(path, {"w": np.array([1.0, 2.0])})
+        path.write_bytes(checkpoint_bytes(*checkpoint_parts(path.read_bytes()), magic=b"NOTAMAG"))
+        assert_rejected(path, "missing MFUSE2 magic")
 
-    @pytest.mark.parametrize(
-        "body",
-        [
-            b"w x 2\n1.0 2.0\n",  # non-integer ndim
-            b"w 1 abc\n1.0\n",  # non-integer dim
-            b"w\n1.0\n",  # no ndim
-            b"w 1 -2\n\n",  # negative dim
-            b"w 2 2\n1.0 2.0\n",  # dim count differs from ndim
-            b"w 1 2\n1.0 oops\n",  # non-numeric value
-            b"w 1 3\n1.0 2.0\n",  # value count mismatch
-            b"w 1 2\n1.0 nan\n",  # non-finite value
-            b"w 1 1\n1.0\nw 1 1\n2.0\n",  # duplicate name
-            b"w 1 2\n",  # header without values
-            b"w 1 2\n\xff\xfe\n",  # not text
-        ],
-    )
+    @pytest.mark.parametrize("body", list(MOVED_RECORD_CASES))
     def test_malformed_record_rejected(self, tmp_path, body):
+        edit, phrase = MOVED_RECORD_CASES[body]
         path = tmp_path / "bad"
-        path.write_bytes(MAGIC.encode() + b"\n" + body)
-        with pytest.raises(CheckpointError):
-            load_arrays(path)
+        save_arrays(path, {"w": np.array([1.0, 2.0])})
+        path.write_bytes(checkpoint_bytes(*edit(*checkpoint_parts(path.read_bytes()))))
+        assert_rejected(path, phrase)
+
+    @pytest.mark.parametrize("case", sorted(DAMAGED_FILES))
+    def test_damaged_file_rejected(self, tmp_path, case):
+        edit, phrase = DAMAGED_FILES[case]
+        path = tmp_path / "bad"
+        save_arrays(path, {"a": np.array([1.0, 2.0]), "b": np.array([[3.0], [4.0]])})
+        path.write_bytes(edit(path.read_bytes()))
+        assert_rejected(path, phrase)
 
     def test_unreadable_path_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):

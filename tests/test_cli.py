@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import checkpoint_bytes, checkpoint_parts
+
 from mmfuse import cli, dataset, gradcheck_suite, synth, training
 from mmfuse.autodiff import load_arrays, save_arrays
 from mmfuse.autodiff.tensor import _toposort
@@ -530,23 +532,48 @@ BAD_IMAGE_CONTENT = {
 }
 
 
-def with_conv_bias(lines):
-    """Add the zero ``backbone.stage0.conv.bias`` record that older checkpoints hold."""
-    width = next(line.split()[2] for line in lines if line.startswith("backbone.stage0.bn.beta "))
-    return lines + [f"backbone.stage0.conv.bias 1 {width}", " ".join(["0.0"] * int(width))]
+def edit_arrays(change):
+    """A checkpoint edit that loads the arrays, applies ``change`` to them and saves them."""
+
+    def edit(path):
+        arrays = load_arrays(path)
+        change(arrays)
+        save_arrays(path, arrays)
+
+    return edit
 
 
-# Each case edits the lines of the FCM run's checkpoint and adds eval overrides.
+def edit_layout(change):
+    """A checkpoint edit of the header entries and payload bytes; the digest stays valid."""
+
+    def edit(path):
+        header, payload = checkpoint_parts(path.read_bytes())
+        path.write_bytes(checkpoint_bytes(*change(header, payload)))
+
+    return edit
+
+
+def add_conv_bias(arrays):
+    """Add the zero ``backbone.stage0.conv.bias`` array that older checkpoints hold."""
+    arrays["backbone.stage0.conv.bias"] = np.zeros_like(arrays["backbone.stage0.bn.beta"])
+
+
+def with_non_integer_dim(header, payload):
+    header[0]["shape"][-1] = "x"
+    return header, payload
+
+
+# Each case edits the FCM run's checkpoint in place and adds eval overrides.
 BAD_CHECKPOINTS = {
-    "wrong_variant": (lambda lines: lines, ["--set", "model.variant=TKM"]),
-    "wrong_hidden_dim": (lambda lines: lines, ["--set", "model.hidden_dim=16"]),
-    "missing_key": (lambda lines: lines[:1] + lines[3:], []),
-    "unexpected_key": (lambda lines: lines + ["zzz.extra 1 2", "0.5 0.25"], []),
-    "dropped_conv_bias": (with_conv_bias, []),
-    "truncated_record": (lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0]], []),
-    "non_integer_dim": (
-        lambda lines: [lines[0], lines[1].rsplit(" ", 1)[0] + " x"] + lines[2:], []
+    "wrong_variant": (lambda path: None, ["--set", "model.variant=TKM"]),
+    "wrong_hidden_dim": (lambda path: None, ["--set", "model.hidden_dim=16"]),
+    "missing_key": (edit_arrays(lambda arrays: arrays.pop(min(arrays))), []),
+    "unexpected_key": (
+        edit_arrays(lambda arrays: arrays.update({"zzz.extra": np.array([0.5, 0.25])})), []
     ),
+    "dropped_conv_bias": (edit_arrays(add_conv_bias), []),
+    "truncated_record": (edit_layout(lambda header, payload: (header, payload[:-8])), []),
+    "non_integer_dim": (edit_layout(with_non_integer_dim), []),
 }
 
 
@@ -557,8 +584,8 @@ class TestDataErrors:
         run = tmp_path / "run"
         run.mkdir()
         shutil.copy(run_dir / "manifest.json", run)
-        lines = (run_dir / "checkpoint.mfuse").read_text().splitlines()
-        (run / "checkpoint.mfuse").write_text("\n".join(edit(lines)) + "\n")
+        shutil.copy(run_dir / "checkpoint.mfuse", run)
+        edit(run / "checkpoint.mfuse")
         capsys.readouterr()
         rc = main([
             "eval", "--checkpoint", str(run / "checkpoint.mfuse"),
@@ -1151,4 +1178,8 @@ class TestFuzzedFiles:
             "--data", str(data), "--out", str(root / "fuzz_eval"),
         ]
         path = (run if name in RUN_FILES else data) / name
-        assert_clean_outcome(*run_on_mutated(path, mutation, at, byte, argv))
+        rc, err = run_on_mutated(path, mutation, at, byte, argv)
+        if name == "checkpoint.mfuse":  # the digest catches every damaged byte
+            assert rc == EXIT_DATA and len(err) == 1 and err[0].startswith("data error: "), err
+        else:
+            assert_clean_outcome(rc, err)

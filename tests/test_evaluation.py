@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +177,21 @@ class TestCurves:
         lines = path.read_text().splitlines()
         assert lines[0] == "threshold,x,y"
         assert len(lines) == len(pr) + 1
+
+    def test_curve_csv_bytes_are_csv_writers(self, tmp_path, rng):
+        scores, labels = random_instance(rng, 30)
+        points = evaluate(make_scored(scores, labels)).roc_points + [
+            (float("inf"), -0.0, 5e-324),
+            (1e300, 2.2250738585072014e-308, -1e300),
+            (0.1, 1 / 3, 0.0),
+        ]
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["threshold", "x", "y"])
+        for row in points:
+            writer.writerow([repr(value) for value in row])
+        write_curve_csv(points, tmp_path / "curve.csv")
+        assert (tmp_path / "curve.csv").read_bytes() == buf.getvalue().encode()
 
 
 class TestEvaluateAndTable:

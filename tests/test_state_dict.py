@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmfuse.autodiff import CheckpointError, backward, load_arrays, ops, save_arrays
 from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig, pad_ids
@@ -14,26 +16,29 @@ TWEETS = pad_ids([[1, 2], [3], [4, 5, 6]])
 IMGTEXTS = pad_ids([[7], [8, 9], []])
 
 
-def build(variant, seed=0, share_text_encoder=True, hidden_dim=6):
+def build(
+    variant, seed=0, share_text_encoder=True, hidden_dim=6, channels=(4, 8), fusion_channels=5
+):
     text = TextEncoderConfig(embedding_dim=5, hidden_dim=hidden_dim)
     if variant == "LSTM":
         rng = np.random.default_rng(seed)
         return TextOnlyModel(TextEncoder(20, text, rng), rng)
+    backbone = VisionBackboneConfig(input_side=8, channels=channels)
     fusion = FusionModelConfig(
         variant=variant,
-        visual_dim=8,
-        map_side=2,
+        visual_dim=backbone.map_channels,
+        map_side=backbone.map_side,
         hidden_dim=hidden_dim,
         tweet_kernels=3,
         imgtext_kernels=2,
         fc_plan=(10, 2),
-        fusion_channels=5,
+        fusion_channels=fusion_channels,
         dropout_rate=0.2,
     )
     return MultimodalModel(
         20,
         fusion,
-        backbone_config=VisionBackboneConfig(input_side=8, channels=(4, 8)),
+        backbone_config=backbone,
         text_config=text,
         seed=seed,
         share_text_encoder=share_text_encoder,
@@ -58,6 +63,37 @@ def test_round_trip_restores_logits(variant, images, tmp_path):
     other = build(variant, seed=2)
     other.load_state_dict(load_arrays(tmp_path / "ck"))
     assert np.array_equal(forward(other, images).data, before)
+
+
+@given(
+    variant=st.sampled_from(["FCM", "SCM", "TKM", "LSTM"]),
+    hidden_dim=st.integers(1, 8),
+    channels=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+    fusion_channels=st.integers(1, 6),
+    share=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_checkpoint_round_trip_is_bitwise(
+    tmp_path_factory, variant, hidden_dim, channels, fusion_channels, share, seed
+):
+    shapes = dict(
+        hidden_dim=hidden_dim, channels=channels, fusion_channels=fusion_channels,
+        share_text_encoder=share,
+    )
+    model = build(variant, seed=seed, **shapes)
+    images = np.random.default_rng(seed).random((3, 8, 8, 3))
+    forward(model, images, training=True)  # moves the batch-norm running statistics
+    arrays = model.state_dict()
+    path = tmp_path_factory.mktemp("round_trip") / "checkpoint.mfuse"
+    save_arrays(path, arrays)
+    other = build(variant, seed=seed + 1, **shapes)
+    other.load_state_dict(load_arrays(path))
+    restored = other.state_dict()
+    assert sorted(restored) == sorted(arrays)
+    for name, value in arrays.items():
+        assert restored[name].shape == value.shape, name
+        assert restored[name].tobytes() == value.tobytes(), name
 
 
 def test_state_dict_holds_copies():
