@@ -232,25 +232,52 @@ def _tap_cover(taps, kernel, out_shape):
     return cover.reshape(out_h * out_w, -1)
 
 
-def _conv_forward(x, weight, taps, out_shape, const=None):
-    """Per-tap GEMMs over the valid output windows.
+# Bytes of float64 input, output and one tap product that one block of
+# examples of the conv forward may span. Half of a 2 MB per-core L2: a
+# whole-batch tap product of the 32-px stem conv is 4 MB at 128 examples and
+# spills it; a block stays cached through all nine taps, with room left for
+# the weights and the patch copies.
+BLOCK_BYTES = 1 << 20
 
+
+def example_blocks(n, size):
+    """Slices of ``size`` consecutive examples out of ``n``, in order.
+
+    A one-example tail joins the block before it, so no block holds a lone
+    example unless the batch does: a one-row product goes through gemv and can
+    round differently from the same row of a multi-row GEMM, while the rows of
+    a multi-row GEMM did not depend on how many rows shared the call.
+    """
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _conv_forward(x, weight, taps, out_shape, const=None):
+    """Per-tap GEMMs over the valid output windows, one block of examples at a time.
+
+    A block holds at least two examples and as many as fit their input, output
+    and one tap product into ``BLOCK_BYTES``. Each output value is the same
+    dot products added in the same tap order as over the whole batch.
     The channels of ``const`` are constant over the image, so tap (u, v) adds
     the one (N, Cout) row block ``const @ weight[u, v, Cin:]`` to its whole
     window; every pixel starts from the sum of its covering taps' blocks.
     """
     n, out_h, out_w, cout = out_shape
-    cin = x.shape[3]
+    _, h, w, cin = x.shape
     if const is None:
         data = np.zeros(out_shape)
     else:
-        blocks = (const @ weight[:, :, cin:]).reshape(-1, n * cout)
-        per_pixel = _tap_cover(taps, weight.shape[:2], out_shape) @ blocks
+        tap_rows = (const @ weight[:, :, cin:]).reshape(-1, n * cout)
+        per_pixel = _tap_cover(taps, weight.shape[:2], out_shape) @ tap_rows
         data = per_pixel.reshape(out_h, out_w, n, cout).transpose(2, 0, 1, 3).copy()
-    for u, v, out_sl, in_sl in taps:
-        patch = x[in_sl]
-        window = data[out_sl]
-        window += (patch.reshape(-1, cin) @ weight[u, v, :cin]).reshape(window.shape)
+    example_bytes = 8 * (h * w * cin + 2 * out_h * out_w * cout)
+    for block in example_blocks(n, max(2, BLOCK_BYTES // max(example_bytes, 1))):
+        x_block, data_block = x[block], data[block]
+        for u, v, out_sl, in_sl in taps:
+            window = data_block[out_sl]
+            window += (x_block[in_sl].reshape(-1, cin) @ weight[u, v, :cin]).reshape(window.shape)
     return data
 
 
@@ -528,10 +555,13 @@ def lstm_sequence(x, W, U, b, lengths):
     runs in place on the ``[:k_t]`` prefix of ranked, time-major buffers, and
     the walk stops after the longest example. ``X @ W`` is one GEMM over all
     N*T rows; each step adds ``h @ U``, then ``b``. Every GEMM runs over all
-    rows in input order, as the masked recurrence over all rows ran them: a
-    BLAS kernel may round a row differently at another row position, so
-    values stay bitwise. Backward is hand-written BPTT over the same prefixes,
-    with one GEMM per weight gradient.
+    rows in input order, as the masked recurrence over all rows ran them, so
+    values stay bitwise. On OpenBLAS a one-row product goes through gemv and
+    can round differently from the same row of a multi-row GEMM, while the
+    rows of a multi-row GEMM did not depend on how many rows shared the call;
+    a GEMM over the ``[:k_t]`` prefix would be one row once one example is
+    left, so the GEMMs keep all rows. Backward is hand-written BPTT over the
+    same prefixes, with one GEMM per weight gradient.
     """
     x, W, U, b = as_tensor(x), as_tensor(W), as_tensor(U), as_tensor(b)
     lengths = np.asarray(lengths, dtype=np.int64)

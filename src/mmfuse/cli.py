@@ -420,10 +420,18 @@ def _fit(out, data_dir, texts, values, splits):
     if history.diverged:
         print(f"train: diverged ({history.diverged}); kept last finite checkpoint", file=sys.stderr)
         return EXIT_NUMERIC
-    print(
-        f"train: {len(history.steps)} steps, best val AUC "
-        f"{history.best_val_auc:.4f} at step {history.best_step}"
-    )
+    if history.best_step < 0:
+        print(
+            "train: model selection skipped: validation gave no AUC (an empty or "
+            "single-class split); kept the final weights",
+            file=sys.stderr,
+        )
+        print(f"train: {len(history.steps)} steps")
+    else:
+        print(
+            f"train: {len(history.steps)} steps, best val AUC "
+            f"{history.best_val_auc:.4f} at step {history.best_step}"
+        )
     return EXIT_OK
 
 

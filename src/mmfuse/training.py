@@ -132,14 +132,24 @@ class TextOnlyModel(Layer):
         return {"text": self.text_encoder, "head": self.head}
 
 
-def score_dataset(model, data, batch_size=64):
+# Examples per scoring forward. At the desk config a forward pays about 2 ms
+# of fixed per-call cost, which a larger batch spreads over more examples, and
+# the conv forward's example blocks keep a larger batch from spilling L2.
+# 256 raised the peak RSS of a 32-px SCM benchmark run by about 10 %.
+SCORE_BATCH = 128
+
+
+def score_dataset(model, data):
     """Eval-mode hate scores for every example; deterministic and tape-free.
 
-    Raises NonFiniteScore when a score is NaN or infinite.
+    Scores ``SCORE_BATCH`` examples per forward; a one-example tail joins the
+    batch before it (see :func:`ops.example_blocks`), so no forward holds a
+    lone example unless the split does, and no score moves with
+    ``SCORE_BATCH``. Raises NonFiniteScore when a score is NaN or infinite.
     """
     scored = []
-    for start in range(0, len(data), batch_size):
-        batch = data.subset(np.arange(start, min(start + batch_size, len(data))))
+    for rows in ops.example_blocks(len(data), SCORE_BATCH):
+        batch = data.subset(np.arange(rows.start, rows.stop))
         with no_grad(), np.errstate(over="ignore", invalid="ignore"):  # checked below
             logits = model.forward(batch.images, batch.tweet, batch.imgtext, training=False)
             probs = ops.softmax(logits, axis=1).data
@@ -197,7 +207,7 @@ def train(model, train_data, val_data, config):
         if len(val_data) == 0 or (history.evals and history.evals[-1][0] == step):
             return
         try:
-            auc = auc_roc(score_dataset(model, val_data, config.batch_size))
+            auc = auc_roc(score_dataset(model, val_data))
         except NonFiniteScore:
             history.diverged = "non-finite validation score"
             return True

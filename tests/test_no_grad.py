@@ -6,6 +6,7 @@ import pytest
 from mmfuse.autodiff import Tensor, backward, no_grad, ops
 from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig
 from mmfuse.fusion import FusionModelConfig, MultimodalModel
+from mmfuse import training
 from mmfuse.training import HATE, ModelData, TextOnlyModel, score_dataset
 
 VARIANTS = ["FCM", "SCM", "TKM", "LSTM"]
@@ -84,9 +85,10 @@ def test_flag_restored_after_exception():
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_scores_bitwise_equal_to_taped_scoring(variant):
+def test_scores_bitwise_equal_to_taped_scoring(variant, monkeypatch):
     model, split = build(variant), data()
-    got = [s.score for s in score_dataset(model, split, batch_size=4)]
+    monkeypatch.setattr(training, "SCORE_BATCH", 4)
+    got = [s.score for s in score_dataset(model, split)]
     assert got == taped_scores(model, split)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmfuse import synth, training
-from mmfuse.autodiff import Tensor, ops
+from mmfuse.autodiff import Tensor, ops, save_arrays
 from mmfuse.encoders import (
     TextEncoder,
     TextEncoderConfig,
@@ -155,12 +155,28 @@ class TestScoreDataset:
         b = [ex.score for ex in score_dataset(model, train_data)]
         assert a == b
 
-    def test_batching_does_not_change_scores(self):
+    def test_batching_does_not_change_scores(self, monkeypatch):
         model = text_only_model()
         train_data, _ = synth_data(n=30)
-        a = [ex.score for ex in score_dataset(model, train_data, batch_size=7)]
-        b = [ex.score for ex in score_dataset(model, train_data, batch_size=30)]
-        assert np.allclose(a, b, atol=1e-12)
+        scores = []
+        for size in (7, 30):
+            monkeypatch.setattr(training, "SCORE_BATCH", size)
+            scores.append([ex.score for ex in score_dataset(model, train_data)])
+        assert scores[0] == scores[1]
+
+    def test_a_lone_tail_example_joins_the_batch_before_it(self, monkeypatch):
+        train_data, _ = synth_data(n=22)
+        sizes = []
+        subset = ModelData.subset
+
+        def recording_subset(data, rows):
+            sizes.append(len(rows))
+            return subset(data, rows)
+
+        monkeypatch.setattr(training, "SCORE_BATCH", 7)
+        monkeypatch.setattr(ModelData, "subset", recording_subset)
+        assert len(score_dataset(text_only_model(), train_data)) == 22
+        assert sizes == [7, 7, 8]
 
 
 class TestTrainLoop:
@@ -178,6 +194,21 @@ class TestTrainLoop:
         config = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-9, seed=0)
         _, history = train(model, train_data, val_data, config)
         assert history.steps[0][1] == pytest.approx(np.log(2.0), abs=1e-9)
+
+    def test_validation_batching_does_not_move_model_selection(self, monkeypatch, tmp_path):
+        train_data, val_data = synth_data(mode="crossmodal_xor", n=110, seed=3, image_side=8)
+        config = TrainConfig(epochs=2, batch_size=16, learning_rate=1e-2, eval_every=2, seed=1)
+        written = []
+        for size in (7, 128):  # 22 validation examples: batches 7, 7, 8 against one of 22
+            monkeypatch.setattr(training, "SCORE_BATCH", size)
+            best, history = train(small_fcm(), train_data, val_data, config)
+            out = tmp_path / str(size)
+            out.mkdir()
+            save_arrays(out / "checkpoint.mfuse", best)
+            history.write_csv(out / "history.csv")
+            written.append([(out / f).read_bytes() for f in ("checkpoint.mfuse", "history.csv")])
+        assert len(history.evals) == 7 and history.best_step > 0
+        assert written[0] == written[1]
 
     def test_same_seed_bitwise_identical(self):
         def run():
