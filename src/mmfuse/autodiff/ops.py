@@ -244,9 +244,11 @@ def example_blocks(n, size):
     """Slices of ``size`` consecutive examples out of ``n``, in order.
 
     A one-example tail joins the block before it, so no block holds a lone
-    example unless the batch does: a one-row product goes through gemv and can
-    round differently from the same row of a multi-row GEMM, while the rows of
-    a multi-row GEMM did not depend on how many rows shared the call.
+    example unless the batch does: on OpenBLAS a one-row product goes through
+    gemv and can round differently from the same row of a multi-row GEMM.
+    The rows of a multi-row GEMM with a multiple of 8 columns, as every conv
+    of the shipped configurations has, did not depend on how many rows shared
+    the call; with other column counts they can differ in the last bit.
     """
     starts = list(range(0, n, size))
     if len(starts) > 1 and n - starts[-1] == 1:
@@ -259,7 +261,8 @@ def _conv_forward(x, weight, taps, out_shape, const=None):
 
     A block holds at least two examples and as many as fit their input, output
     and one tap product into ``BLOCK_BYTES``. Each output value is the same
-    dot products added in the same tap order as over the whole batch.
+    dot products added in the same tap order as over the whole batch, and so
+    the same bits where the GEMM rows are (see :func:`example_blocks`).
     The channels of ``const`` are constant over the image, so tap (u, v) adds
     the one (N, Cout) row block ``const @ weight[u, v, Cin:]`` to its whole
     window; every pixel starts from the sum of its covering taps' blocks.
@@ -557,11 +560,10 @@ def lstm_sequence(x, W, U, b, lengths):
     N*T rows; each step adds ``h @ U``, then ``b``. Every GEMM runs over all
     rows in input order, as the masked recurrence over all rows ran them, so
     values stay bitwise. On OpenBLAS a one-row product goes through gemv and
-    can round differently from the same row of a multi-row GEMM, while the
-    rows of a multi-row GEMM did not depend on how many rows shared the call;
-    a GEMM over the ``[:k_t]`` prefix would be one row once one example is
-    left, so the GEMMs keep all rows. Backward is hand-written BPTT over the
-    same prefixes, with one GEMM per weight gradient.
+    can round differently from the same row of a multi-row GEMM, and a GEMM
+    over the ``[:k_t]`` prefix would be one row once one example is left, so
+    the GEMMs keep all rows. Backward is hand-written BPTT over the same
+    prefixes, with one GEMM per weight gradient.
     """
     x, W, U, b = as_tensor(x), as_tensor(W), as_tensor(U), as_tensor(b)
     lengths = np.asarray(lengths, dtype=np.int64)

@@ -144,8 +144,8 @@ def score_dataset(model, data):
 
     Scores ``SCORE_BATCH`` examples per forward; a one-example tail joins the
     batch before it (see :func:`ops.example_blocks`), so no forward holds a
-    lone example unless the split does, and no score moves with
-    ``SCORE_BATCH``. Raises NonFiniteScore when a score is NaN or infinite.
+    lone example unless the split does. Raises NonFiniteScore when a score is
+    NaN or infinite.
     """
     scored = []
     for rows in ops.example_blocks(len(data), SCORE_BATCH):

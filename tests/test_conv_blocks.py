@@ -68,11 +68,12 @@ def test_two_example_blocks_are_bitwise_one_block(op, n, h, w, cin, cout, stride
 
 # model.* keys of the desk config and of a 32-px config like perfbench's train-wide
 CONFIGS = {
-    "desk-TKM": {"model.variant": "TKM", "model.image_side": "16", "model.backbone_channels": "8,16",
-                 "model.fusion_channels": "16"},
+    "desk-TKM": {"model.variant": "TKM", "model.image_side": "16",
+                 "model.backbone_channels": "8,16", "model.fusion_channels": "16"},
     "wide-SCM": {"model.variant": "SCM", "model.image_side": "32",
                  "model.backbone_channels": "16,32,64", "model.fusion_channels": "64"},
-    "desk-FCM": {"model.variant": "FCM", "model.image_side": "16", "model.backbone_channels": "8,16"},
+    "desk-FCM": {"model.variant": "FCM", "model.image_side": "16",
+                 "model.backbone_channels": "8,16"},
 }
 SHARED = {"model.hidden_dim": "32", "model.embedding_dim": "16", "model.fc_plan": "32,16,2"}
 
