@@ -26,11 +26,11 @@ from . import config as cfgmod
 from . import dataset, evaluation, synth
 from .autodiff import AutodiffError, CheckpointError, file_sha256, load_arrays, save_arrays
 from .config import ConfigError
-from .encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig, encode_texts
+from .encoders import TextEncoderConfig, VisionBackboneConfig, encode_texts
 from .encoders.text import Vocabulary
 from .fusion import FusionModelConfig, MultimodalModel
 from .gradcheck_suite import run_suite
-from .training import ModelData, TextOnlyModel, TrainConfig, score_dataset, train
+from .training import ModelData, TrainConfig, score_dataset, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,66 +94,59 @@ _RUN_KEYS = [name for name, key in cfgmod.KEYS.items() if {"train", "eval"} <= s
 
 
 def _model_spec(values):
-    """``(mask, text, backbone, fusion)``: the configs of the model ``values`` name.
+    """``(text, backbone, fusion)``: the configs of the model ``values`` name.
 
     ``values`` are typed, as :func:`config.resolve` gives them. The LSTM
-    baseline has no backbone or fusion config. Every fault is a ConfigError,
-    raised before any weight is drawn.
+    baseline is an FCM over tweet text with a linear head. Every fault is a
+    ConfigError, raised before any weight is drawn.
     """
     variant, mask = values["model.variant"], values["train.mask"]
-    if variant == "LSTM" and mask.label() != "TT":
+    lstm = variant == "LSTM"
+    if lstm and mask.label() != "TT":
         raise ConfigError(f"model.variant=LSTM reads tweet text only, not {mask.label()}")
-    if variant == "TKM" and not (mask.tweet_text or mask.image_text):
-        # the kernels come from the texts: without one the model scores every example alike
-        raise ConfigError(f"model.variant=TKM makes its kernels from TT or IT, not {mask.label()}")
     with _reraise(ConfigError):
         text = TextEncoderConfig(
             embedding_dim=values["model.embedding_dim"], hidden_dim=values["model.hidden_dim"]
         )
-        if variant == "LSTM":
-            return mask, text, None, None
         backbone = VisionBackboneConfig(
             input_side=values["model.image_side"], channels=values["model.backbone_channels"]
         )
         fusion = FusionModelConfig(
-            variant=variant,
+            variant="FCM" if lstm else variant,
             visual_dim=backbone.map_channels,
             map_side=backbone.map_side,
             hidden_dim=text.hidden_dim,
             tweet_kernels=values["model.tweet_kernels"],
             imgtext_kernels=values["model.imgtext_kernels"],
-            fc_plan=values["model.fc_plan"],
+            fc_plan=(2,) if lstm else values["model.fc_plan"],
             fusion_channels=values["model.fusion_channels"],
             dropout_rate=values["model.dropout_rate"],
+            mask=mask,
         )
-    return mask, text, backbone, fusion
+    return text, backbone, fusion
 
 
 def _build(values):
     """The model the typed ``values`` name, for ``train.vocab_size`` tokens."""
-    mask, text, backbone, fusion = _model_spec(values)
-    seed, vocab_size = values["model.seed"], values["train.vocab_size"]
+    text, backbone, fusion = _model_spec(values)
     with _reraise(ConfigError):
-        if fusion is None:
-            rng = np.random.default_rng(seed)
-            return TextOnlyModel(TextEncoder(vocab_size, text, rng), rng)
         return MultimodalModel(
-            vocab_size,
+            values["train.vocab_size"],
             fusion,
             backbone_config=backbone,
             text_config=text,
-            seed=seed,
+            seed=values["model.seed"],
             share_text_encoder=values["model.share_text_encoder"],
-            mask=mask,
         )
 
 
 def build_model(cfg, vocab_size):
     """The model the string config ``cfg`` names, read as ``train`` reads it.
 
-    ``model.variant=LSTM`` is the text-only baseline. ``train.mask`` picks
-    the inputs the model reads; the LSTM reads nothing but tweet text, and a
-    TKM needs one text at least.
+    ``model.variant=LSTM`` is the text-only baseline, an FCM over tweet text
+    with a linear head. ``train.mask`` picks the inputs the model reads and so
+    the modules it builds; the LSTM reads nothing but tweet text, and a TKM
+    needs one text at least.
     """
     _, values = cfgmod.resolve({**cfg, "train.vocab_size": str(vocab_size)}, "train")
     return _build(values)
@@ -467,7 +460,7 @@ def _restore_model(checkpoint_path, cfg):
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from None
     texts, values = cfgmod.resolve({**recorded, **cfg}, "eval")
-    # another mask would score the model with zeros in place of inputs it learned from
+    # another mask builds other modules than the ones the checkpoint trained
     if values["train.mask"] != trained["train.mask"]:
         raise ConfigError(
             f"train.mask={texts['train.mask']} differs from the model's "

@@ -1,4 +1,4 @@
-"""The three multimodal fusion heads and the full three-input models.
+"""The three multimodal fusion heads and the models built around them.
 
 FCM concatenates the pooled visual vector with both text encodings and runs a
 fully connected stack. SCM tiles the text encodings at every spatial location
@@ -6,8 +6,12 @@ of the visual feature map before further convolution. TKM generates 1x1
 convolution kernels from each text encoding, convolves them with the visual
 map, then proceeds like SCM. The tiling is folded into the first fusion conv,
 which takes the text encodings as spatially constant input channels
-(``ops.conv_bn_relu``'s ``const``). Unavailable modalities are replaced by
-zeros.
+(``ops.conv_bn_relu``'s ``const``).
+
+The config's :class:`InputMask` decides which modules exist: a model draws
+no weights for an input it does not read, and its head fuses only the inputs
+it has. The text-only LSTM baseline is an FCM over tweet text whose head is
+one linear layer.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ class FusionModelConfig:
     fusion_block_count: int = 2
     fusion_channels: int = 64
     dropout_rate: float = 0.5
+    mask: InputMask = InputMask()
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -77,6 +82,11 @@ class FusionModelConfig:
             raise ValueError("fc_plan must end in the 2-class layer")
         if self.variant == "TKM" and (self.tweet_kernels < 1 or self.imgtext_kernels < 1):
             raise ValueError("TKM needs at least one kernel per text input")
+        if self.variant == "TKM" and not (self.mask.tweet_text or self.mask.image_text):
+            # the kernels come from the texts: without one the model scores every example alike
+            raise ValueError(
+                f"model.variant=TKM makes its kernels from TT or IT, not {self.mask.label()}"
+            )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
 
@@ -94,13 +104,20 @@ class FusionModelConfig:
         )
 
     @property
+    def texts(self):
+        """The TKM kernel count of each text the mask keeps: ``tweet`` K_t, ``imgtext`` K_it."""
+        counts = {"tweet": self.tweet_kernels, "imgtext": self.imgtext_kernels}
+        kept = {"tweet": self.mask.tweet_text, "imgtext": self.mask.image_text}
+        return {name: count for name, count in counts.items() if kept[name]}
+
+    @property
     def concat_dim(self):
-        """FCM concatenation length: visual vector plus the two text vectors."""
-        return self.visual_dim + 2 * self.hidden_dim
+        """FCM concatenation length: the visual vector and the text vectors the mask keeps."""
+        return self.visual_dim * self.mask.image + self.hidden_dim * len(self.texts)
 
     @property
     def kernel_count(self):
-        return self.tweet_kernels + self.imgtext_kernels
+        return sum(self.texts.values())
 
 
 class _FcStack(Layer):
@@ -160,25 +177,27 @@ class _ConvStack(Layer):
 
 
 class FusionHead(Layer):
-    """The FCM, SCM or TKM fusion head over pre-encoded inputs."""
+    """The FCM, SCM or TKM fusion head over the pre-encoded inputs its mask keeps.
+
+    A TKM draws one kernel generator per kept text, and only when the mask
+    keeps the image they are applied to; ``kernels.bn`` exists with them.
+    """
 
     def __init__(self, config, rng):
-        self.config = config
-        cfg = config
+        self.config = cfg = config
+        self.kernel_gens = {}
         if cfg.variant == "FCM":
             self.fc = _FcStack(cfg.concat_dim, cfg.fc_plan, rng)
-        else:
-            if cfg.variant == "TKM":
-                self.tweet_kernel_gen = Dense(cfg.hidden_dim, cfg.tweet_kernels * cfg.visual_dim, rng)
-                self.imgtext_kernel_gen = Dense(
-                    cfg.hidden_dim, cfg.imgtext_kernels * cfg.visual_dim, rng
-                )
-                self.kernel_bn = BatchNorm(cfg.kernel_count)
-                fused_depth = cfg.kernel_count + 2 * cfg.hidden_dim
-            else:
-                fused_depth = cfg.visual_dim + 2 * cfg.hidden_dim
-            self.conv = _ConvStack(fused_depth, cfg.fusion_channels, cfg.fusion_block_count, rng)
-            self.fc = _FcStack(cfg.fusion_channels, cfg.fc_plan, rng)
+            return
+        map_depth = cfg.visual_dim  # the visual map, or its zero stand-in without an image
+        if cfg.variant == "TKM" and cfg.mask.image:  # kernels need a map to apply them to
+            for name, count in cfg.texts.items():
+                self.kernel_gens[name] = Dense(cfg.hidden_dim, count * cfg.visual_dim, rng)
+            self.kernel_bn = BatchNorm(cfg.kernel_count)
+            map_depth = cfg.kernel_count
+        fused_depth = map_depth + cfg.hidden_dim * len(cfg.texts)
+        self.conv = _ConvStack(fused_depth, cfg.fusion_channels, cfg.fusion_block_count, rng)
+        self.fc = _FcStack(cfg.fusion_channels, cfg.fc_plan, rng)
 
     def make_textual_kernels(self, t_text, which):
         """Affine-map a text encoding to a bank of 1x1 kernels (N, K, D_v).
@@ -187,41 +206,47 @@ class FusionHead(Layer):
         layer whose output is split, which is parameter-for-parameter the same
         as K separate layers.
         """
-        gen = self.tweet_kernel_gen if which == "tweet" else self.imgtext_kernel_gen
-        count = self.config.tweet_kernels if which == "tweet" else self.config.imgtext_kernels
-        flat = gen(t_text)
-        return ops.reshape(flat, (t_text.shape[0], count, self.config.visual_dim))
+        flat = self.kernel_gens[which](t_text)
+        return ops.reshape(flat, (flat.shape[0], self.config.texts[which], self.config.visual_dim))
 
     def __call__(self, v_input, t_tweet, t_imgtext, training=False, rng=None):
-        """2-class logits from ``v_input`` and both (N, hidden_dim) text encodings.
+        """2-class logits from ``v_input`` and the (N, hidden_dim) text encodings.
 
         ``v_input`` is the pooled (N, visual_dim) vector for FCM and the
-        (N, map_side, map_side, visual_dim) map for SCM and TKM.
+        (N, map_side, map_side, visual_dim) map for SCM and TKM. An input the
+        mask does not keep is None.
         """
-        cfg = self.config
+        cfg, mask = self.config, self.config.mask
         fcm = cfg.variant == "FCM"
         visual = (cfg.visual_dim,) if fcm else (cfg.map_side, cfg.map_side, cfg.visual_dim)
-        for name, t, expected in [
-            ("v_pool" if fcm else "v_map", v_input, visual),
-            ("t_tweet", t_tweet, (cfg.hidden_dim,)),
-            ("t_imgtext", t_imgtext, (cfg.hidden_dim,)),
+        for name, t, expected, kept in [
+            ("v_pool" if fcm else "v_map", v_input, visual, mask.image),
+            ("t_tweet", t_tweet, (cfg.hidden_dim,), mask.tweet_text),
+            ("t_imgtext", t_imgtext, (cfg.hidden_dim,), mask.image_text),
         ]:
-            if t.shape[1:] != expected:
+            if (None if t is None else t.shape[1:]) != (expected if kept else None):
+                want = f"(N, {', '.join(map(str, expected))})" if kept else "None"
+                got = None if t is None else t.shape
                 raise ShapeMismatch(
                     cfg.variant.lower() + "_forward",
-                    f"{name} must be (N, {', '.join(map(str, expected))}), got {t.shape}",
+                    f"{name} must be {want} under mask {mask.label()}, got {got}",
                 )
+        texts = {"tweet": t_tweet, "imgtext": t_imgtext}
+        texts = {name: t for name, t in texts.items() if t is not None}
         if fcm:
-            return self.fc(ops.concat([v_input, t_tweet, t_imgtext], axis=1), training)
-        x = v_input
-        if cfg.variant == "TKM":
-            kernels = ops.concat(
-                [self.make_textual_kernels(t_tweet, "tweet"), self.make_textual_kernels(t_imgtext, "imgtext")],
-                axis=1,
-            )
-            x = self.kernel_bn(ops.dynamic_conv1x1(x, kernels), training)
-        # both text encodings enter the first fusion conv at every pixel
-        x = self.conv(x, training, const=ops.concat([t_tweet, t_imgtext], axis=1))
+            present = [t for t in (v_input, *texts.values()) if t is not None]
+            return self.fc(ops.concat(present, axis=1), training)
+        if v_input is None:  # conv_bn_relu takes no 0-channel map: the texts fuse over zeros
+            n = next(iter(texts.values())).shape[0]
+            x = Tensor(np.zeros((n, cfg.map_side, cfg.map_side, cfg.visual_dim)))
+        elif self.kernel_gens:
+            kernels = [self.make_textual_kernels(t, name) for name, t in texts.items()]
+            x = self.kernel_bn(ops.dynamic_conv1x1(v_input, ops.concat(kernels, axis=1)), training)
+        else:
+            x = v_input
+        # the text encodings enter the first fusion conv at every pixel
+        const = ops.concat(list(texts.values()), axis=1) if texts else None
+        x = self.conv(x, training, const=const)
         x = ops.dropout(x, cfg.dropout_rate, training, rng)
         return self.fc(ops.avg_pool_spatial(x), training)
 
@@ -229,22 +254,21 @@ class FusionHead(Layer):
         children = {}
         if self.config.variant != "FCM":
             children["conv"] = self.conv
-            if self.config.variant == "TKM":
-                children["kernels.tweet"] = self.tweet_kernel_gen
-                children["kernels.imgtext"] = self.imgtext_kernel_gen
+            children.update((f"kernels.{name}", gen) for name, gen in self.kernel_gens.items())
+            if self.kernel_gens:
                 children["kernels.bn"] = self.kernel_bn
         children["fc"] = self.fc
         return children
 
 
 class MultimodalModel(Layer):
-    """Backbone + shared text encoder + fusion head over raw batch inputs.
+    """Backbone, text encoders and fusion head over raw batch inputs.
 
-    The same LSTM encodes tweet text and image text unless
-    ``share_text_encoder`` is off. ``mask`` is the one place the model's
-    inputs are chosen: training and scoring both read it. Masked modalities
-    are replaced by zero tensors before fusion, so eval-mode logits cannot
-    depend on their content.
+    The config's ``mask`` is the one place the model's inputs are chosen, and
+    the model builds only what the mask reaches: the backbone with ``I``, the
+    tweet encoder with ``TT``, and an image-text encoder with ``IT``. The same
+    LSTM encodes both texts unless ``share_text_encoder`` is off. Training and
+    scoring both read the mask; an input outside it is never read.
     """
 
     def __init__(
@@ -255,11 +279,10 @@ class MultimodalModel(Layer):
         text_config=None,
         seed=0,
         share_text_encoder=True,
-        mask=InputMask(),
     ):
         rng = np.random.default_rng(seed)
         self.config = fusion_config
-        self.mask = mask
+        self.mask = mask = fusion_config.mask
         self.text_config = text_config or TextEncoderConfig(hidden_dim=fusion_config.hidden_dim)
         if self.text_config.hidden_dim != fusion_config.hidden_dim:
             raise ValueError("text encoder hidden_dim must match fusion hidden_dim")
@@ -268,14 +291,13 @@ class MultimodalModel(Layer):
             raise ValueError("backbone map_channels must match fusion visual_dim")
         if self.backbone_config.map_side != fusion_config.map_side:
             raise ValueError("backbone map_side must match fusion map_side")
-        self.backbone = VisionBackbone(self.backbone_config, rng)
-        self.text_encoder = TextEncoder(vocab_size, self.text_config, rng)
-        self.imgtext_encoder = (
-            self.text_encoder
-            if share_text_encoder
-            else TextEncoder(vocab_size, self.text_config, rng)
-        )
-        self.share_text_encoder = share_text_encoder
+        self.backbone = VisionBackbone(self.backbone_config, rng) if mask.image else None
+        share = self.share_text_encoder = share_text_encoder
+        encoder = lambda: TextEncoder(vocab_size, self.text_config, rng)
+        self.text_encoder = encoder() if mask.tweet_text or (share and mask.image_text) else None
+        self.imgtext_encoder = None
+        if mask.image_text:
+            self.imgtext_encoder = self.text_encoder if share else encoder()
         self.head = FusionHead(fusion_config, rng)
 
     def forward(self, images, tweet, imgtext, training=False, rng=None):
@@ -283,25 +305,19 @@ class MultimodalModel(Layer):
 
         ``images`` is an (N, S, S, 3) array or Tensor; ``tweet`` and
         ``imgtext`` are :func:`~mmfuse.encoders.pad_ids` pairs. Inputs outside
-        ``self.mask`` skip their encoder entirely.
+        ``self.mask`` are not read.
         """
         mask = self.mask
-        n = len(tweet[1])
-        cfg = self.config
-        zeros_text = lambda: Tensor(np.zeros((n, cfg.hidden_dim)))
-        t_tweet = self.text_encoder.encode(tweet) if mask.tweet_text else zeros_text()
-        t_imgtext = self.imgtext_encoder.encode(imgtext) if mask.image_text else zeros_text()
+        t_tweet = self.text_encoder.encode(tweet) if mask.tweet_text else None
+        t_imgtext = self.imgtext_encoder.encode(imgtext) if mask.image_text else None
+        v_input = None
         if mask.image:
             v_pool, v_map = self.backbone(images, training)
-            v_input = v_pool if cfg.variant == "FCM" else v_map
-        elif cfg.variant == "FCM":
-            v_input = Tensor(np.zeros((n, cfg.visual_dim)))
-        else:
-            v_input = Tensor(np.zeros((n, cfg.map_side, cfg.map_side, cfg.visual_dim)))
+            v_input = v_pool if self.config.variant == "FCM" else v_map
         return self.head(v_input, t_tweet, t_imgtext, training=training, rng=rng)
 
     def _children(self):
         children = {"backbone": self.backbone, "text": self.text_encoder, "head": self.head}
         if not self.share_text_encoder:
             children["imgtext"] = self.imgtext_encoder
-        return children
+        return {name: child for name, child in children.items() if child is not None}

@@ -16,8 +16,6 @@ import numpy as np
 from .autodiff import AdamState, AutodiffError, NonFiniteGradient, adam_step, backward, no_grad, ops
 from .encoders import pad_ids
 from .evaluation import MetricError, ScoredExample, auc_roc
-from .fusion import InputMask
-from .nn import Dense, Layer
 
 HATE = 1  # class index of the hate label; index 0 is not-hate
 
@@ -111,25 +109,6 @@ class ModelData:
             labels=self.labels[indices],
             ids=[self.ids[i] for i in indices],
         )
-
-
-class TextOnlyModel(Layer):
-    """Text-only LSTM baseline: a 2-class dense head on the tweet-text encoding.
-
-    The head is drawn from ``rng`` after the encoder, so passing the rng the
-    encoder was built from continues its draw order. Only tweet text is read.
-    """
-
-    def __init__(self, text_encoder, rng):
-        self.text_encoder = text_encoder
-        self.head = Dense(text_encoder.config.hidden_dim, 2, rng)
-        self.mask = InputMask(tweet_text=True, image_text=False, image=False)
-
-    def forward(self, images, tweet, imgtext, training=False, rng=None):
-        return self.head(self.text_encoder.encode(tweet))
-
-    def _children(self):
-        return {"text": self.text_encoder, "head": self.head}
 
 
 # Examples per scoring forward. At the desk config a forward pays about 2 ms

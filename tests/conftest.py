@@ -83,6 +83,32 @@ def checkpoint_bytes(header, payload, magic=b"MFUSE2\n", size=None):
     return body + hashlib.sha256(body).digest()
 
 
+# The tests' small model: 8-px images, a 2x2x8 map, 3+2 kernels, hidden 6.
+SMALL_MODEL = dict(
+    image_side=8, backbone_channels=(4, 8), embedding_dim=5, hidden_dim=6, tweet_kernels=3,
+    imgtext_kernels=2, fc_plan=(10, 2), fusion_channels=5, dropout_rate=0.2, seed=0,
+)
+
+
+def build_model(variant, mask=None, vocab_size=20, **keys):
+    """The model ``train`` builds for ``model.variant=variant`` and ``train.mask=mask``.
+
+    ``keys`` override ``SMALL_MODEL`` and set other ``model.`` keys by their
+    short name; a tuple is written comma-separated. ``LSTM`` is the text-only
+    baseline, which reads tweet text alone.
+    """
+    from mmfuse import cli
+
+    values = {**SMALL_MODEL, "variant": variant, **keys}
+    cfg = {
+        f"model.{name}": ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+        for name, v in values.items()
+    }
+    if mask is not None:
+        cfg["train.mask"] = mask
+    return cli.build_model(cfg, vocab_size)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -11,14 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_scored, oracle_auc, oracle_balanced_accuracy, oracle_f1, oracle_max_f1, random_instance
+from conftest import (
+    build_model, make_scored, oracle_auc, oracle_balanced_accuracy, oracle_f1, oracle_max_f1,
+    random_instance,
+)
 from mmfuse import synth
 from mmfuse.cli import EXIT_OK, main as cli_main
-from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig, pad_ids
+from mmfuse.encoders import pad_ids
 from mmfuse.evaluation import auc_roc, evaluate
-from mmfuse.fusion import FusionModelConfig, InputMask, MultimodalModel
+from mmfuse.fusion import FusionModelConfig
 from mmfuse.gradcheck_suite import run_suite
-from mmfuse.training import TextOnlyModel, TrainConfig, score_dataset, train
+from mmfuse.training import TrainConfig, score_dataset, train
 
 
 def report(num, text, ok):
@@ -30,29 +33,19 @@ def report(num, text, ok):
 # desk-scale experiment helpers
 
 
-def desk_model(variant, vocab_size, seed, mask=InputMask()):
-    backbone = VisionBackboneConfig(input_side=16, channels=(8, 16))
-    fusion = FusionModelConfig(
-        variant=variant,
-        visual_dim=16,
-        map_side=4,
-        hidden_dim=32,
-        tweet_kernels=4,
-        imgtext_kernels=2,
-        fc_plan=(32, 16, 2),
-        fusion_channels=16,
-        dropout_rate=0.1,
-    )
-    text = TextEncoderConfig(embedding_dim=16, hidden_dim=32)
-    return MultimodalModel(
-        vocab_size, fusion, backbone_config=backbone, text_config=text, seed=seed, mask=mask
-    )
+DESK = dict(
+    image_side=16, backbone_channels=(8, 16), embedding_dim=16, hidden_dim=32, tweet_kernels=4,
+    imgtext_kernels=2, fc_plan=(32, 16, 2), fusion_channels=16, dropout_rate=0.1,
+)
+
+
+def desk_model(variant, vocab_size, seed, mask=None):
+    """A desk-config model; ``LSTM`` is the text-only baseline, over tweet text alone."""
+    return build_model(variant, mask, vocab_size, seed=seed, **DESK)
 
 
 def text_only(vocab_size, seed):
-    config = TextEncoderConfig(embedding_dim=16, hidden_dim=32)
-    rng = np.random.default_rng(seed)
-    return TextOnlyModel(TextEncoder(vocab_size, config, rng), rng)
+    return desk_model("LSTM", vocab_size, seed)
 
 
 def run_experiment(model, train_spec, epochs=2, lr=2e-3, seed=0, test_spec=None):
@@ -157,7 +150,7 @@ def test_criterion_5_masked_modality_invariance():
     vocab = synth.build_vocabulary()
     all_ok = True
     for variant in ("FCM", "SCM", "TKM"):
-        model = desk_model(variant, len(vocab), seed=11, mask=InputMask.parse("TT,IT"))
+        model = desk_model(variant, len(vocab), seed=11, mask="TT,IT")
         tweets = pad_ids([[1 + int(rng.integers(0, 10))] * 3 for _ in range(100)])
         imgtexts = pad_ids([[2 + int(rng.integers(0, 10))] * 2 for _ in range(100)])
         images_a = rng.random((100, 16, 16, 3))
@@ -178,7 +171,7 @@ def test_criterion_6_crossmodal_learnability():
     accs["FCM"] = run_experiment(desk_model("FCM", vocab_size, 3), spec, seed=3)
     accs["text-only"] = run_experiment(text_only(vocab_size, 4), spec, seed=4)
     accs["image-only"] = run_experiment(
-        desk_model("FCM", vocab_size, 5, mask=InputMask.parse("I")), spec, seed=5
+        desk_model("FCM", vocab_size, 5, mask="I"), spec, seed=5
     )
     uni = synth.SynthSpec(mode="unimodal_text", n_train=2000, n_val=400, n_test=1000, seed=6)
     accs["text-only/unimodal"] = run_experiment(text_only(vocab_size, 6), uni, seed=6)

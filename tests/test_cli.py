@@ -6,12 +6,13 @@ import io
 import json
 import re
 import shutil
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import checkpoint_bytes, checkpoint_parts
@@ -484,9 +485,9 @@ class TestAblateVerb:
         # where each arm's eval writes must not change the merged table
         assert (out / "results.csv").read_text() == (
             "Model,Inputs,F,AUC,ACC\n"
-            "FCM (TT),TT,0.815,0.495,50.0\n"
-            '"FCM (TT,IT)","TT,IT",0.815,0.550,50.0\n'
-            "FCM (I),I,0.830,0.468,50.0\n"
+            "FCM (TT),TT,0.815,0.641,50.0\n"
+            '"FCM (TT,IT)","TT,IT",0.830,0.695,50.0\n'
+            "FCM (I),I,0.815,0.355,50.0\n"
             '"FCM (TT,IT,I)","TT,IT,I",0.824,0.491,50.0\n'
         )
         for inputs in ("TT", "TT,IT", "I", "TT,IT,I"):
@@ -953,6 +954,60 @@ class TestConfigFaults:
         assert rc in (EXIT_OK, EXIT_CONFIG), err
         if rc == EXIT_CONFIG:
             assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
+# small shapes keep each replay example short
+REPLAY_MODEL = [
+    "model.backbone_channels=4,8", "model.embedding_dim=5", "model.hidden_dim=6",
+    "model.fc_plan=10,2", "model.fusion_channels=5", "train.epochs=2", "train.lr=0.01",
+]
+
+
+class TestReplay:
+    @given(
+        variant=st.sampled_from(["FCM", "SCM", "TKM", "LSTM"]),
+        mask=st.sampled_from(["TT", "IT", "I", "TT,IT", "TT,I", "IT,I", "TT,IT,I"]),
+        share=st.booleans(),
+        eval_every=st.integers(0, 5),
+        batch_size=st.integers(1, 20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_train_replays_and_eval_repeats_bitwise(
+        self, tiny_data, variant, mask, share, eval_every, batch_size
+    ):
+        """``train --manifest`` rewrites the run's bytes, and ``eval`` run twice agrees.
+
+        Batch sizes that do not divide the 16 training examples leave a short
+        last batch; the LSTM reads tweet text alone.
+        """
+        assume(not (variant == "TKM" and mask == "I"))
+        data, root = tiny_data
+        pairs = [
+            f"model.variant={variant}", f"model.share_text_encoder={share}",
+            f"train.eval_every={eval_every}", f"train.batch_size={batch_size}", *REPLAY_MODEL,
+        ]
+        if variant != "LSTM":
+            pairs.append(f"train.mask={mask}")
+        with tempfile.TemporaryDirectory(dir=root) as tmp:
+            first, second = Path(tmp) / "first", Path(tmp) / "second"
+            rc, err = run_main(["train", "--data", str(data), "--out", str(first), *sets(pairs)])
+            assert rc == EXIT_OK, err
+            rc, err = run_main([
+                "train", "--data", str(data), "--out", str(second),
+                "--manifest", str(first / "manifest.json"),
+            ])
+            assert rc == EXIT_OK, err
+            for name in ("checkpoint.mfuse", "history.csv"):
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
+            reports = []
+            for out in ("eval1", "eval2"):
+                rc, err = run_main([
+                    "eval", "--checkpoint", str(first / "checkpoint.mfuse"),
+                    "--data", str(data), "--out", str(Path(tmp) / out),
+                ])
+                assert rc == EXIT_OK, err
+                reports.append((Path(tmp) / out / "report.csv").read_bytes())
+            assert reports[0] == reports[1]
 
 
 class TestNonFiniteScores:

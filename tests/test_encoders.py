@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_model
 from mmfuse.autodiff import Tensor, check_gradients, ops
 from mmfuse.encoders import (
     TextEncoder,
@@ -15,7 +16,6 @@ from mmfuse.encoders import (
     preprocess_tweet_text,
 )
 from mmfuse.encoders.text import HASHTAG, NUMBER, PAD, SPECIALS, UNK, URL, USER
-from mmfuse.training import TextOnlyModel
 
 
 class TestPreprocessing:
@@ -124,11 +124,10 @@ class TestTextEncoder:
         out = enc.encode(pad_ids([[1, 2, 3]]))
         assert np.allclose(out.data, 0.0, atol=1e-15)
 
-    def test_zero_head_gives_zero_logits(self, rng):
-        enc = TextEncoder(10, TextEncoderConfig(embedding_dim=4, hidden_dim=6), rng)
-        model = TextOnlyModel(enc, rng)
-        model.head.weight.data[:] = 0.0
-        model.head.bias.data[:] = 0.0
+    def test_zero_head_gives_zero_logits(self):
+        model = build_model("LSTM", vocab_size=10, embedding_dim=4)
+        model.head.fc.final.weight.data[:] = 0.0
+        model.head.fc.final.bias.data[:] = 0.0
         logits = model.forward(None, pad_ids([[1, 2], [3]]), None)
         assert logits.shape == (2, 2)
         assert np.array_equal(logits.data, np.zeros((2, 2)))
@@ -146,8 +145,7 @@ class TestTextEncoder:
         assert np.array_equal(lengths, [2, 1])
 
     def test_classifier_gradient(self, rng):
-        enc = TextEncoder(8, TextEncoderConfig(embedding_dim=3, hidden_dim=4), rng)
-        model = TextOnlyModel(enc, rng)
+        model = build_model("LSTM", vocab_size=8, embedding_dim=3, hidden_dim=4)
         probe = Tensor(rng.standard_normal((2, 2)))
 
         def fn(*params):

@@ -111,8 +111,8 @@ class TestTextualKernels:
     def test_zero_generator_gives_zero_kernels(self, rng):
         config = desk_config("TKM")
         head = FusionHead(config, np.random.default_rng(1))
-        head.tweet_kernel_gen.weight.data[:] = 0.0
-        head.tweet_kernel_gen.bias.data[:] = 0.0
+        head.kernel_gens["tweet"].weight.data[:] = 0.0
+        head.kernel_gens["tweet"].bias.data[:] = 0.0
         kernels = head.make_textual_kernels(Tensor(rng.standard_normal((2, 6))), "tweet")
         assert np.array_equal(kernels.data, np.zeros((2, 4, 8)))
 
@@ -120,10 +120,10 @@ class TestTextualKernels:
         """A kernel that is a one-hot over channels copies that channel."""
         config = desk_config("TKM")
         head = FusionHead(config, np.random.default_rng(1))
-        head.tweet_kernel_gen.weight.data[:] = 0.0
+        head.kernel_gens["tweet"].weight.data[:] = 0.0
         bias = np.zeros((config.tweet_kernels, config.visual_dim))
         bias[0, 3] = 1.0  # kernel 0 reads channel 3
-        head.tweet_kernel_gen.bias.data[:] = bias.ravel()
+        head.kernel_gens["tweet"].bias.data[:] = bias.ravel()
         v, tt, _ = desk_inputs(config, rng)
         kernels = head.make_textual_kernels(tt, "tweet")
         mm_map = ops.dynamic_conv1x1(v, kernels)
@@ -173,12 +173,13 @@ class TestSpatialProperties:
 
 
 class TestMultimodalModel:
-    def build(self, variant, seed=0, mask=InputMask()):
+    def build(self, variant, seed=0, mask=InputMask(), share_text_encoder=True):
         backbone = VisionBackboneConfig(input_side=8, channels=(4, 8))
-        fusion = desk_config(variant, visual_dim=8, map_side=2)
+        fusion = desk_config(variant, visual_dim=8, map_side=2, mask=mask)
         text = TextEncoderConfig(embedding_dim=5, hidden_dim=6)
         return MultimodalModel(
-            20, fusion, backbone_config=backbone, text_config=text, seed=seed, mask=mask
+            20, fusion, backbone_config=backbone, text_config=text, seed=seed,
+            share_text_encoder=share_text_encoder,
         )
 
     @pytest.mark.parametrize("variant", ["FCM", "SCM", "TKM"])
@@ -208,6 +209,62 @@ class TestMultimodalModel:
     def test_shared_text_encoder_default(self):
         model = self.build("FCM")
         assert model.imgtext_encoder is model.text_encoder
+
+    def test_tkm_without_text_is_refused_before_any_weight_is_drawn(self):
+        with pytest.raises(ValueError, match="TKM makes its kernels from TT or IT, not I$"):
+            self.build("TKM", mask=InputMask.parse("I"))
+
+    @pytest.mark.parametrize(
+        "variant, mask, share, modules",
+        [
+            ("FCM", "TT", True, {"text", "head.fc"}),
+            ("FCM", "IT", True, {"text", "head.fc"}),
+            ("FCM", "IT", False, {"imgtext", "head.fc"}),
+            ("FCM", "I", False, {"backbone", "head.fc"}),
+            ("SCM", "TT,IT", False, {"text", "imgtext", "head.conv", "head.fc"}),
+            ("TKM", "TT,IT", True, {"text", "head.conv", "head.fc"}),
+            (
+                "TKM", "TT,I", False,
+                {"backbone", "text", "head.kernels.tweet", "head.kernels.bn", "head.conv", "head.fc"},
+            ),
+            (
+                "TKM", "TT,IT,I", True,
+                {"backbone", "text", "head.kernels.tweet", "head.kernels.imgtext", "head.kernels.bn",
+                 "head.conv", "head.fc"},
+            ),
+        ],
+    )
+    def test_mask_decides_which_modules_exist(self, variant, mask, share, modules):
+        model = self.build(variant, mask=InputMask.parse(mask), share_text_encoder=share)
+
+        def module(name):
+            parts = name.split(".")
+            keep = 3 if parts[:2] == ["head", "kernels"] else 2 if parts[0] == "head" else 1
+            return ".".join(parts[:keep])
+
+        assert {module(name) for name in model.state_dict()} == modules
+
+    def test_tkm_without_image_is_the_scm_head(self, rng):
+        """With no image there is nothing to apply textual kernels to: the texts fuse over zeros."""
+        mask = InputMask.parse("TT,IT")
+        tkm, scm = self.build("TKM", mask=mask), self.build("SCM", mask=mask)
+        arrays = scm.state_dict()
+        assert sorted(tkm.state_dict()) == sorted(arrays)
+        tkm.load_state_dict(arrays)
+        tweets, imgtexts = pad_ids([[1, 2], [3]]), pad_ids([[4], [5, 6]])
+        assert np.array_equal(
+            tkm.forward(None, tweets, imgtexts).data, scm.forward(None, tweets, imgtexts).data
+        )
+
+    def test_head_reads_only_the_inputs_its_mask_keeps(self, rng):
+        config = desk_config("SCM", mask=InputMask.parse("TT,I"))
+        head = FusionHead(config, np.random.default_rng(1))
+        v, tt, it = desk_inputs(config, rng)
+        assert head(v, tt, None).shape == (3, 2)
+        with pytest.raises(ShapeMismatch, match="t_imgtext must be None under mask TT,I"):
+            head(v, tt, it)
+        with pytest.raises(ShapeMismatch, match=r"t_tweet must be \(N, 6\) under mask TT,I, got None"):
+            head(v, None, None)
 
     def test_mismatched_backbone_rejected(self):
         backbone = VisionBackboneConfig(input_side=8, channels=(4, 8))

@@ -3,28 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import build_model as build
 from mmfuse.autodiff import Tensor, backward, no_grad, ops
-from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig
-from mmfuse.fusion import FusionModelConfig, MultimodalModel
 from mmfuse import training
-from mmfuse.training import HATE, ModelData, TextOnlyModel, score_dataset
+from mmfuse.training import HATE, ModelData, score_dataset
 
 VARIANTS = ["FCM", "SCM", "TKM", "LSTM"]
-
-
-def build(variant):
-    text = TextEncoderConfig(embedding_dim=5, hidden_dim=6)
-    if variant == "LSTM":
-        rng = np.random.default_rng(0)
-        return TextOnlyModel(TextEncoder(20, text, rng), rng)
-    fusion = FusionModelConfig(
-        variant=variant, visual_dim=8, map_side=2, hidden_dim=6, tweet_kernels=3,
-        imgtext_kernels=2, fc_plan=(10, 2), fusion_channels=5, dropout_rate=0.2,
-    )
-    return MultimodalModel(
-        20, fusion, backbone_config=VisionBackboneConfig(input_side=8, channels=(4, 8)),
-        text_config=text, seed=0,
-    )
 
 
 def data(n=10, seed=0):

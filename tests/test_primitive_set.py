@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_model as build
 from mmfuse import gradcheck_suite
 from mmfuse.autodiff import Tensor, backward, check_gradients, ops
-from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig
-from mmfuse.fusion import FusionModelConfig, MultimodalModel
-from mmfuse.training import ModelData, TextOnlyModel, TrainConfig, score_dataset, train
+from mmfuse.training import ModelData, TrainConfig, score_dataset, train
 
 # Primitives no training step or scoring reaches, each kept for a named caller.
 KEEP = {
@@ -31,21 +30,19 @@ PUBLIC = sorted(
 
 
 VARIANTS = ["FCM", "SCM", "TKM", "LSTM"]
-
-
-def build(variant):
-    text = TextEncoderConfig(embedding_dim=5, hidden_dim=6)
-    if variant == "LSTM":
-        rng = np.random.default_rng(0)
-        return TextOnlyModel(TextEncoder(20, text, rng), rng)
-    fusion = FusionModelConfig(
-        variant=variant, visual_dim=8, map_side=2, hidden_dim=6, tweet_kernels=3,
-        imgtext_kernels=2, fc_plan=(10, 2), fusion_channels=5, dropout_rate=0.2,
+MASKS = ["TT", "IT", "I", "TT,IT", "TT,I", "IT,I", "TT,IT,I"]
+# Every variant x mask x share_text_encoder that builds; a TKM needs a text.
+# The all-inputs, shared-encoder model of each variant is named by the variant.
+BUILDABLE = [pytest.param("LSTM", "TT", True, id="LSTM")] + [
+    pytest.param(
+        variant, mask, share,
+        id="-".join([variant] + [mask] * (mask != MASKS[-1]) + ["unshared"] * (not share)),
     )
-    return MultimodalModel(
-        20, fusion, backbone_config=VisionBackboneConfig(input_side=8, channels=(4, 8)),
-        text_config=text, seed=0,
-    )
+    for variant in VARIANTS[:3]
+    for mask in MASKS
+    for share in (True, False)
+    if not (variant == "TKM" and mask == "I")
+]
 
 
 def data(n, seed=0):
@@ -93,14 +90,15 @@ def test_every_primitive_is_reached_by_training_or_kept(monkeypatch):
     assert set(KEEP) <= set(PUBLIC)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_every_parameter_gets_a_gradient(variant):
-    """One training step on all inputs gives every parameter a gradient above rounding.
+@pytest.mark.parametrize("variant, mask, share", BUILDABLE)
+def test_every_parameter_gets_a_gradient(variant, mask, share):
+    """One training step gives every parameter a gradient above rounding.
 
     A bias in front of a train-mode batch norm fails this: the batch mean
-    cancels it, and its gradient is rounding error (under 1e-15 here).
+    cancels it, and its gradient is rounding error (under 1e-15 here). So
+    does a module that the mask cuts off from the loss.
     """
-    model, batch = build(variant), data(8)
+    model, batch = build(variant, mask, share_text_encoder=share), data(8)
     logits = model.forward(
         batch.images, batch.tweet, batch.imgtext, training=True,
         rng=np.random.default_rng(0),

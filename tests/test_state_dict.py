@@ -7,42 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_model
 from mmfuse.autodiff import CheckpointError, backward, load_arrays, ops, save_arrays
-from mmfuse.encoders import TextEncoder, TextEncoderConfig, VisionBackboneConfig, pad_ids
-from mmfuse.fusion import FusionModelConfig, MultimodalModel
-from mmfuse.training import TextOnlyModel
+from mmfuse.encoders import pad_ids
 
 TWEETS = pad_ids([[1, 2], [3], [4, 5, 6]])
 IMGTEXTS = pad_ids([[7], [8, 9], []])
-
-
-def build(
-    variant, seed=0, share_text_encoder=True, hidden_dim=6, channels=(4, 8), fusion_channels=5
-):
-    text = TextEncoderConfig(embedding_dim=5, hidden_dim=hidden_dim)
-    if variant == "LSTM":
-        rng = np.random.default_rng(seed)
-        return TextOnlyModel(TextEncoder(20, text, rng), rng)
-    backbone = VisionBackboneConfig(input_side=8, channels=channels)
-    fusion = FusionModelConfig(
-        variant=variant,
-        visual_dim=backbone.map_channels,
-        map_side=backbone.map_side,
-        hidden_dim=hidden_dim,
-        tweet_kernels=3,
-        imgtext_kernels=2,
-        fc_plan=(10, 2),
-        fusion_channels=fusion_channels,
-        dropout_rate=0.2,
-    )
-    return MultimodalModel(
-        20,
-        fusion,
-        backbone_config=backbone,
-        text_config=text,
-        seed=seed,
-        share_text_encoder=share_text_encoder,
-    )
 
 
 def forward(model, images, training=False):
@@ -56,11 +26,11 @@ def images(rng):
 
 @pytest.mark.parametrize("variant", ["FCM", "SCM", "TKM", "LSTM"])
 def test_round_trip_restores_logits(variant, images, tmp_path):
-    model = build(variant, seed=1)
+    model = build_model(variant, seed=1)
     forward(model, images, training=True)  # moves the batch-norm running statistics
     before = forward(model, images).data
     save_arrays(tmp_path / "ck", model.state_dict())
-    other = build(variant, seed=2)
+    other = build_model(variant, seed=2)
     other.load_state_dict(load_arrays(tmp_path / "ck"))
     assert np.array_equal(forward(other, images).data, before)
 
@@ -78,16 +48,16 @@ def test_checkpoint_round_trip_is_bitwise(
     tmp_path_factory, variant, hidden_dim, channels, fusion_channels, share, seed
 ):
     shapes = dict(
-        hidden_dim=hidden_dim, channels=channels, fusion_channels=fusion_channels,
+        hidden_dim=hidden_dim, backbone_channels=channels, fusion_channels=fusion_channels,
         share_text_encoder=share,
     )
-    model = build(variant, seed=seed, **shapes)
+    model = build_model(variant, seed=seed, **shapes)
     images = np.random.default_rng(seed).random((3, 8, 8, 3))
     forward(model, images, training=True)  # moves the batch-norm running statistics
     arrays = model.state_dict()
     path = tmp_path_factory.mktemp("round_trip") / "checkpoint.mfuse"
     save_arrays(path, arrays)
-    other = build(variant, seed=seed + 1, **shapes)
+    other = build_model(variant, seed=seed + 1, **shapes)
     other.load_state_dict(load_arrays(path))
     restored = other.state_dict()
     assert sorted(restored) == sorted(arrays)
@@ -97,7 +67,7 @@ def test_checkpoint_round_trip_is_bitwise(
 
 
 def test_state_dict_holds_copies():
-    model = build("TKM")
+    model = build_model("TKM")
     before = model.state_dict()
     for value in model.state_dict().values():
         value += 1.0
@@ -106,36 +76,36 @@ def test_state_dict_holds_copies():
 
 
 def test_state_dict_covers_running_statistics():
-    names = build("SCM").state_dict()
+    names = build_model("SCM").state_dict()
     assert "backbone.stage0.bn.running_mean" in names
     assert "head.conv.bn0.running_var" in names
 
 
 class TestStrictLoad:
     def test_missing_key(self):
-        arrays = build("FCM").state_dict()
+        arrays = build_model("FCM").state_dict()
         del arrays["head.fc.out.bias"]
         with pytest.raises(CheckpointError, match="missing key 'head.fc.out.bias'"):
-            build("FCM").load_state_dict(arrays)
+            build_model("FCM").load_state_dict(arrays)
 
     def test_unexpected_key(self):
-        arrays = build("FCM").state_dict()
+        arrays = build_model("FCM").state_dict()
         arrays["text.head.weight"] = np.zeros((6, 2))
         with pytest.raises(CheckpointError, match="unexpected key 'text.head.weight'"):
-            build("FCM").load_state_dict(arrays)
+            build_model("FCM").load_state_dict(arrays)
 
     def test_wrong_variant(self):
         with pytest.raises(CheckpointError, match="missing key"):
-            build("TKM").load_state_dict(build("FCM").state_dict())
+            build_model("TKM").load_state_dict(build_model("FCM").state_dict())
 
     def test_wrong_shape(self):
         with pytest.raises(CheckpointError, match="shape"):
-            build("SCM", hidden_dim=6).load_state_dict(build("SCM", hidden_dim=7).state_dict())
+            build_model("SCM").load_state_dict(build_model("SCM", hidden_dim=7).state_dict())
 
     def test_failed_load_copies_nothing(self):
-        model = build("TKM", seed=1)
+        model = build_model("TKM", seed=1)
         before = model.state_dict()
-        arrays = build("TKM", seed=2).state_dict()
+        arrays = build_model("TKM", seed=2).state_dict()
         last = sorted(arrays)[-1]
         arrays[last] = np.zeros(arrays[last].size + 1)
         with pytest.raises(CheckpointError, match=last):
@@ -149,7 +119,7 @@ class TestStrictLoad:
     [(v, s) for v in ("FCM", "SCM", "TKM") for s in (True, False)] + [("LSTM", True)],
 )
 def test_every_parameter_gets_a_gradient(variant, share, images):
-    model = build(variant, share_text_encoder=share)
+    model = build_model(variant, share_text_encoder=share)
     loss = ops.softmax_cross_entropy(forward(model, images, training=True), np.array([0, 1, 1]))
     backward(loss)
     missing = [name for name, p in model.parameters().items() if p.grad is None]
@@ -157,7 +127,7 @@ def test_every_parameter_gets_a_gradient(variant, share, images):
 
 
 def test_lstm_baseline_initial_weights_are_pinned():
-    """The head is drawn from the encoder's rng after the encoder.
+    """The baseline's linear head is drawn after the encoder, from the same rng.
 
     The digest pins the draw order (embedding table, LSTM gates, then head),
     so the text-only baseline keeps its starting weights for a given seed.
@@ -165,25 +135,24 @@ def test_lstm_baseline_initial_weights_are_pinned():
     the order the per-gate matrices were drawn, so the digest is the one the
     per-gate LSTM gave.
     """
-    rng = np.random.default_rng(7)
     hidden = 5
-    encoder = TextEncoder(11, TextEncoderConfig(embedding_dim=4, hidden_dim=hidden), rng)
-    model = TextOnlyModel(encoder, rng)
+    model = build_model("LSTM", vocab_size=11, embedding_dim=4, hidden_dim=hidden, seed=7)
     arrays = model.state_dict()
     assert sorted(arrays) == [
-        "head.bias", "head.weight", "text.embed", "text.lstm.U", "text.lstm.W", "text.lstm.b"
+        "head.fc.out.bias", "head.fc.out.weight",
+        "text.embed", "text.lstm.U", "text.lstm.W", "text.lstm.b",
     ]
     blocks = [
         arrays[f"text.lstm.{kind}"][..., k * hidden : (k + 1) * hidden]
         for k in range(4)
         for kind in "WUb"
     ]
-    pieces = [arrays["text.embed"], *blocks, arrays["head.weight"], arrays["head.bias"]]
+    pieces = [arrays["text.embed"], *blocks, arrays["head.fc.out.weight"], arrays["head.fc.out.bias"]]
     digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in pieces)).hexdigest()
     assert digest == "e440cad9fe3ec142c4aeec9635010bb7355a1cd35a7fcbdd4d2572126ab7c262"
 
 
-# Names and shapes of the state dicts ``build`` makes. Saved checkpoints load
+# Names and shapes of the state dicts ``build_model`` makes. Saved checkpoints load
 # strictly by them, so a layer refactor must leave them as they are.
 ENCODER_KEYS = {
     "backbone.stage0.bn.beta": (4,),
@@ -272,5 +241,5 @@ def test_state_dict_keys_are_pinned(variant, share_text_encoder):
     expected = {**ENCODER_KEYS, **HEAD_KEYS[variant]}
     if not share_text_encoder:
         expected.update(IMGTEXT_KEYS)
-    state = build(variant, share_text_encoder=share_text_encoder).state_dict()
+    state = build_model(variant, share_text_encoder=share_text_encoder).state_dict()
     assert sorted((name, value.shape) for name, value in state.items()) == sorted(expected.items())

@@ -3,20 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_model
 from mmfuse import synth, training
 from mmfuse.autodiff import Tensor, ops, save_arrays
-from mmfuse.encoders import (
-    TextEncoder,
-    TextEncoderConfig,
-    VisionBackboneConfig,
-    pad_ids,
-    preprocess_tweet_text,
-)
+from mmfuse.encoders import TextEncoder, TextEncoderConfig, pad_ids, preprocess_tweet_text
 from mmfuse.evaluation import auc_roc
-from mmfuse.fusion import FusionModelConfig, InputMask, MultimodalModel
 from mmfuse.training import (
     ModelData,
-    TextOnlyModel,
     TrainConfig,
     TrainHistory,
     class_weights,
@@ -27,22 +20,13 @@ from mmfuse.training import (
 
 def text_only_model(seed=0, vocab_size=None, hidden=16):
     vocab_size = vocab_size or len(synth.build_vocabulary())
-    config = TextEncoderConfig(embedding_dim=8, hidden_dim=hidden)
-    rng = np.random.default_rng(seed)
-    return TextOnlyModel(TextEncoder(vocab_size, config, rng), rng)
+    return build_model("LSTM", vocab_size=vocab_size, seed=seed, embedding_dim=8, hidden_dim=hidden)
 
 
-def small_fcm(mask=InputMask(), share_text_encoder=True):
-    fusion = FusionModelConfig(
-        variant="FCM", visual_dim=8, map_side=2, hidden_dim=6, fc_plan=(10, 2), dropout_rate=0.1
-    )
-    return MultimodalModel(
-        len(synth.build_vocabulary()),
-        fusion,
-        backbone_config=VisionBackboneConfig(input_side=8, channels=(4, 8)),
-        text_config=TextEncoderConfig(embedding_dim=5, hidden_dim=6),
+def small_fcm(mask=None, share_text_encoder=True):
+    return build_model(
+        "FCM", mask, len(synth.build_vocabulary()), dropout_rate=0.1,
         share_text_encoder=share_text_encoder,
-        mask=mask,
     )
 
 
@@ -188,8 +172,8 @@ class TestTrainLoop:
 
     def test_initial_loss_is_ln2_with_zero_head(self):
         model = text_only_model()
-        model.head.weight.data[:] = 0.0
-        model.head.bias.data[:] = 0.0
+        model.head.fc.final.weight.data[:] = 0.0
+        model.head.fc.final.bias.data[:] = 0.0
         train_data, val_data = synth_data(n=32)
         config = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-9, seed=0)
         _, history = train(model, train_data, val_data, config)
@@ -268,13 +252,13 @@ class TestTrainLoop:
             real_backward(loss)
             losses.append(loss)
             if len(losses) == 2:
-                model.head.bias.grad[1] = np.nan
+                model.head.fc.final.bias.grad[1] = np.nan
 
         monkeypatch.setattr(training, "backward", nan_on_second_step)
         train_data, val_data = synth_data(n=96, seed=8)
         config = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-2, seed=9)
         best, history = train(model, train_data, val_data, config)
-        assert history.diverged == "non-finite gradient of 'head.bias'"
+        assert history.diverged == "non-finite gradient of 'head.fc.out.bias'"
         assert len(history.steps) == 2
         for name, value in model.state_dict().items():
             assert np.array_equal(value, initial[name]), name
@@ -285,12 +269,12 @@ class TestTrainLoop:
         model = text_only_model(seed=2)
         initial = model.state_dict()
         names = list(model.parameters())
-        assert names.index("text.lstm.U") < names.index("head.bias")
+        assert names.index("text.lstm.U") < names.index("head.fc.out.bias")
         real_backward = training.backward
 
         def nan_in_two(loss):
             real_backward(loss)
-            model.head.bias.grad[0] = np.nan
+            model.head.fc.final.bias.grad[0] = np.nan
             model.text_encoder.lstm.U.grad[-1, -1] = np.nan
 
         monkeypatch.setattr(training, "backward", nan_in_two)
@@ -304,15 +288,7 @@ class TestTrainLoop:
 
     def test_nonfinite_validation_score_diverges(self):
         """An overflowing learning rate drives the validation scores to NaN."""
-        fusion = FusionModelConfig(
-            variant="SCM", visual_dim=8, map_side=2, hidden_dim=6, fc_plan=(10, 2),
-            fusion_channels=5, dropout_rate=0.1,
-        )
-        model = MultimodalModel(
-            len(synth.build_vocabulary()), fusion,
-            backbone_config=VisionBackboneConfig(input_side=8, channels=(4, 8)),
-            text_config=TextEncoderConfig(embedding_dim=5, hidden_dim=6),
-        )
+        model = build_model("SCM", vocab_size=len(synth.build_vocabulary()), dropout_rate=0.1)
         initial = model.state_dict()
         train_data, val_data = synth_data(mode="crossmodal_xor", n=32, seed=3, image_side=8)
         config = TrainConfig(epochs=1, batch_size=32, learning_rate=1e30, seed=9)
@@ -324,14 +300,11 @@ class TestTrainLoop:
             assert np.array_equal(best[name], initial[name]), name
 
     def test_model_mask_rules_training_and_scoring(self):
-        model = small_fcm(mask=InputMask.parse("TT,IT"))
-        initial = model.state_dict()
+        """A model without the image has no backbone, and scores as it validated."""
+        model = small_fcm(mask="TT,IT")
+        assert not [name for name in model.state_dict() if name.startswith("backbone.")]
         train_data, val_data = synth_data(mode="crossmodal_xor", n=64, seed=3, image_side=8)
         _, history = train(model, train_data, val_data, TrainConfig())
-        backbone = [name for name in initial if name.startswith("backbone.")]
-        assert backbone
-        for name in backbone:
-            assert np.array_equal(model.state_dict()[name], initial[name]), name
         assert history.best_val_auc == auc_roc(score_dataset(model, val_data))
 
     def test_unreached_parameter_gets_no_update(self, monkeypatch):
