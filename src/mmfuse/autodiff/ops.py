@@ -280,7 +280,8 @@ def _conv_forward(x, weight, taps, out_shape, const=None):
         x_block, data_block = x[block], data[block]
         for u, v, out_sl, in_sl in taps:
             window = data_block[out_sl]
-            window += (x_block[in_sl].reshape(-1, cin) @ weight[u, v, :cin]).reshape(window.shape)
+            rows = window.size // cout  # explicit: a 0-channel map has no -1 to infer
+            window += (x_block[in_sl].reshape(rows, cin) @ weight[u, v, :cin]).reshape(window.shape)
     return data
 
 
@@ -297,7 +298,7 @@ def _conv_backward(grad, x, weight, taps, need_dx, const=None):
     for u, v, out_sl, in_sl in taps:
         patch = x[in_sl]
         g2 = grad[out_sl].reshape(-1, cout)
-        dw[u, v, :cin] = patch.reshape(-1, cin).T @ g2
+        dw[u, v, :cin] = patch.reshape(len(g2), cin).T @ g2
         if dx is not None:
             dx[in_sl] += (g2 @ weight[u, v, :cin].T).reshape(patch.shape)
     if const is None:

@@ -18,63 +18,46 @@ class NonFiniteGradient(AutodiffError):
 class AdamState:
     """Hyperparameters, step counter and the flat buffers of one parameter set.
 
-    The first :func:`adam_step` binds its parameters: their values are copied
-    once into the contiguous float64 vector ``values``, in the order of the
-    ``params`` dict, and each parameter's ``.data`` becomes a view into it.
-    ``spans`` maps each name to its (start, stop) in that vector; the moments
-    ``m`` and ``v`` and the gathered gradient share the layout.
+    Making the state binds ``params`` (name -> Tensor): their values are
+    copied once into the contiguous float64 vector ``values``, in dict order,
+    and each parameter's ``.data`` becomes a view into it. ``spans`` maps each
+    name to its (start, stop) in that vector; the moments ``m`` and ``v`` and
+    the gathered gradient share the layout. Loading weights in place keeps the
+    views; a parameter whose ``.data`` is replaced is no longer updated.
     """
 
-    def __init__(self, lr=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.spans = {}
-        self.values = self.m = self.v = np.zeros(0)
-        self._views = []  # each parameter's .data as bound, in layout order
-
-    def _bound_to(self, params):
-        return list(params) == list(self.spans) and all(
-            p.data is view for p, view in zip(params.values(), self._views)
-        )
-
-    def _bind(self, params):
-        """Lay ``params`` out in fresh flat buffers; moments carry over by name."""
+        self.params = params
         stops = np.cumsum([p.data.size for p in params.values()]).tolist()
-        spans = dict(zip(params, zip([0] + stops[:-1], stops)))
+        self.spans = dict(zip(params, zip([0] + stops[:-1], stops)))
         size = stops[-1] if stops else 0
-        values, m, v, grad = np.empty(size), np.zeros(size), np.zeros(size), np.empty(size)
+        self.values, self.m, self.v = np.empty(size), np.zeros(size), np.zeros(size)
+        self._grad, self._work = np.empty(size), np.empty(size)
         self._grad_views = {}
         for name, p in params.items():
-            lo, hi = spans[name]
-            values[lo:hi] = p.data.reshape(-1)
-            old = self.spans.get(name)
-            if old is not None and old[1] - old[0] == hi - lo:
-                m[lo:hi] = self.m[old[0] : old[1]]
-                v[lo:hi] = self.v[old[0] : old[1]]
-            p.data = values[lo:hi].reshape(p.data.shape)
-            self._grad_views[name] = grad[lo:hi].reshape(p.data.shape)
-        self.spans, self.values, self.m, self.v = spans, values, m, v
-        self._grad, self._work = grad, np.empty(size)
-        self._views = [p.data for p in params.values()]
+            lo, hi = self.spans[name]
+            self.values[lo:hi] = p.data.reshape(-1)
+            p.data = self.values[lo:hi].reshape(p.data.shape)
+            self._grad_views[name] = self._grad[lo:hi].reshape(p.data.shape)
 
 
-def adam_step(params, grads, state):
-    """One ADAM update, in place on ``params`` (name -> Tensor).
+def adam_step(grads, state):
+    """One ADAM update, in place on the parameters ``state`` binds.
 
     ``grads`` maps names to arrays; parameters without an entry (or with a
     None entry) are treated as having zero gradient and left untouched, with
     their moments. The reached gradients are gathered into one flat buffer
     and checked once: a NaN or inf raises NonFiniteGradient, naming the first
-    such parameter in ``params`` order, before anything is updated. The update
+    such parameter in layout order, before anything is updated. The update
     then runs once over each maximal run of reached parameters.
     """
-    if not state._bound_to(params):
-        state._bind(params)
     runs = []  # [start, stop) of consecutive reached parameters
-    for name, p in params.items():
+    for name, p in state.params.items():
         g = grads.get(name)
         if g is None:
             continue
@@ -113,4 +96,3 @@ def adam_step(params, grads, state):
         np.multiply(state.lr, g, out=g)
         g /= work
         state.values[lo:hi] -= g
-    return params, state

@@ -26,9 +26,9 @@ from . import config as cfgmod
 from . import dataset, evaluation, synth
 from .autodiff import AutodiffError, CheckpointError, file_sha256, load_arrays, save_arrays
 from .config import ConfigError
-from .encoders import TextEncoderConfig, VisionBackboneConfig, encode_texts
+from .encoders import encode_texts
 from .encoders.text import Vocabulary
-from .fusion import FusionModelConfig, MultimodalModel
+from .fusion import ModelSpec, MultimodalModel
 from .gradcheck_suite import run_suite
 from .training import ModelData, TrainConfig, score_dataset, train
 
@@ -91,53 +91,34 @@ def load_manifest_config(path, error=ConfigError):
 
 # the keys of a train manifest that eval rebuilds the model from
 _RUN_KEYS = [name for name, key in cfgmod.KEYS.items() if {"train", "eval"} <= set(key.verbs)]
+_MODEL_KEYS = [name for name in cfgmod.KEYS if name.startswith("model.")]
 
 
 def _model_spec(values):
-    """``(text, backbone, fusion)``: the configs of the model ``values`` name.
+    """The :class:`ModelSpec` of the typed ``values``, as :func:`config.resolve` gives them.
 
-    ``values`` are typed, as :func:`config.resolve` gives them. The LSTM
+    The spec's fields are the ``model.*`` keys and ``train.mask``. The LSTM
     baseline is an FCM over tweet text with a linear head. Every fault is a
     ConfigError, raised before any weight is drawn.
     """
-    variant, mask = values["model.variant"], values["train.mask"]
-    lstm = variant == "LSTM"
-    if lstm and mask.label() != "TT":
-        raise ConfigError(f"model.variant=LSTM reads tweet text only, not {mask.label()}")
+    spec = {name.removeprefix("model."): values[name] for name in _MODEL_KEYS}
+    mask = values["train.mask"]
+    if spec["variant"] == "LSTM":
+        if mask.label() != "TT":
+            raise ConfigError(f"model.variant=LSTM reads tweet text only, not {mask.label()}")
+        if spec["fc_plan"] != (2,):
+            plan = ",".join(map(str, spec["fc_plan"]))
+            raise ConfigError(
+                f"model.variant=LSTM has a linear head: model.fc_plan must be 2, not {plan}"
+            )
+        spec["variant"] = "FCM"
     with _reraise(ConfigError):
-        text = TextEncoderConfig(
-            embedding_dim=values["model.embedding_dim"], hidden_dim=values["model.hidden_dim"]
-        )
-        backbone = VisionBackboneConfig(
-            input_side=values["model.image_side"], channels=values["model.backbone_channels"]
-        )
-        fusion = FusionModelConfig(
-            variant="FCM" if lstm else variant,
-            visual_dim=backbone.map_channels,
-            map_side=backbone.map_side,
-            hidden_dim=text.hidden_dim,
-            tweet_kernels=values["model.tweet_kernels"],
-            imgtext_kernels=values["model.imgtext_kernels"],
-            fc_plan=(2,) if lstm else values["model.fc_plan"],
-            fusion_channels=values["model.fusion_channels"],
-            dropout_rate=values["model.dropout_rate"],
-            mask=mask,
-        )
-    return text, backbone, fusion
+        return ModelSpec(**spec, mask=mask)
 
 
 def _build(values):
     """The model the typed ``values`` name, for ``train.vocab_size`` tokens."""
-    text, backbone, fusion = _model_spec(values)
-    with _reraise(ConfigError):
-        return MultimodalModel(
-            values["train.vocab_size"],
-            fusion,
-            backbone_config=backbone,
-            text_config=text,
-            seed=values["model.seed"],
-            share_text_encoder=values["model.share_text_encoder"],
-        )
+    return MultimodalModel(values["train.vocab_size"], _model_spec(values))
 
 
 def build_model(cfg, vocab_size):

@@ -122,6 +122,11 @@ def _mask_default(values, verb):
     return "TT" if values["model.variant"] == "LSTM" else "TT,IT,I"
 
 
+def _fc_plan_default(values, verb):
+    """`32,16,2`; `2` for the LSTM"""
+    return "2" if values["model.variant"] == "LSTM" else "32,16,2"
+
+
 def _name_default(values, verb):
     """the `model.variant`"""
     return values["model.variant"]
@@ -153,7 +158,7 @@ KEYS = {
     "model.hidden_dim": Key(_int, "32", _MODEL),
     "model.tweet_kernels": Key(_int, "4", _MODEL),
     "model.imgtext_kernels": Key(_int, "2", _MODEL),
-    "model.fc_plan": Key(_ints, "32,16,2", _MODEL),
+    "model.fc_plan": Key(_ints, _fc_plan_default, _MODEL),
     "model.fusion_channels": Key(_int, "16", _MODEL),
     "model.dropout_rate": Key(_float, "0.5", _MODEL),
     "model.share_text_encoder": Key(_bool, "true", _MODEL),

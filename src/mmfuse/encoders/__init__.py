@@ -8,13 +8,12 @@ from .text import (
     URL,
     USER,
     TextEncoder,
-    TextEncoderConfig,
     Vocabulary,
     encode_texts,
     pad_ids,
     preprocess_tweet_text,
 )
-from .vision import VisionBackbone, VisionBackboneConfig
+from .vision import STRIDE, VisionBackbone
 
 __all__ = [
     "HASHTAG",
@@ -24,11 +23,10 @@ __all__ = [
     "URL",
     "USER",
     "TextEncoder",
-    "TextEncoderConfig",
     "Vocabulary",
     "encode_texts",
     "pad_ids",
     "preprocess_tweet_text",
+    "STRIDE",
     "VisionBackbone",
-    "VisionBackboneConfig",
 ]

@@ -8,8 +8,6 @@ Both tweet text and image text run through the same encoder.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..autodiff import Tensor, ops
@@ -123,16 +121,6 @@ class Vocabulary:
         return vocab
 
 
-@dataclass
-class TextEncoderConfig:
-    embedding_dim: int = 100
-    hidden_dim: int = 150
-
-    def __post_init__(self):
-        if self.embedding_dim <= 0 or self.hidden_dim <= 0:
-            raise ValueError("embedding_dim and hidden_dim must be positive")
-
-
 def pad_ids(id_lists):
     """Right-pad token-id lists with 0 to their longest; returns (ids (N, T), lengths (N,)).
 
@@ -152,18 +140,16 @@ class TextEncoder(Layer):
     sequences encode to the zero vector.
     """
 
-    def __init__(self, vocab_size, config, rng):
-        self.config = config
-        self.embed = Tensor(
-            rng.uniform(-0.05, 0.05, (vocab_size, config.embedding_dim)), requires_grad=True
-        )
-        self.lstm = LSTM(config.embedding_dim, config.hidden_dim, rng)
+    def __init__(self, vocab_size, embedding_dim, hidden_dim, rng):
+        self.hidden_dim = hidden_dim
+        self.embed = Tensor(rng.uniform(-0.05, 0.05, (vocab_size, embedding_dim)), requires_grad=True)
+        self.lstm = LSTM(embedding_dim, hidden_dim, rng)
 
     def encode(self, text):
         """Encode ``text``, a :func:`pad_ids` pair, to an (N, hidden_dim) Tensor."""
         ids, lengths = text
         if ids.shape[1] == 0:
-            return Tensor(np.zeros((len(ids), self.config.hidden_dim)))
+            return Tensor(np.zeros((len(ids), self.hidden_dim)))
         return self.lstm(ops.embedding(self.embed, ids), lengths)
 
     def _children(self):

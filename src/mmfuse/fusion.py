@@ -8,10 +8,10 @@ map, then proceeds like SCM. The tiling is folded into the first fusion conv,
 which takes the text encodings as spatially constant input channels
 (``ops.conv_bn_relu``'s ``const``).
 
-The config's :class:`InputMask` decides which modules exist: a model draws
-no weights for an input it does not read, and its head fuses only the inputs
-it has. The text-only LSTM baseline is an FCM over tweet text whose head is
-one linear layer.
+One :class:`ModelSpec` holds a model's shape. Its :class:`InputMask` decides
+which modules exist: a model draws no weights for an input it does not read,
+and its head fuses only the inputs it has. The text-only LSTM baseline is an
+FCM over tweet text whose head is one linear layer.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ShapeMismatch, Tensor, ops
-from .encoders import TextEncoder, TextEncoderConfig, VisionBackbone, VisionBackboneConfig
+from .encoders import STRIDE, TextEncoder, VisionBackbone
 from .nn import BatchNorm, ConvBlock, Dense, Layer, glorot
 
 VARIANTS = ("FCM", "SCM", "TKM")
@@ -56,28 +56,41 @@ class InputMask:
         return cls(tweet_text="TT" in parts, image_text="IT" in parts, image="I" in parts)
 
 
-@dataclass
-class FusionModelConfig:
-    variant: str = "TKM"
-    visual_dim: int = 64  # pooled-vector / feature-map channel count
-    map_side: int = 4
-    hidden_dim: int = 150
-    tweet_kernels: int = 4  # K_t; reference value 10
-    imgtext_kernels: int = 2  # K_it; reference value 5
-    fc_plan: tuple = (128, 64, 2)
-    fusion_block_count: int = 2
-    fusion_channels: int = 64
-    dropout_rate: float = 0.5
-    mask: InputMask = InputMask()
+FUSION_BLOCKS = 2  # the conv blocks of an SCM or TKM head
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """A model's shape: the ``model.*`` keys without their prefix, and the input mask.
+
+    The config table gives every field its default; the spec repeats none.
+    The visual map's depth and side follow from the backbone.
+    """
+
+    variant: str
+    image_side: int
+    backbone_channels: tuple
+    embedding_dim: int
+    hidden_dim: int
+    tweet_kernels: int  # K_t; reference value 10
+    imgtext_kernels: int  # K_it; reference value 5
+    fc_plan: tuple
+    fusion_channels: int
+    dropout_rate: float
+    share_text_encoder: bool
+    seed: int
+    mask: InputMask
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in ("visual_dim", "map_side", "hidden_dim", "fusion_channels", "fusion_block_count"):
+        for name in ("image_side", "embedding_dim", "hidden_dim", "fusion_channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.fc_plan or min(self.fc_plan) < 1:
-            raise ValueError(f"fc_plan must be one or more widths >= 1, got {self.fc_plan}")
+        for name in ("backbone_channels", "fc_plan"):
+            widths = getattr(self, name)
+            if not widths or min(widths) < 1:
+                raise ValueError(f"{name} must be one or more widths >= 1, got {widths}")
         if self.fc_plan[-1] != 2:
             raise ValueError("fc_plan must end in the 2-class layer")
         if self.variant == "TKM" and (self.tweet_kernels < 1 or self.imgtext_kernels < 1):
@@ -92,16 +105,34 @@ class FusionModelConfig:
 
     @classmethod
     def reference(cls, variant="TKM"):
+        """The paper's scale: an 8x8x2048 visual map, 150-unit LSTMs, 10 + 5 kernels."""
         return cls(
             variant=variant,
-            visual_dim=2048,
-            map_side=8,
+            image_side=256,
+            backbone_channels=(128, 256, 512, 1024, 2048),
+            embedding_dim=100,
             hidden_dim=150,
             tweet_kernels=10,
             imgtext_kernels=5,
             fc_plan=(1024, 512, 2),
             fusion_channels=2048,
+            dropout_rate=0.5,
+            share_text_encoder=True,
+            seed=0,
+            mask=InputMask(),
         )
+
+    @property
+    def visual_dim(self):
+        """Channels of the visual map and length of its pooled vector."""
+        return self.backbone_channels[-1]
+
+    @property
+    def map_side(self):
+        side = self.image_side
+        for _ in self.backbone_channels:
+            side = -(-side // STRIDE)  # same-padded stride reduction
+        return side
 
     @property
     def texts(self):
@@ -156,9 +187,9 @@ class _ConvStack(Layer):
     ``in_ch`` counts the map's channels and the first block's ``const`` ones.
     """
 
-    def __init__(self, in_ch, out_ch, count, rng):
+    def __init__(self, in_ch, out_ch, rng):
         self.blocks = []
-        for _ in range(count):
+        for _ in range(FUSION_BLOCKS):
             self.blocks.append(ConvBlock(in_ch, out_ch, rng))
             in_ch = out_ch
 
@@ -183,21 +214,21 @@ class FusionHead(Layer):
     keeps the image they are applied to; ``kernels.bn`` exists with them.
     """
 
-    def __init__(self, config, rng):
-        self.config = cfg = config
+    def __init__(self, spec, rng):
+        self.spec = spec
         self.kernel_gens = {}
-        if cfg.variant == "FCM":
-            self.fc = _FcStack(cfg.concat_dim, cfg.fc_plan, rng)
+        if spec.variant == "FCM":
+            self.fc = _FcStack(spec.concat_dim, spec.fc_plan, rng)
             return
-        map_depth = cfg.visual_dim  # the visual map, or its zero stand-in without an image
-        if cfg.variant == "TKM" and cfg.mask.image:  # kernels need a map to apply them to
-            for name, count in cfg.texts.items():
-                self.kernel_gens[name] = Dense(cfg.hidden_dim, count * cfg.visual_dim, rng)
-            self.kernel_bn = BatchNorm(cfg.kernel_count)
-            map_depth = cfg.kernel_count
-        fused_depth = map_depth + cfg.hidden_dim * len(cfg.texts)
-        self.conv = _ConvStack(fused_depth, cfg.fusion_channels, cfg.fusion_block_count, rng)
-        self.fc = _FcStack(cfg.fusion_channels, cfg.fc_plan, rng)
+        map_depth = spec.visual_dim if spec.mask.image else 0  # without I the texts fuse alone
+        if spec.variant == "TKM" and spec.mask.image:  # kernels need a map to apply them to
+            for name, count in spec.texts.items():
+                self.kernel_gens[name] = Dense(spec.hidden_dim, count * spec.visual_dim, rng)
+            self.kernel_bn = BatchNorm(spec.kernel_count)
+            map_depth = spec.kernel_count
+        fused_depth = map_depth + spec.hidden_dim * len(spec.texts)
+        self.conv = _ConvStack(fused_depth, spec.fusion_channels, rng)
+        self.fc = _FcStack(spec.fusion_channels, spec.fc_plan, rng)
 
     def make_textual_kernels(self, t_text, which):
         """Affine-map a text encoding to a bank of 1x1 kernels (N, K, D_v).
@@ -207,7 +238,7 @@ class FusionHead(Layer):
         as K separate layers.
         """
         flat = self.kernel_gens[which](t_text)
-        return ops.reshape(flat, (flat.shape[0], self.config.texts[which], self.config.visual_dim))
+        return ops.reshape(flat, (flat.shape[0], self.spec.texts[which], self.spec.visual_dim))
 
     def __call__(self, v_input, t_tweet, t_imgtext, training=False, rng=None):
         """2-class logits from ``v_input`` and the (N, hidden_dim) text encodings.
@@ -216,19 +247,19 @@ class FusionHead(Layer):
         (N, map_side, map_side, visual_dim) map for SCM and TKM. An input the
         mask does not keep is None.
         """
-        cfg, mask = self.config, self.config.mask
-        fcm = cfg.variant == "FCM"
-        visual = (cfg.visual_dim,) if fcm else (cfg.map_side, cfg.map_side, cfg.visual_dim)
+        spec, mask = self.spec, self.spec.mask
+        fcm = spec.variant == "FCM"
+        visual = (spec.visual_dim,) if fcm else (spec.map_side, spec.map_side, spec.visual_dim)
         for name, t, expected, kept in [
             ("v_pool" if fcm else "v_map", v_input, visual, mask.image),
-            ("t_tweet", t_tweet, (cfg.hidden_dim,), mask.tweet_text),
-            ("t_imgtext", t_imgtext, (cfg.hidden_dim,), mask.image_text),
+            ("t_tweet", t_tweet, (spec.hidden_dim,), mask.tweet_text),
+            ("t_imgtext", t_imgtext, (spec.hidden_dim,), mask.image_text),
         ]:
             if (None if t is None else t.shape[1:]) != (expected if kept else None):
                 want = f"(N, {', '.join(map(str, expected))})" if kept else "None"
                 got = None if t is None else t.shape
                 raise ShapeMismatch(
-                    cfg.variant.lower() + "_forward",
+                    spec.variant.lower() + "_forward",
                     f"{name} must be {want} under mask {mask.label()}, got {got}",
                 )
         texts = {"tweet": t_tweet, "imgtext": t_imgtext}
@@ -236,9 +267,9 @@ class FusionHead(Layer):
         if fcm:
             present = [t for t in (v_input, *texts.values()) if t is not None]
             return self.fc(ops.concat(present, axis=1), training)
-        if v_input is None:  # conv_bn_relu takes no 0-channel map: the texts fuse over zeros
+        if v_input is None:  # a 0-channel map: the texts alone enter the first fusion conv
             n = next(iter(texts.values())).shape[0]
-            x = Tensor(np.zeros((n, cfg.map_side, cfg.map_side, cfg.visual_dim)))
+            x = Tensor(np.zeros((n, spec.map_side, spec.map_side, 0)))
         elif self.kernel_gens:
             kernels = [self.make_textual_kernels(t, name) for name, t in texts.items()]
             x = self.kernel_bn(ops.dynamic_conv1x1(v_input, ops.concat(kernels, axis=1)), training)
@@ -247,12 +278,12 @@ class FusionHead(Layer):
         # the text encodings enter the first fusion conv at every pixel
         const = ops.concat(list(texts.values()), axis=1) if texts else None
         x = self.conv(x, training, const=const)
-        x = ops.dropout(x, cfg.dropout_rate, training, rng)
+        x = ops.dropout(x, spec.dropout_rate, training, rng)
         return self.fc(ops.avg_pool_spatial(x), training)
 
     def _children(self):
         children = {}
-        if self.config.variant != "FCM":
+        if self.spec.variant != "FCM":
             children["conv"] = self.conv
             children.update((f"kernels.{name}", gen) for name, gen in self.kernel_gens.items())
             if self.kernel_gens:
@@ -264,41 +295,28 @@ class FusionHead(Layer):
 class MultimodalModel(Layer):
     """Backbone, text encoders and fusion head over raw batch inputs.
 
-    The config's ``mask`` is the one place the model's inputs are chosen, and
-    the model builds only what the mask reaches: the backbone with ``I``, the
+    ``spec.mask`` is the one place the model's inputs are chosen, and the
+    model builds only what the mask reaches: the backbone with ``I``, the
     tweet encoder with ``TT``, and an image-text encoder with ``IT``. The same
     LSTM encodes both texts unless ``share_text_encoder`` is off. Training and
-    scoring both read the mask; an input outside it is never read.
+    scoring both read the mask; an input outside it is never read. Weights are
+    drawn from ``spec.seed``: backbone, encoders, then head.
     """
 
-    def __init__(
-        self,
-        vocab_size,
-        fusion_config,
-        backbone_config=None,
-        text_config=None,
-        seed=0,
-        share_text_encoder=True,
-    ):
-        rng = np.random.default_rng(seed)
-        self.config = fusion_config
-        self.mask = mask = fusion_config.mask
-        self.text_config = text_config or TextEncoderConfig(hidden_dim=fusion_config.hidden_dim)
-        if self.text_config.hidden_dim != fusion_config.hidden_dim:
-            raise ValueError("text encoder hidden_dim must match fusion hidden_dim")
-        self.backbone_config = backbone_config or VisionBackboneConfig()
-        if self.backbone_config.map_channels != fusion_config.visual_dim:
-            raise ValueError("backbone map_channels must match fusion visual_dim")
-        if self.backbone_config.map_side != fusion_config.map_side:
-            raise ValueError("backbone map_side must match fusion map_side")
-        self.backbone = VisionBackbone(self.backbone_config, rng) if mask.image else None
-        share = self.share_text_encoder = share_text_encoder
-        encoder = lambda: TextEncoder(vocab_size, self.text_config, rng)
+    def __init__(self, vocab_size, spec):
+        rng = np.random.default_rng(spec.seed)
+        self.spec = spec
+        self.mask = mask = spec.mask
+        self.backbone = None
+        if mask.image:
+            self.backbone = VisionBackbone(spec.image_side, spec.backbone_channels, rng)
+        share = spec.share_text_encoder
+        encoder = lambda: TextEncoder(vocab_size, spec.embedding_dim, spec.hidden_dim, rng)
         self.text_encoder = encoder() if mask.tweet_text or (share and mask.image_text) else None
         self.imgtext_encoder = None
         if mask.image_text:
             self.imgtext_encoder = self.text_encoder if share else encoder()
-        self.head = FusionHead(fusion_config, rng)
+        self.head = FusionHead(spec, rng)
 
     def forward(self, images, tweet, imgtext, training=False, rng=None):
         """2-class logits for a batch.
@@ -313,11 +331,11 @@ class MultimodalModel(Layer):
         v_input = None
         if mask.image:
             v_pool, v_map = self.backbone(images, training)
-            v_input = v_pool if self.config.variant == "FCM" else v_map
+            v_input = v_pool if self.spec.variant == "FCM" else v_map
         return self.head(v_input, t_tweet, t_imgtext, training=training, rng=rng)
 
     def _children(self):
         children = {"backbone": self.backbone, "text": self.text_encoder, "head": self.head}
-        if not self.share_text_encoder:
+        if not self.spec.share_text_encoder:
             children["imgtext"] = self.imgtext_encoder
         return {name: child for name, child in children.items() if child is not None}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import BatchNormState, Tensor, check_gradients, ops
-from .fusion import FusionHead, FusionModelConfig
+from .fusion import FusionHead, InputMask, ModelSpec
 
 TOLERANCE = 1e-4
 EPS = 1e-5
@@ -168,18 +168,22 @@ def model_checks(seed=0, hidden_dim=32):
     rng = np.random.default_rng(seed)
     checks = []
     for variant in ("FCM", "SCM", "TKM"):
-        config = FusionModelConfig(
+        spec = ModelSpec(
             variant=variant,
-            visual_dim=64,
-            map_side=4,
+            image_side=8,
+            backbone_channels=(64,),  # one stride-2 stage: a 4x4x64 map
+            embedding_dim=16,
             hidden_dim=hidden_dim,
             tweet_kernels=4,
             imgtext_kernels=2,
             fc_plan=(32, 16, 2),
             fusion_channels=16,
             dropout_rate=0.3,
+            share_text_encoder=True,
+            seed=seed,
+            mask=InputMask(),
         )
-        head = FusionHead(config, np.random.default_rng([seed, ("FCM", "SCM", "TKM").index(variant)]))
+        head = FusionHead(spec, np.random.default_rng([seed, ("FCM", "SCM", "TKM").index(variant)]))
         if variant == "FCM":
             v_input = Tensor(rng.standard_normal((3, 64)), requires_grad=True)
         else:

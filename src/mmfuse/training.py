@@ -166,7 +166,7 @@ def train(model, train_data, val_data, config):
         weights = np.ones(2)
 
     params = model.parameters()
-    adam = AdamState(lr=config.learning_rate)
+    adam = AdamState(params, lr=config.learning_rate)
     history = TrainHistory()
     best = model.state_dict()
     best_auc = -np.inf
@@ -220,7 +220,7 @@ def train(model, train_data, val_data, config):
             backward(loss)
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
             try:
-                adam_step(params, grads, adam)
+                adam_step(grads, adam)
             except NonFiniteGradient as err:
                 history.diverged = str(err)
                 return diverge()

@@ -95,11 +95,14 @@ def build_model(variant, mask=None, vocab_size=20, **keys):
 
     ``keys`` override ``SMALL_MODEL`` and set other ``model.`` keys by their
     short name; a tuple is written comma-separated. ``LSTM`` is the text-only
-    baseline, which reads tweet text alone.
+    baseline, which reads tweet text alone through a linear head: it takes
+    the table's ``model.fc_plan``.
     """
     from mmfuse import cli
 
     values = {**SMALL_MODEL, "variant": variant, **keys}
+    if variant == "LSTM":
+        del values["fc_plan"]
     cfg = {
         f"model.{name}": ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
         for name, v in values.items()

@@ -19,7 +19,7 @@ from mmfuse import synth
 from mmfuse.cli import EXIT_OK, main as cli_main
 from mmfuse.encoders import pad_ids
 from mmfuse.evaluation import auc_roc, evaluate
-from mmfuse.fusion import FusionModelConfig
+from mmfuse.fusion import ModelSpec
 from mmfuse.gradcheck_suite import run_suite
 from mmfuse.training import TrainConfig, score_dataset, train
 
@@ -133,8 +133,8 @@ def test_criterion_3_random_row_reproduction():
 
 
 def test_criterion_4_reference_shape_conformance():
-    fcm = FusionModelConfig.reference("FCM")
-    tkm = FusionModelConfig.reference("TKM")
+    fcm = ModelSpec.reference("FCM")
+    tkm = ModelSpec.reference("TKM")
     ok = (
         fcm.concat_dim == 2348
         and (tkm.tweet_kernels, tkm.imgtext_kernels) == (10, 5)

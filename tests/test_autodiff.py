@@ -231,7 +231,7 @@ class TestCheckGradients:
 
 class TestAdam:
     def test_defaults(self):
-        state = AdamState()
+        state = AdamState({})
         assert state.lr == pytest.approx(1e-4)
         assert state.beta1 == pytest.approx(0.9)
         assert state.beta2 == pytest.approx(0.999)
@@ -239,13 +239,13 @@ class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         before = p.data.copy()
-        adam_step({"p": p}, {"p": np.zeros(2)}, AdamState())
+        adam_step({"p": np.zeros(2)}, AdamState({"p": p}))
         assert np.array_equal(p.data, before)
 
     def test_single_step_magnitude(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
-        state = AdamState(lr=1e-4)
-        adam_step({"p": p}, {"p": np.array([0.5])}, state)
+        state = AdamState({"p": p}, lr=1e-4)
+        adam_step({"p": np.array([0.5])}, state)
         assert abs(p.data[0]) == pytest.approx(1e-4, rel=1e-6)
         assert state.t == 1
 
@@ -254,9 +254,9 @@ class TestAdam:
 
         def run():
             p = Tensor(np.zeros(3), requires_grad=True)
-            state = AdamState(lr=1e-2)
+            state = AdamState({"p": p}, lr=1e-2)
             for g in grads:
-                adam_step({"p": p}, {"p": g}, state)
+                adam_step({"p": g}, state)
             return p.data.copy()
 
         assert np.array_equal(run(), run())

@@ -771,6 +771,43 @@ class TestLstmVariant:
         ])
         assert rc == EXIT_CONFIG
 
+    def test_fc_plan_beyond_the_linear_head_is_config_error(self, data_dir, tmp_path):
+        rc, err = run_main([
+            "train", "--data", str(data_dir), "--out", str(tmp_path / "o"),
+            "--set", "model.variant=LSTM", "--set", "model.fc_plan=32,16,2",
+        ])
+        assert rc == EXIT_CONFIG
+        assert err == [
+            "config error: model.variant=LSTM has a linear head: "
+            "model.fc_plan must be 2, not 32,16,2"
+        ]
+
+    def test_manifest_with_a_deeper_fc_plan_exits_2_on_replay_and_3_under_eval(
+        self, tiny_data, tmp_path
+    ):
+        data, _ = tiny_data
+        run = tmp_path / "run"
+        rc, err = run_main([
+            "train", "--data", str(data), "--out", str(run),
+            "--set", "model.variant=LSTM", "--set", "train.epochs=1",
+        ])
+        assert rc == EXIT_OK, err
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["config"]["model.fc_plan"] == "2"
+        manifest["config"]["model.fc_plan"] = "32,16,2"
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        rc, err = run_main([
+            "train", "--data", str(data), "--out", str(tmp_path / "replay"),
+            "--manifest", str(run / "manifest.json"),
+        ])
+        assert rc == EXIT_CONFIG and len(err) == 1 and "model.fc_plan must be 2" in err[0], err
+        rc, err = run_main([
+            "eval", "--checkpoint", str(run / "checkpoint.mfuse"), "--data", str(data),
+            "--out", str(tmp_path / "eval"),
+        ])
+        assert rc == EXIT_DATA and len(err) == 1, err
+        assert err[0].startswith(f"data error: {run / 'manifest.json'}: model.variant=LSTM"), err
+
 
 class TestPrepareVerb:
     def test_full_prepare_run(self, tmp_path):
@@ -959,7 +996,7 @@ class TestConfigFaults:
 # small shapes keep each replay example short
 REPLAY_MODEL = [
     "model.backbone_channels=4,8", "model.embedding_dim=5", "model.hidden_dim=6",
-    "model.fc_plan=10,2", "model.fusion_channels=5", "train.epochs=2", "train.lr=0.01",
+    "model.fusion_channels=5", "train.epochs=2", "train.lr=0.01",
 ]
 
 
@@ -986,8 +1023,8 @@ class TestReplay:
             f"model.variant={variant}", f"model.share_text_encoder={share}",
             f"train.eval_every={eval_every}", f"train.batch_size={batch_size}", *REPLAY_MODEL,
         ]
-        if variant != "LSTM":
-            pairs.append(f"train.mask={mask}")
+        if variant != "LSTM":  # the LSTM has a linear head: the table's fc_plan 2
+            pairs += [f"train.mask={mask}", "model.fc_plan=10,2"]
         with tempfile.TemporaryDirectory(dir=root) as tmp:
             first, second = Path(tmp) / "first", Path(tmp) / "second"
             rc, err = run_main(["train", "--data", str(data), "--out", str(first), *sets(pairs)])

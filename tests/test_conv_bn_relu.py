@@ -58,6 +58,7 @@ NAMES = ("y", "dx", "dW", "dgamma", "dbeta")
 )
 @example(n=1, h=1, w=1, cin=2, cout=3, stride=1, training=True, seed=0)  # count == 1
 @example(n=1, h=2, w=2, cin=2, cout=3, stride=2, training=True, seed=1)  # 1x1 output, stride 2
+@example(n=2, h=3, w=3, cin=0, cout=2, stride=1, training=True, seed=2)  # a 0-channel map
 def test_bitwise_equal_to_the_chain(n, h, w, cin, cout, stride, training, seed):
     rng = np.random.default_rng(seed)
     arrays = draw(rng, n, h, w, cin, cout, stride)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,14 @@ from conftest import build_model
 from mmfuse.autodiff import Tensor, check_gradients, ops
 from mmfuse.encoders import (
     TextEncoder,
-    TextEncoderConfig,
     VisionBackbone,
-    VisionBackboneConfig,
     Vocabulary,
     encode_texts,
     pad_ids,
     preprocess_tweet_text,
 )
 from mmfuse.encoders.text import HASHTAG, NUMBER, PAD, SPECIALS, UNK, URL, USER
+from mmfuse.fusion import ModelSpec
 
 
 class TestPreprocessing:
@@ -107,18 +108,18 @@ class TestVocabulary:
 
 class TestTextEncoder:
     def test_reference_default_dims(self):
-        config = TextEncoderConfig()
-        assert config.hidden_dim == 150
-        assert config.embedding_dim == 100
+        spec = ModelSpec.reference()
+        assert spec.hidden_dim == 150
+        assert spec.embedding_dim == 100
 
     def test_empty_sequence_encodes_to_zero(self, rng):
-        enc = TextEncoder(10, TextEncoderConfig(embedding_dim=4, hidden_dim=6), rng)
+        enc = TextEncoder(10, 4, 6, rng)
         out = enc.encode(pad_ids([[]]))
         assert out.shape == (1, 6)
         assert np.array_equal(out.data, np.zeros((1, 6)))
 
     def test_zero_weights_encode_to_zero(self, rng):
-        enc = TextEncoder(10, TextEncoderConfig(embedding_dim=4, hidden_dim=6), rng)
+        enc = TextEncoder(10, 4, 6, rng)
         for tensor in enc.lstm.parameters().values():
             tensor.data = np.zeros_like(tensor.data)
         out = enc.encode(pad_ids([[1, 2, 3]]))
@@ -133,7 +134,7 @@ class TestTextEncoder:
         assert np.array_equal(logits.data, np.zeros((2, 2)))
 
     def test_variable_lengths_match_individual_encodings(self, rng):
-        enc = TextEncoder(12, TextEncoderConfig(embedding_dim=5, hidden_dim=7), rng)
+        enc = TextEncoder(12, 5, 7, rng)
         batch = enc.encode(pad_ids([[1, 2, 3], [4], [5, 6]])).data
         for i, seq in enumerate([[1, 2, 3], [4], [5, 6]]):
             single = enc.encode(pad_ids([seq])).data
@@ -158,37 +159,37 @@ class TestTextEncoder:
 
 class TestVisionBackbone:
     def test_desk_geometry(self):
-        config = VisionBackboneConfig()
-        assert config.input_side == 56
-        assert config.map_side == 4
-        assert config.map_channels == 64
+        spec = dataclasses.replace(
+            ModelSpec.reference(), image_side=56, backbone_channels=(16, 32, 48, 64)
+        )
+        assert spec.map_side == 4
+        assert spec.visual_dim == 64
 
     def test_reference_shaped_geometry(self):
         # the reference 8x8x2048 map / 2048-d vector
-        config = VisionBackboneConfig(input_side=256, channels=(128, 256, 512, 1024, 2048))
-        assert config.map_side == 8
-        assert config.map_channels == 2048
+        spec = ModelSpec.reference()
+        assert spec.backbone_channels == (128, 256, 512, 1024, 2048)
+        assert spec.map_side == 8
+        assert spec.visual_dim == 2048
 
     def test_zero_input_zero_bias_gives_zero(self, rng):
-        config = VisionBackboneConfig(input_side=8, channels=(4, 6))
-        backbone = VisionBackbone(config, rng)
+        backbone = VisionBackbone(8, (4, 6), rng)
         pooled, fmap = backbone(Tensor(np.zeros((2, 8, 8, 3))), training=False)
         assert np.array_equal(fmap.data, np.zeros_like(fmap.data))
         assert np.array_equal(pooled.data, np.zeros((2, 6)))
 
     def test_pooled_equals_map_mean(self, rng):
-        config = VisionBackboneConfig(input_side=8, channels=(4, 6))
-        backbone = VisionBackbone(config, rng)
+        backbone = VisionBackbone(8, (4, 6), rng)
         pooled, fmap = backbone(Tensor(rng.random((3, 8, 8, 3))), training=True)
         assert np.allclose(pooled.data, fmap.data.mean(axis=(1, 2)), atol=1e-12)
 
     def test_map_shape_matches_config(self, rng):
-        config = VisionBackboneConfig(input_side=16, channels=(4, 8))
-        backbone = VisionBackbone(config, rng)
+        spec = dataclasses.replace(ModelSpec.reference(), image_side=16, backbone_channels=(4, 8))
+        backbone = VisionBackbone(spec.image_side, spec.backbone_channels, rng)
         _, fmap = backbone(Tensor(rng.random((2, 16, 16, 3))), training=True)
-        assert fmap.shape == (2, config.map_side, config.map_side, 8)
+        assert fmap.shape == (2, spec.map_side, spec.map_side, spec.visual_dim)
 
     def test_wrong_input_side_rejected(self, rng):
-        backbone = VisionBackbone(VisionBackboneConfig(input_side=16, channels=(4,)), rng)
+        backbone = VisionBackbone(16, (4,), rng)
         with pytest.raises(ValueError):
             backbone.feature_map(Tensor(rng.random((1, 8, 8, 3))), training=False)

@@ -1,25 +1,33 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mmfuse.autodiff import ShapeMismatch, Tensor, check_gradients, ops
-from mmfuse.encoders import TextEncoderConfig, VisionBackboneConfig, pad_ids
-from mmfuse.fusion import FusionHead, FusionModelConfig, InputMask, MultimodalModel
+from mmfuse.config import KEYS
+from mmfuse.encoders import pad_ids
+from mmfuse.fusion import FusionHead, InputMask, ModelSpec, MultimodalModel
 
 
 def desk_config(variant, **kw):
+    """A small spec: 16-px images through backbone 4,8 give a 4x4x8 map."""
     defaults = dict(
         variant=variant,
-        visual_dim=8,
-        map_side=4,
+        image_side=16,
+        backbone_channels=(4, 8),
+        embedding_dim=5,
         hidden_dim=6,
         tweet_kernels=4,
         imgtext_kernels=2,
         fc_plan=(10, 2),
         fusion_channels=5,
         dropout_rate=0.0,
+        share_text_encoder=True,
+        seed=0,
+        mask=InputMask(),
     )
     defaults.update(kw)
-    return FusionModelConfig(**defaults)
+    return ModelSpec(**defaults)
 
 
 def desk_inputs(config, rng, n=3):
@@ -49,11 +57,19 @@ class TestInputMask:
 
 
 class TestConfig:
+    def test_fields_are_the_model_keys_and_the_mask(self):
+        model_keys = [name.removeprefix("model.") for name in KEYS if name.startswith("model.")]
+        assert [f.name for f in dataclasses.fields(ModelSpec)] == model_keys + ["mask"]
+
+    def test_visual_map_follows_from_the_backbone(self):
+        config = desk_config("SCM", image_side=15, backbone_channels=(3, 4, 7))
+        assert (config.visual_dim, config.map_side) == (7, 2)
+
     def test_reference_fcm_concat_dim(self):
-        assert FusionModelConfig.reference("FCM").concat_dim == 2348
+        assert ModelSpec.reference("FCM").concat_dim == 2348
 
     def test_reference_tkm_kernel_counts(self):
-        config = FusionModelConfig.reference("TKM")
+        config = ModelSpec.reference("TKM")
         assert (config.tweet_kernels, config.imgtext_kernels) == (10, 5)
         assert config.kernel_count == 15
         assert config.kernel_count + 2 * config.hidden_dim == 315
@@ -63,8 +79,8 @@ class TestConfig:
         assert config.kernel_count == 6
 
     def test_bad_variant_rejected(self):
-        with pytest.raises(ValueError):
-            FusionModelConfig(variant="XYZ")
+        with pytest.raises(ValueError, match="variant must be one of"):
+            desk_config("XYZ")
 
     def test_fc_plan_must_end_in_two(self):
         with pytest.raises(ValueError):
@@ -158,7 +174,7 @@ class TestGradients:
 class TestSpatialProperties:
     def test_scm_constant_map_interior_translation_invariance(self, rng):
         """With constant inputs, interior conv outputs are identical."""
-        config = desk_config("SCM", fusion_block_count=1)
+        config = desk_config("SCM")
         head = FusionHead(config, np.random.default_rng(3))
         v = Tensor(np.broadcast_to(rng.standard_normal(8), (1, 4, 4, 8)).copy())
         tt = Tensor(rng.standard_normal((1, 6)))
@@ -174,13 +190,10 @@ class TestSpatialProperties:
 
 class TestMultimodalModel:
     def build(self, variant, seed=0, mask=InputMask(), share_text_encoder=True):
-        backbone = VisionBackboneConfig(input_side=8, channels=(4, 8))
-        fusion = desk_config(variant, visual_dim=8, map_side=2, mask=mask)
-        text = TextEncoderConfig(embedding_dim=5, hidden_dim=6)
-        return MultimodalModel(
-            20, fusion, backbone_config=backbone, text_config=text, seed=seed,
-            share_text_encoder=share_text_encoder,
+        spec = desk_config(
+            variant, image_side=8, seed=seed, mask=mask, share_text_encoder=share_text_encoder
         )
+        return MultimodalModel(20, spec)
 
     @pytest.mark.parametrize("variant", ["FCM", "SCM", "TKM"])
     def test_forward_shape(self, variant, rng):
@@ -266,17 +279,10 @@ class TestMultimodalModel:
         with pytest.raises(ShapeMismatch, match=r"t_tweet must be \(N, 6\) under mask TT,I, got None"):
             head(v, None, None)
 
-    def test_mismatched_backbone_rejected(self):
-        backbone = VisionBackboneConfig(input_side=8, channels=(4, 8))
-        fusion = desk_config("FCM", visual_dim=9, map_side=2)
-        with pytest.raises(ValueError):
-            MultimodalModel(20, fusion, backbone_config=backbone,
-                            text_config=TextEncoderConfig(embedding_dim=5, hidden_dim=6))
-
 
 class TestReferenceScaleShapes:
     def test_fcm_reference_forward(self, rng):
-        config = FusionModelConfig.reference("FCM")
+        config = ModelSpec.reference("FCM")
         head = FusionHead(config, np.random.default_rng(0))
         logits = head(
             Tensor(rng.standard_normal((1, 2048))),
@@ -287,7 +293,7 @@ class TestReferenceScaleShapes:
         assert logits.shape == (1, 2)
 
     def test_tkm_reference_map_shapes(self, rng):
-        config = FusionModelConfig.reference("TKM")
+        config = ModelSpec.reference("TKM")
         head = FusionHead(config, np.random.default_rng(0))
         v = Tensor(rng.standard_normal((1, 8, 8, 2048)))
         tt = Tensor(rng.standard_normal((1, 150)))

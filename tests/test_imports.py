@@ -32,7 +32,7 @@ FILES = sorted(
 
 # Public names nothing in src/ or perfbench/ references, each with its reason.
 KEEP = {
-    "FusionModelConfig.reference": "criterion 4 checks the paper's reference-scale shapes from it",
+    "ModelSpec.reference": "criterion 4 checks the paper's reference-scale shapes from it",
 }
 
 

@@ -112,7 +112,8 @@ def test_rejects_bad_shapes(shapes, lengths):
 
 
 # ---------------------------------------------------------------------------
-# the desk configuration: 16-px images, backbone 8,16, hidden 32, embedding 16
+# the desk configuration: 16-px images, backbone 8,16, hidden 32, embedding 16, and the
+# table's model.fc_plan: 32,16,2, or 2 for the LSTM
 
 
 DESK = {
@@ -120,7 +121,6 @@ DESK = {
     "model.backbone_channels": "8,16",
     "model.hidden_dim": "32",
     "model.embedding_dim": "16",
-    "model.fc_plan": "32,16,2",
     "model.fusion_channels": "16",
     "model.seed": "3",
 }

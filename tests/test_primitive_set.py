@@ -96,7 +96,9 @@ def test_every_parameter_gets_a_gradient(variant, mask, share):
 
     A bias in front of a train-mode batch norm fails this: the batch mean
     cancels it, and its gradient is rounding error (under 1e-15 here). So
-    does a module that the mask cuts off from the loss.
+    does a module that the mask cuts off from the loss. Each input channel of
+    a conv or fc weight is checked on its own, so weight rows that read an
+    input standing in with zeros fail it too.
     """
     model, batch = build(variant, mask, share_text_encoder=share), data(8)
     logits = model.forward(
@@ -104,10 +106,13 @@ def test_every_parameter_gets_a_gradient(variant, mask, share):
         rng=np.random.default_rng(0),
     )
     backward(ops.softmax_cross_entropy(logits, batch.labels))
-    largest = {
-        name: 0.0 if p.grad is None else float(np.abs(p.grad).max())
-        for name, p in model.parameters().items()
-    }
+    largest = {}
+    for name, p in model.parameters().items():
+        grad = np.zeros(p.shape) if p.grad is None else np.abs(p.grad)
+        largest[name] = float(grad.max())
+        if name.endswith("weight"):  # (in, out) fc or (kh, kw, in, out) conv
+            per_input = np.moveaxis(grad, -2, 0).reshape(grad.shape[-2], -1).max(axis=1)
+            largest.update((f"{name}[input {i}]", float(g)) for i, g in enumerate(per_input))
     assert {name: g for name, g in largest.items() if g <= 1e-10} == {}
 
 

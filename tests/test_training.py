@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import build_model
 from mmfuse import synth, training
 from mmfuse.autodiff import Tensor, ops, save_arrays
-from mmfuse.encoders import TextEncoder, TextEncoderConfig, pad_ids, preprocess_tweet_text
+from mmfuse.encoders import TextEncoder, pad_ids, preprocess_tweet_text
 from mmfuse.evaluation import auc_roc
 from mmfuse.training import (
     ModelData,
@@ -104,7 +104,7 @@ class TestModelData:
         batch = split_of([[], [], [4, 5]], [[], [1], []]).subset(np.array([1, 0]))
         assert batch.tweet[0].shape == (2, 0)
         assert batch.tweet[1].tolist() == [0, 0]
-        encoder = TextEncoder(8, TextEncoderConfig(embedding_dim=3, hidden_dim=4), rng)
+        encoder = TextEncoder(8, 3, 4, rng)
         assert np.array_equal(encoder.encode(batch.tweet).data, np.zeros((2, 4)))
 
     def test_literal_pad_token_keeps_its_length(self, rng):
@@ -113,7 +113,7 @@ class TestModelData:
         assert ids[1] == 0
         batch = split_of([ids], [[]]).subset(np.array([0]))
         assert batch.tweet[1].tolist() == [2]
-        encoder = TextEncoder(len(vocab), TextEncoderConfig(embedding_dim=3, hidden_dim=4), rng)
+        encoder = TextEncoder(len(vocab), 3, 4, rng)
         read_pad = encoder.encode(batch.tweet).data
         assert not np.array_equal(read_pad, encoder.encode(pad_ids([ids[:1]])).data)
 
@@ -326,9 +326,9 @@ class TestTrainLoop:
         real_adam_step = training.adam_step
         snapshots = []
 
-        def recording_step(params, grads, state):
-            real_adam_step(params, grads, state)
-            snapshots.append(params["imgtext.lstm.U"].data.copy())
+        def recording_step(grads, state):
+            real_adam_step(grads, state)
+            snapshots.append(state.params["imgtext.lstm.U"].data.copy())
 
         monkeypatch.setattr(training, "adam_step", recording_step)
         train(model, train_data, empty, TrainConfig(batch_size=2, epochs=1, seed=0))
