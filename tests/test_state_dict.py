@@ -1,4 +1,4 @@
-"""One state dict for every model: round trips, strict loading, pinned names and weights."""
+"""One state dict for every model: round trips, strict loading, gradients, pinned names and weights."""
 
 import hashlib
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_model
-from mmfuse.autodiff import CheckpointError, load_arrays, save_arrays
+from mmfuse.autodiff import CheckpointError, backward, load_arrays, ops, save_arrays
 from mmfuse.encoders import pad_ids
 
 TWEETS = pad_ids([[1, 2], [3], [4, 5, 6]])
@@ -112,6 +112,18 @@ class TestStrictLoad:
             model.load_state_dict(arrays)
         for name, value in model.state_dict().items():
             assert np.array_equal(value, before[name]), name
+
+
+@pytest.mark.parametrize(
+    "variant, share",
+    [(v, s) for v in ("FCM", "SCM", "TKM") for s in (True, False)] + [("LSTM", True)],
+)
+def test_every_parameter_gets_a_gradient(variant, share, images):
+    model = build_model(variant, share_text_encoder=share)
+    loss = ops.softmax_cross_entropy(forward(model, images, training=True), np.array([0, 1, 1]))
+    backward(loss)
+    missing = [name for name, p in model.parameters().items() if p.grad is None]
+    assert missing == []
 
 
 def test_lstm_baseline_initial_weights_are_pinned():
