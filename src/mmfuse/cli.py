@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -91,29 +92,38 @@ def load_manifest_config(path, error=ConfigError):
 
 # the keys of a train manifest that eval rebuilds the model from
 _RUN_KEYS = [name for name, key in cfgmod.KEYS.items() if {"train", "eval"} <= set(key.verbs)]
-_MODEL_KEYS = [name for name in cfgmod.KEYS if name.startswith("model.")]
+
+
+def _record(cls, values, section, **fields):
+    """A ``cls`` whose fields take the typed ``values`` of the keys ``<section>.<field>``.
+
+    ``fields`` give the fields no key names. A ValueError from ``cls`` is a ConfigError.
+    """
+    for field in dataclasses.fields(cls):
+        key = f"{section}.{field.name}"
+        if key in values:
+            fields[field.name] = values[key]
+    with _reraise(ConfigError):
+        return cls(**fields)
 
 
 def _model_spec(values):
-    """The :class:`ModelSpec` of the typed ``values``, as :func:`config.resolve` gives them.
+    """The :class:`ModelSpec` of the typed ``values``: the ``model.*`` keys and ``train.mask``.
 
-    The spec's fields are the ``model.*`` keys and ``train.mask``. The LSTM
-    baseline is an FCM over tweet text with a linear head. Every fault is a
-    ConfigError, raised before any weight is drawn.
+    The LSTM baseline is an FCM over tweet text with a linear head. Every
+    fault is a ConfigError, raised before any weight is drawn.
     """
-    spec = {name.removeprefix("model."): values[name] for name in _MODEL_KEYS}
     mask = values["train.mask"]
-    if spec["variant"] == "LSTM":
+    if values["model.variant"] == "LSTM":
         if mask.label() != "TT":
             raise ConfigError(f"model.variant=LSTM reads tweet text only, not {mask.label()}")
-        if spec["fc_plan"] != (2,):
-            plan = ",".join(map(str, spec["fc_plan"]))
+        if values["model.fc_plan"] != (2,):
+            plan = ",".join(map(str, values["model.fc_plan"]))
             raise ConfigError(
                 f"model.variant=LSTM has a linear head: model.fc_plan must be 2, not {plan}"
             )
-        spec["variant"] = "FCM"
-    with _reraise(ConfigError):
-        return ModelSpec(**spec, mask=mask)
+        values = {**values, "model.variant": "FCM"}
+    return _record(ModelSpec, values, "model", mask=mask)
 
 
 def _build(values):
@@ -254,13 +264,7 @@ def _make_out_dir(path):
 def cmd_prepare(args, cfg):
     out = _make_out_dir(args.out)
     texts, values = cfgmod.resolve(cfg, "prepare")
-    with _reraise(ConfigError):
-        rules = dataset.FilterRuleSet(
-            min_word_count=values["dataset.min_word_count"],
-            banned_terms=values["dataset.banned_terms"],
-            keyword_list=values["dataset.keywords"],
-            text_probability_threshold=values["dataset.text_probability_threshold"],
-        )
+    rules = _record(dataset.FilterRuleSet, values, "dataset")
     records, diagnostics = dataset.import_corpus(args.corpus)
     kept, filter_log = [], []
     for record in records:
@@ -287,22 +291,23 @@ def cmd_prepare(args, cfg):
             ex.split = "train"
 
     dataset.export_corpus(kept, out / "filtered.jsonl")
-    with open(out / "examples.csv", "w") as fh:
-        fh.write("id,label,category,split,binary_tie\n")
+    with open(out / "examples.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "label", "category", "split", "binary_tie"])
         for ex in examples:
             label = "hate" if ex.hate else "not_hate"
-            fh.write(f"{ex.id},{label},{ex.category},{ex.split},{int(ex.binary_tie)}\n")
-    with open(out / "discards.csv", "w") as fh:
-        fh.write("id,reason\n")
-        for ident, reason in filter_log:
-            fh.write(f"{ident},{reason}\n")
+            writer.writerow([ex.id, label, ex.category, ex.split, int(ex.binary_tie)])
+    with open(out / "discards.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "reason"])
+        writer.writerows(filter_log)
     with open(out / "import_errors.txt", "w") as fh:
         for _, message in diagnostics:
             fh.write(message + "\n")
         for ident in unlabelable:
             fh.write(f"unlabelable record {ident}: every annotation was a fast hit\n")
-    if rules.keyword_list:
-        rows = dataset.keyword_hate_rates(examples, rules.keyword_list)
+    if rules.keywords:
+        rows = dataset.keyword_hate_rates(examples, rules.keywords)
         dataset.write_keyword_csv(rows, out / "keyword_rates.csv")
     counts = {}
     for ex in examples:
@@ -321,18 +326,7 @@ def cmd_synth(args, cfg):
     out = _make_out_dir(args.out)
     _make_out_dir(out / "images")
     texts, values = cfgmod.resolve(cfg, "synth")
-    with _reraise(ConfigError):
-        spec = synth.SynthSpec(
-            mode=values["synth.mode"],
-            n_train=values["synth.n_train"],
-            n_val=values["synth.n_val"],
-            n_test=values["synth.n_test"],
-            noise_rate=values["synth.noise_rate"],
-            multimodal_fraction=values["synth.multimodal_fraction"],
-            image_side=values["synth.image_side"],
-            seed=values["synth.seed"],
-        )
-    splits = synth.generate(spec)
+    splits = synth.generate(_record(synth.SynthSpec, values, "synth"))
     vocab = synth.build_vocabulary()
     vocab.save(out / "vocab.txt")
     artifacts = [out / "vocab.txt"]
@@ -369,15 +363,7 @@ def _resolve_on_data(cfg, verb, data_dir, vocab, train_split):
 
 
 def _train_config(values):
-    with _reraise(ConfigError):
-        return TrainConfig(
-            learning_rate=values["train.lr"],
-            batch_size=values["train.batch_size"],
-            epochs=values["train.epochs"],
-            seed=values["train.seed"],
-            class_weight_mode=values["train.class_weight_mode"],
-            eval_every=values["train.eval_every"],
-        )
+    return _record(TrainConfig, values, "train", learning_rate=values["train.lr"])
 
 
 def _fit(out, data_dir, texts, values, splits):
@@ -456,25 +442,27 @@ def _restore_model(checkpoint_path, cfg):
     return model, texts, values
 
 
-def cmd_eval(args, cfg):
-    out = _make_out_dir(args.out)
-    model, texts, values = _restore_model(args.checkpoint, cfg)
-    vocab, splits = load_data_dir(args.data, (args.split,))
-    _check_vocab(args.data, vocab, values["train.vocab_size"])
-    with _reraise(DataError, f"{args.data}: "):  # images of another size than the model's
-        scored = score_dataset(model, splits[args.split])
+def _evaluate(out, checkpoint, data_dir, split, cfg):
+    """Score ``checkpoint`` on ``split``, write its report, curves and manifest to ``out``.
+
+    Returns the report's row: the model's name, its inputs and the :data:`REPORT_METRICS`.
+    """
+    out = _make_out_dir(out)
+    model, texts, values = _restore_model(checkpoint, cfg)
+    vocab, splits = load_data_dir(data_dir, (split,))
+    _check_vocab(data_dir, vocab, values["train.vocab_size"])
+    with _reraise(DataError, f"{data_dir}: "):  # images of another size than the model's
+        scored = score_dataset(model, splits[split])
     try:
         report = evaluation.evaluate(scored)
     except evaluation.MetricError as exc:  # a split with one class only
-        raise DataError(f"{args.data}: {args.split} split: {exc}") from None
-    name = values["eval.name"]
+        raise DataError(f"{data_dir}: {split} split: {exc}") from None
+    row = (values["eval.name"], model.mask.label(), report.f1_at_half, report.max_f1,
+           report.auc, report.balanced_accuracy)
     with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "inputs", *REPORT_METRICS])
-        writer.writerow(
-            [name, model.mask.label(), repr(report.f1_at_half), repr(report.max_f1),
-             repr(report.auc), repr(report.balanced_accuracy)]
-        )
+        writer.writerow([*row[:2], *map(repr, row[2:])])
     evaluation.write_curve_csv(report.pr_points, out / "pr_curve.csv")
     evaluation.write_curve_csv(report.roc_points, out / "roc_curve.csv")
     write_manifest(
@@ -482,9 +470,14 @@ def cmd_eval(args, cfg):
         [str(out / n) for n in ("report.csv", "pr_curve.csv", "roc_curve.csv")],
     )
     print(
-        f"eval[{name} {model.mask.label()}]: F={report.max_f1:.3f} AUC={report.auc:.3f} "
+        f"eval[{row[0]} {row[1]}]: F={report.max_f1:.3f} AUC={report.auc:.3f} "
         f"ACC={100 * report.balanced_accuracy:.1f}"
     )
+    return row
+
+
+def cmd_eval(args, cfg):
+    _evaluate(args.out, args.checkpoint, args.data, args.split, cfg)
     return EXIT_OK
 
 
@@ -548,20 +541,13 @@ def cmd_ablate(args, cfg):
         _model_spec(arm_values)
         _train_config(arm_values)
         arms.append((out / ("arm_" + mask_text.replace(",", "_")), arm_texts, arm_values))
-    report_paths = []
+    rows = []
     for arm, arm_texts, arm_values in arms:
         status = _fit(_make_out_dir(arm), args.data, arm_texts, arm_values, splits)
         if status != EXIT_OK:
             return status
-        eval_args = argparse.Namespace(  # not arm itself: its manifest.json is the train record
-            checkpoint=str(arm / "checkpoint.mfuse"), data=args.data, split="test",
-            out=str(arm / "eval"),
-        )
-        status = cmd_eval(eval_args, {})
-        if status != EXIT_OK:
-            return status
-        report_paths.append(arm / "eval" / "report.csv")
-    rows = _read_report_rows(report_paths)
+        # not arm itself: its manifest.json is the train record
+        rows.append(_evaluate(arm / "eval", arm / "checkpoint.mfuse", args.data, "test", {}))
     _write_results(rows, out)
     write_manifest(out, "ablate", texts, [str(out / "results.csv"), str(out / "results.txt")])
     return EXIT_OK

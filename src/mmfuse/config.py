@@ -192,6 +192,11 @@ KEYS = {
 }
 
 
+def default(name):
+    """The parsed default of the key ``name``, whose default is a text."""
+    return KEYS[name].parse(KEYS[name].default)
+
+
 def check_keys(cfg, verb):
     """Raise a ConfigError at the first key of ``cfg`` that ``verb`` does not read.
 

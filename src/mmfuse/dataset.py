@@ -13,12 +13,11 @@ from enum import Enum
 
 import numpy as np
 
+from .config import default
 from .encoders import preprocess_tweet_text
 
 HATE_CATEGORIES = ("Racist", "Sexist", "Homophobic", "ReligionAttack", "OtherHate")
 CATEGORIES = ("NotHate",) + HATE_CATEGORIES
-
-DEFAULT_MIN_DURATION = 3.0  # seconds; faster hits are discarded as unreliable
 
 # json.dumps(obj, sort_keys=True) builds an encoder per call; this one is shared.
 _JSON_ENCODER = json.JSONEncoder(sort_keys=True)
@@ -100,10 +99,12 @@ class LabeledExample:
 
 @dataclass
 class FilterRuleSet:
-    min_word_count: int = 3
-    banned_terms: tuple = ()
-    keyword_list: tuple = ()
-    text_probability_threshold: float = 0.3
+    """The filtering ``dataset.*`` keys, with their defaults from :data:`config.KEYS`."""
+
+    min_word_count: int = default("dataset.min_word_count")
+    banned_terms: tuple = default("dataset.banned_terms")
+    keywords: tuple = default("dataset.keywords")
+    text_probability_threshold: float = default("dataset.text_probability_threshold")
 
     def __post_init__(self):
         if self.min_word_count < 1:
@@ -193,7 +194,7 @@ def gate_image_by_text_probability(record, threshold):
 # annotation aggregation
 
 
-def label_corpus(records, min_duration=DEFAULT_MIN_DURATION):
+def label_corpus(records, min_duration=default("dataset.min_duration")):
     """Majority-vote every record's annotations; returns (examples, unlabelable_ids).
 
     One pass per record counts the votes that took at least ``min_duration``

@@ -93,7 +93,7 @@ class ModelSpec:
                 raise ValueError(f"{name} must be one or more widths >= 1, got {widths}")
         if self.fc_plan[-1] != 2:
             raise ValueError("fc_plan must end in the 2-class layer")
-        if self.variant == "TKM" and (self.tweet_kernels < 1 or self.imgtext_kernels < 1):
+        if self.variant == "TKM" and min(self.texts.values(), default=1) < 1:
             raise ValueError("TKM needs at least one kernel per text input")
         if self.variant == "TKM" and not (self.mask.tweet_text or self.mask.image_text):
             # the kernels come from the texts: without one the model scores every example alike

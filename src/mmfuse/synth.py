@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import default
 from .dataset import TweetRecord, WorkerAnnotation
 from .encoders import PAD, Vocabulary
 from .training import ModelData
@@ -38,16 +39,18 @@ _RULES = {
 
 @dataclass
 class SynthSpec:
-    mode: str = "crossmodal_xor"
-    n_train: int = 8000
-    n_val: int = 1000
-    n_test: int = 2000
-    noise_rate: float = 0.0  # label-flip probability
-    multimodal_fraction: float = 1.0  # rest of the examples use label = text bit
-    image_side: int = 16
+    """The ``synth.*`` keys, with their defaults from :data:`config.KEYS`, and the text lengths."""
+
+    mode: str = default("synth.mode")
+    n_train: int = default("synth.n_train")
+    n_val: int = default("synth.n_val")
+    n_test: int = default("synth.n_test")
+    noise_rate: float = default("synth.noise_rate")  # label-flip probability
+    multimodal_fraction: float = default("synth.multimodal_fraction")  # rest use label = text bit
+    image_side: int = default("synth.image_side")
     min_tokens: int = 5
     max_tokens: int = 9
-    seed: int = 0
+    seed: int = default("synth.seed")
 
     def __post_init__(self):
         if self.mode not in MODES:

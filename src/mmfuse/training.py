@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import AdamState, AutodiffError, NonFiniteGradient, adam_step, backward, no_grad, ops
+from .config import default
 from .encoders import pad_ids
 from .evaluation import MetricError, ScoredExample, auc_roc
 
@@ -34,12 +35,14 @@ def class_weights(label_counts):
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-4
-    batch_size: int = 32
-    epochs: int = 5
-    seed: int = 0
-    class_weight_mode: str = "balanced"  # or "uniform"
-    eval_every: int = 0  # steps; 0 = end of each epoch
+    """The ``train.*`` keys training reads and their defaults; ``learning_rate`` is ``train.lr``."""
+
+    learning_rate: float = default("train.lr")
+    batch_size: int = default("train.batch_size")
+    epochs: int = default("train.epochs")
+    seed: int = default("train.seed")
+    class_weight_mode: str = default("train.class_weight_mode")  # or "uniform"
+    eval_every: int = default("train.eval_every")  # steps; 0 = end of each epoch
 
     def __post_init__(self):
         if self.batch_size < 1:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import re
@@ -834,6 +835,36 @@ class TestPrepareVerb:
     def test_missing_corpus_is_data_error(self, tmp_path):
         rc = main(["prepare", "--corpus", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert rc == EXIT_DATA
+
+    def test_ids_with_commas_and_quotes_read_back(self, tmp_path):
+        spec = synth.SynthSpec(n_train=4, n_val=0, n_test=0, seed=2)
+        records = synth.to_records(synth.generate(spec)["train"], "train", image_dir=str(tmp_path))
+        records[0] = dataclasses.replace(records[0], id="comma,id")
+        records[1] = dataclasses.replace(records[1], id='rt,"1"', is_retweet=True)
+        corpus, out = tmp_path / "raw.jsonl", tmp_path / "prep"
+        dataset.export_corpus(records, corpus)
+        assert main(["prepare", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+
+        def rows(name):
+            with open(out / name, newline="") as fh:
+                return list(csv.reader(fh))
+
+        examples = rows("examples.csv")
+        assert [len(row) for row in examples] == [5] * 4
+        assert [row[0] for row in examples] == ["id", "comma,id", "train-000002", "train-000003"]
+        assert rows("discards.csv") == [["id", "reason"], ['rt,"1"', "retweet"]]
+
+
+def test_records_built_with_no_arguments_take_the_table_defaults():
+    """A library caller and the CLI start a run from the same settings."""
+    _, values = resolve({"train.vocab_size": "1"}, "train")
+    assert training.TrainConfig() == cli._train_config(values)
+    _, values = resolve({}, "synth")
+    assert synth.SynthSpec() == cli._record(synth.SynthSpec, values, "synth")
+    _, values = resolve({}, "prepare")
+    assert dataset.FilterRuleSet() == cli._record(dataset.FilterRuleSet, values, "dataset")
+    label_corpus = inspect.signature(dataset.label_corpus)
+    assert label_corpus.parameters["min_duration"].default == values["dataset.min_duration"]
 
 
 # JSON that parses to no manifest, or that the parser gives up on

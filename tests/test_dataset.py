@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmfuse.config import KEYS
 from mmfuse.dataset import (
     CATEGORIES,
     FilterReason,
@@ -141,6 +143,11 @@ class TestJsonLines:
 
 
 class TestFiltering:
+    def test_fields_are_the_filtering_dataset_keys(self):
+        names = [f.name for f in dataclasses.fields(FilterRuleSet)]
+        assert names == ["min_word_count", "banned_terms", "keywords", "text_probability_threshold"]
+        assert all(f"dataset.{name}" in KEYS for name in names)
+
     def test_retweet_discarded(self):
         record = make_record(is_retweet=True)
         assert filter_tweet(record, FilterRuleSet()) is FilterReason.RETWEET

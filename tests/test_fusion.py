@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mmfuse import cli
 from mmfuse.autodiff import ShapeMismatch, Tensor, check_gradients, ops
-from mmfuse.config import KEYS
+from mmfuse.config import KEYS, ConfigError
 from mmfuse.encoders import pad_ids
 from mmfuse.fusion import FusionHead, InputMask, ModelSpec, MultimodalModel
 
@@ -85,6 +86,15 @@ class TestConfig:
     def test_fc_plan_must_end_in_two(self):
         with pytest.raises(ValueError):
             desk_config("FCM", fc_plan=(10, 3))
+
+    def test_tkm_ignores_the_kernel_count_of_a_text_it_drops(self):
+        cfg = {"model.variant": "TKM", "train.mask": "TT,I", "model.imgtext_kernels": "0"}
+        assert cli.build_model(cfg, 20).spec.texts == {"tweet": 4}
+
+    def test_tkm_needs_a_kernel_for_each_text_it_reads(self):
+        cfg = {"model.variant": "TKM", "train.mask": "TT,I", "model.tweet_kernels": "0"}
+        with pytest.raises(ConfigError, match="^TKM needs at least one kernel per text input$"):
+            cli.build_model(cfg, 20)
 
 
 class TestForwardShapes:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmfuse import synth
+from mmfuse.config import KEYS
 from mmfuse.dataset import WorkerAnnotation, label_corpus
 from mmfuse.synth import SynthSpec, generate
 from mmfuse.training import ModelData
@@ -102,6 +104,11 @@ PIXEL_SPECS = [
 
 
 class TestSpecValidation:
+    def test_fields_are_the_synth_keys_and_the_text_lengths(self):
+        keys = {name.removeprefix("synth.") for name in KEYS if name.startswith("synth.")}
+        fields = {f.name for f in dataclasses.fields(SynthSpec)}
+        assert fields == keys | {"min_tokens", "max_tokens"}
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             SynthSpec(mode="nonsense")

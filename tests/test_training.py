@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import build_model
 from mmfuse import synth, training
 from mmfuse.autodiff import Tensor, ops, save_arrays
+from mmfuse.config import KEYS
 from mmfuse.encoders import TextEncoder, pad_ids, preprocess_tweet_text
 from mmfuse.evaluation import auc_roc
 from mmfuse.training import (
@@ -63,6 +66,11 @@ class TestClassWeights:
 
 
 class TestTrainConfig:
+    def test_fields_are_the_train_keys_training_reads(self):
+        keys = [name.removeprefix("train.") for name in KEYS if name.startswith("train.")]
+        keys = [{"lr": "learning_rate"}.get(k, k) for k in keys if k not in ("mask", "vocab_size")]
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == keys
+
     def test_defaults_match_reference_settings(self):
         config = TrainConfig()
         assert config.learning_rate == pytest.approx(1e-4)
