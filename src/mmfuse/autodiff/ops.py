@@ -256,7 +256,7 @@ def example_blocks(n, size):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _conv_forward(x, weight, taps, out_shape, const=None):
+def _conv_forward(x, weight, taps, out_shape, const=None, shift=None, relu=False):
     """Per-tap GEMMs over the valid output windows, one block of examples at a time.
 
     A block holds at least two examples and as many as fit their input, output
@@ -266,6 +266,8 @@ def _conv_forward(x, weight, taps, out_shape, const=None):
     The channels of ``const`` are constant over the image, so tap (u, v) adds
     the one (N, Cout) row block ``const @ weight[u, v, Cin:]`` to its whole
     window; every pixel starts from the sum of its covering taps' blocks.
+    ``shift`` (Cout,) is added to every pixel before the taps, and ``relu``
+    clamps each block at 0 after them, while the block is still cached.
     """
     n, out_h, out_w, cout = out_shape
     _, h, w, cin = x.shape
@@ -278,10 +280,14 @@ def _conv_forward(x, weight, taps, out_shape, const=None):
     example_bytes = 8 * (h * w * cin + 2 * out_h * out_w * cout)
     for block in example_blocks(n, max(2, BLOCK_BYTES // max(example_bytes, 1))):
         x_block, data_block = x[block], data[block]
+        if shift is not None:
+            data_block += shift
         for u, v, out_sl, in_sl in taps:
             window = data_block[out_sl]
             rows = window.size // cout  # explicit: a 0-channel map has no -1 to infer
             window += (x_block[in_sl].reshape(rows, cin) @ weight[u, v, :cin]).reshape(window.shape)
+        if relu:
+            np.maximum(data_block, 0.0, out=data_block)
     return data
 
 
@@ -460,12 +466,23 @@ def conv_bn_relu(x, weight, gamma, beta, state, training, stride=1, const=None):
     ``const`` is an optional (N, Cc) input of spatially constant channels that
     follow x's: the weight is (kh, kw, Cin + Cc, Cout), and the result equals
     the conv over x concatenated with ``const`` tiled at every pixel, without
-    building that map. Batch norm runs in the conv's output buffer and the
-    ReLU in place; backward masks the output gradient, runs the batch-norm
-    backward and hands its result straight to the per-tap conv backward.
-    Without ``const`` every value and gradient is bitwise the three-op chain's.
-    The conv has no bias: train-mode batch norm subtracts the batch mean, which
-    cancels it, and ``beta`` plays its role.
+    building that map. The conv has no bias: train-mode batch norm subtracts
+    the batch mean, which cancels it, and ``beta`` plays its role.
+
+    In training, batch norm runs in the conv's output buffer and the ReLU in
+    place; backward masks the output gradient, runs the batch-norm backward
+    and hands its result straight to the per-tap conv backward. Without
+    ``const`` every training value and gradient is bitwise the three-op chain's.
+
+    In eval, batch norm is an affine map per channel, ``s * conv + t`` with
+    ``s = gamma / sqrt(running_var + eps)`` and ``t = beta - running_mean * s``,
+    so it is folded into the conv: one pass convolves with ``weight * s``
+    (the ``const`` rows included), starting each pixel from ``t``, and clamps
+    each example block at 0 while it is cached. Values equal the chain's up to
+    rounding, not bitwise. Backward differentiates the folded form: the conv
+    backward with ``weight * s`` gives dx, dconst and ``dWs``; then
+    ``dW = dWs * s``, ``dbeta = sum(dy)`` and
+    ``dgamma = inv_std * (sum(dWs * W) - running_mean * dbeta)``.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
@@ -481,21 +498,32 @@ def conv_bn_relu(x, weight, gamma, beta, state, training, stride=1, const=None):
     _check_affine("conv_bn_relu", gamma, beta, out_shape[3])
     const_data = None if const is None else const.data
 
-    data = _conv_forward(x.data, weight.data, taps, out_shape, const_data)
-    x_hat, inv_std, count = _normalize(data, state, training, out=data)
-    out = gamma.data * x_hat
-    out += beta.data
-    np.maximum(out, 0.0, out=out)
+    if training:
+        data = _conv_forward(x.data, weight.data, taps, out_shape, const_data)
+        x_hat, inv_std, count = _normalize(data, state, True, out=data)
+        out = gamma.data * x_hat
+        out += beta.data
+        np.maximum(out, 0.0, out=out)
+        conv_weight = weight.data
+    else:
+        mean = state.running_mean
+        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        scale = gamma.data * inv_std
+        conv_weight = weight.data * scale
+        shift = beta.data - mean * scale
+        out = _conv_forward(x.data, conv_weight, taps, out_shape, const_data, shift, relu=True)
 
     def backprop(grad):
-        dgamma, dbeta, dy = _normalize_backward(
-            grad * (out > 0.0), x_hat, gamma.data, inv_std, training, count
-        )
+        dy = grad * (out > 0.0)
+        if training:
+            dgamma, dbeta, dy = _normalize_backward(dy, x_hat, gamma.data, inv_std, True, count)
+        dx, dw, dconst = _conv_backward(dy, x.data, conv_weight, taps, x.requires_grad, const_data)
+        if not training:  # dw is the gradient of the folded weight * scale
+            dbeta = dy.sum(axis=(0, 1, 2))
+            dgamma = inv_std * ((dw * weight.data).sum(axis=(0, 1, 2)) - mean * dbeta)
+            dw *= scale
         accumulate_grad(gamma, dgamma)
         accumulate_grad(beta, dbeta)
-        dx, dw, dconst = _conv_backward(
-            dy, x.data, weight.data, taps, x.requires_grad, const_data
-        )
         accumulate_grad(x, dx)  # a no-op when x needs no gradient
         accumulate_grad(weight, dw)
         if const is not None:

@@ -8,7 +8,8 @@ training run's manifest is its only record: `train --manifest` re-runs the
 training and reproduces its checkpoint bitwise, and `eval` rebuilds the
 model from the manifest beside the checkpoint.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 configuration error (also when the run's sizes
+cannot be allocated), 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -648,6 +649,9 @@ def main(argv=None):
     except (AutodiffError, evaluation.MetricError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # a size in the config that cannot be allocated
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

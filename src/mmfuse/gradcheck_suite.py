@@ -160,6 +160,22 @@ def primitive_checks(seed=0):
         t((4,)),
         t((4,)),
     )
+
+    def block_const_eval(x, w, g, be, c):
+        state = BatchNormState(3)
+        state.running_mean = np.linspace(-0.5, 0.5, 3)
+        state.running_var = np.linspace(0.5, 1.5, 3)
+        return s_block(ops.conv_bn_relu(x, w, g, be, state, False, stride=1, const=c))
+
+    case(
+        "conv_bn_relu_const_eval",
+        block_const_eval,
+        t((2, 4, 4, 3)),
+        t((3, 3, 7, 3)),
+        t((3,)),
+        t((3,)),
+        t((2, 4)),
+    )
     return checks
 
 

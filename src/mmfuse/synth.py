@@ -9,6 +9,7 @@ effects be measured directly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,6 +64,13 @@ class SynthSpec:
             raise ValueError("image_side must be at least 4")
         if min(self.n_train, self.n_val, self.n_test) < 0:
             raise ValueError("split sizes must be >= 0")
+        largest = max(self.n_train, self.n_val, self.n_test)
+        image_bytes = largest * self.image_side**2 * 3 * 8  # one float64 (N, S, S, 3) array
+        if image_bytes > sys.maxsize:
+            raise ValueError(
+                f"a split of {largest} images of side {self.image_side} needs {image_bytes} "
+                f"bytes, more than one array can hold ({sys.maxsize})"
+            )
         if not 1 <= self.min_tokens <= self.max_tokens:
             raise ValueError("need 1 <= min_tokens <= max_tokens")
 

@@ -98,7 +98,12 @@ class ModelData:
         return len(self.labels)
 
     def subset(self, indices):
-        """The examples at ``indices``; each text is trimmed to the batch's longest."""
+        """The examples at ``indices``; each text is trimmed to the batch's longest.
+
+        ``indices`` is an index array or a slice; a slice takes views, so no
+        image is copied.
+        """
+        names = self.ids[indices] if isinstance(indices, slice) else [self.ids[i] for i in indices]
 
         def take(text):
             ids, lengths = text
@@ -110,7 +115,7 @@ class ModelData:
             tweet=take(self.tweet),
             imgtext=take(self.imgtext),
             labels=self.labels[indices],
-            ids=[self.ids[i] for i in indices],
+            ids=names,
         )
 
 
@@ -124,14 +129,15 @@ SCORE_BATCH = 128
 def score_dataset(model, data):
     """Eval-mode hate scores for every example; deterministic and tape-free.
 
-    Scores ``SCORE_BATCH`` examples per forward; a one-example tail joins the
-    batch before it (see :func:`ops.example_blocks`), so no forward holds a
-    lone example unless the split does. Raises NonFiniteScore when a score is
-    NaN or infinite.
+    Scores ``SCORE_BATCH`` examples per forward, each batch a slice of
+    ``data`` that copies no image. A one-example tail joins the batch before
+    it (see :func:`ops.example_blocks`), so no forward holds a lone example
+    unless the split does. Raises NonFiniteScore when a score is NaN or
+    infinite.
     """
     scored = []
     for rows in ops.example_blocks(len(data), SCORE_BATCH):
-        batch = data.subset(np.arange(rows.start, rows.stop))
+        batch = data.subset(rows)
         with no_grad(), np.errstate(over="ignore", invalid="ignore"):  # checked below
             logits = model.forward(batch.images, batch.tweet, batch.imgtext, training=False)
             probs = ops.softmax(logits, axis=1).data

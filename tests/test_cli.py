@@ -7,6 +7,7 @@ import io
 import json
 import re
 import shutil
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -995,6 +996,42 @@ class TestConfigFaults:
         )
         assert rc == EXIT_CONFIG
         assert err == ["config error: synth.seed must be a non-negative integer, got -1"]
+
+    # Each size makes a first array of about an exabyte, which no host can map, so
+    # the allocation fails at once; a size that fits the address space but not
+    # memory could be overcommitted and then killed, and is not tried.
+    @pytest.mark.parametrize("pairs", [
+        ["model.hidden_dim=10000000000000000"],
+        ["model.embedding_dim=10000000000000000"],
+        ["model.backbone_channels=8,2000000000000000"],
+        ["model.fc_plan=2000000000000000,2"],
+        ["model.variant=SCM", "model.fusion_channels=1000000000000000"],
+    ], ids=["hidden_dim", "embedding_dim", "backbone_channels", "fc_plan", "fusion_channels"])
+    def test_train_too_large_to_allocate_exits_2_with_one_line(self, pairs, tiny_data):
+        data, root = tiny_data
+        rc, err = run_main([
+            "train", "--data", str(data), "--out", str(root / "huge"),
+            *sets(["model.variant=FCM", "train.epochs=1", *pairs]),
+        ])
+        assert rc == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith("out of memory: Unable to allocate"), err
+
+    def test_synth_too_large_to_allocate_exits_2_with_one_line(self, tiny_data):
+        _, root = tiny_data
+        rc, err = run_main(["synth", "--out", str(root / "huge_synth"),
+                            "--set", "synth.n_train=1000000000000000"])
+        assert rc == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith("out of memory: Unable to allocate"), err
+
+    def test_synth_split_larger_than_any_array_exits_2(self, tiny_data):
+        _, root = tiny_data
+        rc, err = run_main(["synth", "--out", str(root / "wide_synth"),
+                            "--set", "synth.image_side=10000000"])
+        assert rc == EXIT_CONFIG
+        assert err == [
+            "config error: a split of 8000 images of side 10000000 needs "
+            f"19200000000000000000 bytes, more than one array can hold ({sys.maxsize})"
+        ]
 
     @given(
         variant=st.sampled_from(["FCM", "SCM", "TKM", "LSTM"]),

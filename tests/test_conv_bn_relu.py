@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmfuse.autodiff import BatchNormState, Tensor, backward, ops
+from mmfuse.autodiff import BatchNormState, Tensor, backward, no_grad, ops
 
 
 def bn_state(rng, channels, training):
@@ -67,7 +67,10 @@ def test_bitwise_equal_to_the_chain(n, h, w, cin, cout, stride, training, seed):
     want = run(False, arrays, chain_state, training, stride)
     got = run(True, arrays, fused_state, training, stride)
     for name, g, r in zip(NAMES, got, want):
-        assert np.array_equal(g, r), name
+        if training:
+            assert np.array_equal(g, r), name
+        else:  # eval folds batch norm into the conv: equal up to rounding
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12, err_msg=name)
     assert np.array_equal(fused_state.running_mean, chain_state.running_mean)
     assert np.array_equal(fused_state.running_var, chain_state.running_var)
 
@@ -95,3 +98,42 @@ def test_const_matches_tiled_concat(x_requires_grad, training, stride, side, rng
     for g, r in ((fused_state.running_mean, chain_state.running_mean),
                  (fused_state.running_var, chain_state.running_var)):
         np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("with_const", [False, True])
+def test_eval_with_and_without_a_tape_is_bitwise_equal(with_const, rng):
+    n, side, cin, cc, cout = 5, 6, 3, 2 if with_const else 0, 4
+    x = Tensor(rng.standard_normal((n, side, side, cin)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 3, cin + cc, cout)), requires_grad=True)
+    gamma, beta = (Tensor(rng.standard_normal(cout), requires_grad=True) for _ in range(2))
+    const = Tensor(rng.standard_normal((n, cc)), requires_grad=True) if cc else None
+    state = bn_state(rng, cout, training=False)
+    taped = ops.conv_bn_relu(x, w, gamma, beta, state, False, 1, const=const)
+    with no_grad():
+        free = ops.conv_bn_relu(x, w, gamma, beta, state, False, 1, const=const)
+    assert taped.requires_grad and not free.requires_grad
+    assert np.array_equal(taped.data, free.data)
+
+
+# the conv_bn_relu layers of a 32-px SCM like perfbench's train-wide:
+# (side, input channels, const channels, output channels, stride)
+WIDE_LAYERS = [(32, 3, 0, 16, 2), (16, 16, 0, 32, 2), (8, 32, 0, 64, 2), (4, 64, 64, 64, 1)]
+
+
+@pytest.mark.parametrize("side,cin,cc,cout,stride", WIDE_LAYERS)
+def test_eval_fold_matches_the_chain_at_wide_shapes(side, cin, cc, cout, stride, rng):
+    """128 examples: several example blocks of the conv forward, and the fusion block's const."""
+    n = 128
+    x_data, w_data, *rest = draw(rng, n, side, side, cin + cc, cout, stride)
+    arrays = [x_data[..., :cin].copy(), w_data, *rest]
+    const = rng.standard_normal((n, cc)) if cc else None
+    seed = int(rng.integers(2**32))
+    chain_state = bn_state(np.random.default_rng(seed), cout, training=False)
+    fused_state = bn_state(np.random.default_rng(seed), cout, training=False)
+    want = run(False, arrays, chain_state, False, stride, const=const)
+    got = run(True, arrays, fused_state, False, stride, const=const)
+    for name, g, r in zip(NAMES + ("dconst",), got, want):
+        if r is None:
+            assert g is None, name
+        else:
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12, err_msg=name)

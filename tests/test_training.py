@@ -108,6 +108,20 @@ class TestModelData:
             assert np.array_equal(ids, want_ids)
             assert np.array_equal(lengths, want_lengths)
 
+    @pytest.mark.parametrize("start,stop", [(0, 5), (2, 4), (3, 3)])
+    def test_slice_subset_is_a_view_equal_to_the_index_subset(self, start, stop, rng):
+        texts = [list(rng.integers(1, 9, k)) for k in (3, 0, 5, 1, 2)]
+        split = ModelData.from_id_lists(
+            rng.random((5, 4, 4, 3)), texts, texts[::-1], np.arange(5) % 2, list("abcde")
+        )
+        view = split.subset(slice(start, stop))
+        copy = split.subset(np.arange(start, stop))
+        assert view.images.base is split.images
+        assert view.ids == copy.ids == list("abcde")[start:stop]
+        for got, want in [(view.images, copy.images), (view.labels, copy.labels),
+                          *zip(view.tweet + view.imgtext, copy.tweet + copy.imgtext)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_all_empty_batch_has_no_steps(self, rng):
         batch = split_of([[], [], [4, 5]], [[], [1], []]).subset(np.array([1, 0]))
         assert batch.tweet[0].shape == (2, 0)
@@ -162,8 +176,9 @@ class TestScoreDataset:
         subset = ModelData.subset
 
         def recording_subset(data, rows):
-            sizes.append(len(rows))
-            return subset(data, rows)
+            batch = subset(data, rows)
+            sizes.append(len(batch))
+            return batch
 
         monkeypatch.setattr(training, "SCORE_BATCH", 7)
         monkeypatch.setattr(ModelData, "subset", recording_subset)
