@@ -26,6 +26,14 @@ def _probe(rng, logits_like):
     return scalarize
 
 
+def _eval_state(channels):
+    """Running statistics away from the initial ones, for eval-mode checks."""
+    state = BatchNormState(channels)
+    state.running_mean = np.linspace(-0.5, 0.5, channels)
+    state.running_var = np.linspace(0.5, 1.5, channels)
+    return state
+
+
 def _away_from_zero(rng, shape, margin=0.05):
     values = rng.uniform(margin, 1.0, shape)
     signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
@@ -85,13 +93,13 @@ def primitive_checks(seed=0):
         t((5,)),
     )
 
-    def bn_eval(x, g, b):
-        state = BatchNormState(5)
-        state.running_mean = np.linspace(-0.5, 0.5, 5)
-        state.running_var = np.linspace(0.5, 1.5, 5)
-        return s_bn(ops.batch_norm(x, g, b, state, training=False))
-
-    case("batch_norm_eval", bn_eval, t((4, 3, 3, 5)), t((5,)), t((5,)))
+    case(
+        "batch_norm_eval",
+        lambda x, g, b: s_bn(ops.batch_norm(x, g, b, _eval_state(5), training=False)),
+        t((4, 3, 3, 5)),
+        t((5,)),
+        t((5,)),
+    )
 
     case(
         "dropout_train",
@@ -145,31 +153,19 @@ def primitive_checks(seed=0):
         t((3,)),
         t((2, 4)),
     )
-
-    def block_eval(x, w, g, be):
-        state = BatchNormState(4)
-        state.running_mean = np.linspace(-0.5, 0.5, 4)
-        state.running_var = np.linspace(0.5, 1.5, 4)
-        return s_conv(ops.conv_bn_relu(x, w, g, be, state, False, stride=2))
-
     case(
         "conv_bn_relu_stride2_eval",
-        block_eval,
+        lambda x, w, g, be: s_conv(ops.conv_bn_relu(x, w, g, be, _eval_state(4), False, stride=2)),
         t((2, 5, 5, 3)),
         t((3, 3, 3, 4)),
         t((4,)),
         t((4,)),
     )
-
-    def block_const_eval(x, w, g, be, c):
-        state = BatchNormState(3)
-        state.running_mean = np.linspace(-0.5, 0.5, 3)
-        state.running_var = np.linspace(0.5, 1.5, 3)
-        return s_block(ops.conv_bn_relu(x, w, g, be, state, False, stride=1, const=c))
-
     case(
         "conv_bn_relu_const_eval",
-        block_const_eval,
+        lambda x, w, g, be, c: s_block(
+            ops.conv_bn_relu(x, w, g, be, _eval_state(3), False, stride=1, const=c)
+        ),
         t((2, 4, 4, 3)),
         t((3, 3, 7, 3)),
         t((3,)),
