@@ -10,6 +10,8 @@ shapes are validated up front with diagnostics naming the primitive.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import ShapeMismatch, accumulate_grad, as_tensor, from_op
@@ -232,11 +234,25 @@ def _tap_cover(taps, kernel, out_shape):
     return cover.reshape(out_h * out_w, -1)
 
 
+def _const_term(const, weight, taps, out_shape):
+    """(N, out_h, out_w, Cout) output of the constant channels.
+
+    The channels of ``const`` are constant over the image, so tap (u, v) adds
+    the one (N, Cout) row block ``const @ weight[u, v, Cin:]`` to its whole
+    window; every pixel is the sum of its covering taps' blocks.
+    """
+    n, out_h, out_w, cout = out_shape
+    cin = weight.shape[2] - const.shape[1]
+    tap_rows = (const @ weight[:, :, cin:]).reshape(-1, n * cout)
+    per_pixel = _tap_cover(taps, weight.shape[:2], out_shape) @ tap_rows
+    return per_pixel.reshape(out_h, out_w, n, cout).transpose(2, 0, 1, 3).copy()
+
+
 # Bytes of float64 input, output and one tap product that one block of
-# examples of the conv forward may span. Half of a 2 MB per-core L2: a
-# whole-batch tap product of the 32-px stem conv is 4 MB at 128 examples and
-# spills it; a block stays cached through all nine taps, with room left for
-# the weights and the patch copies.
+# examples of the stride-1 conv forward may span, and of one block's padded
+# input in a strided conv's patch copy. Half of a 2 MB per-core L2: a block
+# stays cached through all nine taps, with room left for the weights and the
+# patch copies.
 BLOCK_BYTES = 1 << 20
 
 
@@ -247,8 +263,9 @@ def example_blocks(n, size):
     example unless the batch does: on OpenBLAS a one-row product goes through
     gemv and can round differently from the same row of a multi-row GEMM.
     The rows of a multi-row GEMM with a multiple of 8 columns, as every conv
-    of the shipped configurations has, did not depend on how many rows shared
-    the call; with other column counts they can differ in the last bit.
+    of the shipped configurations has, and an inner dimension up to 384, did
+    not depend on how many rows shared the call; with other column counts, or
+    inner dimensions of 448 and more, they can differ in the last bit.
     """
     starts = list(range(0, n, size))
     if len(starts) > 1 and n - starts[-1] == 1:
@@ -256,27 +273,91 @@ def example_blocks(n, size):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _conv_forward(x, weight, taps, out_shape, const=None, shift=None, relu=False):
-    """Per-tap GEMMs over the valid output windows, one block of examples at a time.
+def _padding(x_shape, kernel, stride):
+    """Zero-padded input shape of a same conv, and the slice of it that holds x."""
+    n, h, w, cin = x_shape
+    _, top, bottom = _same_pad(h, stride, kernel[0])
+    _, left, right = _same_pad(w, stride, kernel[1])
+    return (n, h + top + bottom, w + left + right, cin), np.s_[:, top : top + h, left : left + w]
 
-    A block holds at least two examples and as many as fit their input, output
-    and one tap product into ``BLOCK_BYTES``. Each output value is the same
-    dot products added in the same tap order as over the whole batch, and so
-    the same bits where the GEMM rows are (see :func:`example_blocks`).
-    The channels of ``const`` are constant over the image, so tap (u, v) adds
-    the one (N, Cout) row block ``const @ weight[u, v, Cin:]`` to its whole
-    window; every pixel starts from the sum of its covering taps' blocks.
-    ``shift`` (Cout,) is added to every pixel before the taps, and ``relu``
-    clamps each block at 0 after them, while the block is still cached.
+
+def _patches(x, kernel, out_shape, stride):
+    """(N * out_h * out_w, kh * kw * Cin) patch matrix of a strided same conv.
+
+    Row (n, i, j) is the window of the zero-padded x that output pixel (i, j)
+    reads, in (u, v, c) order: the order of ``weight[:, :, :Cin]`` flattened.
+    Each block of examples is zero-padded into a buffer of at most
+    ``BLOCK_BYTES`` and its windows, a read-only strided view of that buffer,
+    are copied once; no padded copy of the whole batch sits beside the
+    patches.
+    """
+    n, out_h, out_w, _ = out_shape
+    kh, kw = kernel
+    cin = x.shape[3]
+    padded_shape, inner = _padding(x.shape, kernel, stride)
+    patches = np.empty((n, out_h, out_w, kh, kw, cin))
+    step = max(1, BLOCK_BYTES // max(8 * math.prod(padded_shape[1:]), 1))
+    for start in range(0, n, step):
+        padded = np.zeros((min(step, n - start),) + padded_shape[1:])
+        padded[inner] = x[start : start + step]
+        sn, sh, sw, sc = padded.strides
+        patches[start : start + step] = np.lib.stride_tricks.as_strided(
+            padded,
+            (len(padded), out_h, out_w, kh, kw, cin),
+            (sn, sh * stride, sw * stride, sh, sw, sc),
+            writeable=False,
+        )
+    return patches.reshape(n * out_h * out_w, kh * kw * cin)
+
+
+def _patches_adjoint(dpatches, x_shape, kernel, out_shape, stride):
+    """Adjoint of :func:`_patches`: each entry goes back to the input pixel it copied.
+
+    One strided add per kernel offset into a zero-padded buffer, whose
+    padding is then cropped away.
+    """
+    n, out_h, out_w, _ = out_shape
+    kh, kw = kernel
+    padded_shape, inner = _padding(x_shape, kernel, stride)
+    padded = np.zeros(padded_shape)
+    windows = dpatches.reshape(n, out_h, out_w, kh, kw, x_shape[3])
+    rows, cols = (out_h - 1) * stride + 1, (out_w - 1) * stride + 1
+    for u in range(kh):
+        for v in range(kw):
+            padded[:, u : u + rows : stride, v : v + cols : stride] += windows[:, :, :, u, v]
+    return padded[inner]
+
+
+def _conv_forward(x, weight, taps, out_shape, stride, const=None, shift=None, relu=False):
+    """The same conv's output: ``shift`` (Cout,) is added to every pixel, ``relu`` clamps at 0.
+
+    A strided conv is one GEMM of its patch matrix (:func:`_patches`) with
+    ``weight[:, :, :Cin]`` over the whole batch, to which the ``const`` term,
+    the shift and the ReLU are then applied.
+
+    A stride-1 conv runs per-tap GEMMs over the valid output windows, one
+    block of examples at a time. A block holds at least two examples and as
+    many as fit their input, output and one tap product into
+    ``BLOCK_BYTES``. Each output value is the same dot products added in the
+    same tap order as over the whole batch, and so the same bits where the
+    GEMM rows are (see :func:`example_blocks`). Every pixel starts from the
+    ``const`` term and the shift, and each block is clamped after its taps,
+    while it is still cached.
     """
     n, out_h, out_w, cout = out_shape
     _, h, w, cin = x.shape
-    if const is None:
-        data = np.zeros(out_shape)
-    else:
-        tap_rows = (const @ weight[:, :, cin:]).reshape(-1, n * cout)
-        per_pixel = _tap_cover(taps, weight.shape[:2], out_shape) @ tap_rows
-        data = per_pixel.reshape(out_h, out_w, n, cout).transpose(2, 0, 1, 3).copy()
+    kh, kw = weight.shape[:2]
+    if stride > 1:
+        w_in = weight[:, :, :cin].reshape(kh * kw * cin, cout)
+        data = (_patches(x, (kh, kw), out_shape, stride) @ w_in).reshape(out_shape)
+        if const is not None:
+            data += _const_term(const, weight, taps, out_shape)
+        if shift is not None:
+            data += shift
+        if relu:
+            np.maximum(data, 0.0, out=data)
+        return data
+    data = np.zeros(out_shape) if const is None else _const_term(const, weight, taps, out_shape)
     example_bytes = 8 * (h * w * cin + 2 * out_h * out_w * cout)
     for block in example_blocks(n, max(2, BLOCK_BYTES // max(example_bytes, 1))):
         x_block, data_block = x[block], data[block]
@@ -291,25 +372,37 @@ def _conv_forward(x, weight, taps, out_shape, const=None, shift=None, relu=False
     return data
 
 
-def _conv_backward(grad, x, weight, taps, need_dx, const=None):
+def _conv_backward(grad, x, weight, taps, stride, need_dx, const=None):
     """Gradients (dx or None, dweight, dconst or None) of :func:`_conv_forward`.
 
-    The constant channels' gradients go through the (N, Cout) sums of the
-    output gradient over each tap's window.
+    A strided conv rebuilds its patch matrix P: ``dW = P.T @ dY``, and dx is
+    the adjoint of the patch copy applied to ``dY @ W.T``. A stride-1 conv
+    re-slices each tap's patch from ``x``. The constant channels' gradients
+    go through the (N, Cout) sums of the output gradient over each tap's
+    window.
     """
     n, out_h, out_w, cout = grad.shape
     cin = x.shape[3]
-    dx = np.zeros_like(x) if need_dx else None
+    kh, kw = weight.shape[:2]
     dw = np.zeros_like(weight)
-    for u, v, out_sl, in_sl in taps:
-        patch = x[in_sl]
-        g2 = grad[out_sl].reshape(-1, cout)
-        dw[u, v, :cin] = patch.reshape(len(g2), cin).T @ g2
-        if dx is not None:
-            dx[in_sl] += (g2 @ weight[u, v, :cin].T).reshape(patch.shape)
+    if stride > 1:
+        g2 = grad.reshape(n * out_h * out_w, cout)
+        patches = _patches(x, (kh, kw), grad.shape, stride)
+        dw[:, :, :cin] = (patches.T @ g2).reshape(kh, kw, cin, cout)
+        dx = None
+        if need_dx:
+            dpatches = g2 @ weight[:, :, :cin].reshape(kh * kw * cin, cout).T
+            dx = _patches_adjoint(dpatches, x.shape, (kh, kw), grad.shape, stride)
+    else:
+        dx = np.zeros_like(x) if need_dx else None
+        for u, v, out_sl, in_sl in taps:
+            patch = x[in_sl]
+            g2 = grad[out_sl].reshape(-1, cout)
+            dw[u, v, :cin] = patch.reshape(len(g2), cin).T @ g2
+            if dx is not None:
+                dx[in_sl] += (g2 @ weight[u, v, :cin].T).reshape(patch.shape)
     if const is None:
         return dx, dw, None
-    kh, kw = weight.shape[:2]
     pixels = grad.transpose(1, 2, 0, 3).reshape(out_h * out_w, n * cout)
     sums = (_tap_cover(taps, (kh, kw), grad.shape).T @ pixels).reshape(kh, kw, n, cout)
     dw[:, :, cin:] = const.T @ sums
@@ -321,17 +414,23 @@ def _conv_backward(grad, x, weight, taps, need_dx, const=None):
 def conv2d(x, weight, stride=1):
     """Same-padded 2-D convolution; x is (N, H, W, Cin), weight (kh, kw, Cin, Cout).
 
-    Each kernel tap (u, v) is one GEMM over the output window whose input
-    pixels lie inside the image: the zero padding is implicit and never
-    multiplied. Backward re-slices each tap's patch from ``x`` and computes
-    the input gradient only when ``x`` requires one.
+    The stride picks one algorithm, with no setting to override it. A strided
+    conv (the backbone's stride 2) copies its input once into a patch matrix
+    of ``kh * kw / stride**2`` copies of it, 2.25 for a 3x3 kernel at stride
+    2, and runs one GEMM over the whole batch; its backward rebuilds the
+    patches rather than keeping them. At stride 1 (the 4x4 fusion maps) a
+    patch matrix would hold nine copies, about a third of them padding, so
+    each kernel tap (u, v) is one GEMM over the output window whose input
+    pixels lie inside the image: the zero padding is never stored or
+    multiplied, and backward re-slices each tap's patch from ``x``. Both skip
+    the input gradient when ``x`` needs none (the backbone's images).
     """
     x, weight = as_tensor(x), as_tensor(weight)
     out_shape, taps = _conv_setup("conv2d", x, weight, stride)
-    data = _conv_forward(x.data, weight.data, taps, out_shape)
+    data = _conv_forward(x.data, weight.data, taps, out_shape, stride)
 
     def backprop(grad):
-        dx, dw, _ = _conv_backward(grad, x.data, weight.data, taps, x.requires_grad)
+        dx, dw, _ = _conv_backward(grad, x.data, weight.data, taps, stride, x.requires_grad)
         accumulate_grad(x, dx)  # a no-op when x needs no gradient
         accumulate_grad(weight, dw)
 
@@ -469,16 +568,18 @@ def conv_bn_relu(x, weight, gamma, beta, state, training, stride=1, const=None):
     building that map. The conv has no bias: train-mode batch norm subtracts
     the batch mean, which cancels it, and ``beta`` plays its role.
 
-    In training, batch norm runs in the conv's output buffer and the ReLU in
-    place; backward masks the output gradient, runs the batch-norm backward
-    and hands its result straight to the per-tap conv backward. Without
-    ``const`` every training value and gradient is bitwise the three-op chain's.
+    The conv is :func:`conv2d`'s: the stride picks the patch-matrix GEMM
+    (strided) or the per-tap GEMMs (stride 1). In training, batch norm runs
+    in the conv's output buffer and the ReLU in place; backward masks the
+    output gradient, runs the batch-norm backward and hands its result
+    straight to the conv backward. Without ``const`` every training value and
+    gradient is bitwise the three-op chain's.
 
     In eval, batch norm is an affine map per channel, ``s * conv + t`` with
     ``s = gamma / sqrt(running_var + eps)`` and ``t = beta - running_mean * s``,
-    so it is folded into the conv: one pass convolves with ``weight * s``
-    (the ``const`` rows included), starting each pixel from ``t``, and clamps
-    each example block at 0 while it is cached. Values equal the chain's up to
+    so it is folded into the conv: it convolves with ``weight * s`` (the
+    ``const`` rows included), adds ``t`` and clamps at 0, at stride 1 per
+    example block while the block is cached. Values equal the chain's up to
     rounding, not bitwise. Backward differentiates the folded form: the conv
     backward with ``weight * s`` gives dx, dconst and ``dWs``; then
     ``dW = dWs * s``, ``dbeta = sum(dy)`` and
@@ -499,7 +600,7 @@ def conv_bn_relu(x, weight, gamma, beta, state, training, stride=1, const=None):
     const_data = None if const is None else const.data
 
     if training:
-        data = _conv_forward(x.data, weight.data, taps, out_shape, const_data)
+        data = _conv_forward(x.data, weight.data, taps, out_shape, stride, const_data)
         x_hat, inv_std, count = _normalize(data, state, True, out=data)
         out = gamma.data * x_hat
         out += beta.data
@@ -511,13 +612,17 @@ def conv_bn_relu(x, weight, gamma, beta, state, training, stride=1, const=None):
         scale = gamma.data * inv_std
         conv_weight = weight.data * scale
         shift = beta.data - mean * scale
-        out = _conv_forward(x.data, conv_weight, taps, out_shape, const_data, shift, relu=True)
+        out = _conv_forward(
+            x.data, conv_weight, taps, out_shape, stride, const_data, shift, relu=True
+        )
 
     def backprop(grad):
         dy = grad * (out > 0.0)
         if training:
             dgamma, dbeta, dy = _normalize_backward(dy, x_hat, gamma.data, inv_std, True, count)
-        dx, dw, dconst = _conv_backward(dy, x.data, conv_weight, taps, x.requires_grad, const_data)
+        dx, dw, dconst = _conv_backward(
+            dy, x.data, conv_weight, taps, stride, x.requires_grad, const_data
+        )
         if not training:  # dw is the gradient of the folded weight * scale
             dbeta = dy.sum(axis=(0, 1, 2))
             dgamma = inv_std * ((dw * weight.data).sum(axis=(0, 1, 2)) - mean * dbeta)

@@ -16,6 +16,8 @@ FCM over tweet text whose head is one linear layer.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,11 @@ class InputMask:
 
 
 FUSION_BLOCKS = 2  # the conv blocks of an SCM or TKM head
+
+
+def _sum(parts):
+    """(total extent, key of the largest part) of (extent, key) parts."""
+    return sum(e for e, _ in parts), max(parts, key=lambda p: p[0], default=(0, None))[1]
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,15 @@ class ModelSpec:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
+        dims = max(self._weight_dims(), key=lambda d: math.prod(e for e, _ in d))
+        size = 8 * math.prod(e for e, _ in dims)  # one float64 array
+        if size > sys.maxsize:
+            key = max(dims, key=lambda d: d[0])[1]
+            shape = tuple(e for e, _ in dims)
+            raise ValueError(
+                f"{key} makes a {shape} weight array of {size} bytes, "
+                f"more than one array can hold ({sys.maxsize})"
+            )
 
     @classmethod
     def reference(cls, variant="TKM"):
@@ -121,6 +137,40 @@ class ModelSpec:
             seed=0,
             mask=InputMask(),
         )
+
+    def _weight_dims(self):
+        """Every weight array the model draws, as (extent, key) pairs, one per dimension.
+
+        ``key`` is the ``model.*`` key that sets the extent, or the key of the
+        largest part of a sum of widths; a kernel side has none. The embedding
+        table is left out: its rows are the vocabulary, which the spec does
+        not hold.
+        """
+        side, hidden = (3, None), (self.hidden_dim, "model.hidden_dim")
+        visual = (self.visual_dim, "model.backbone_channels")
+        texts = [hidden] * len(self.texts)
+        arrays = []
+        if self.mask.image:
+            widths = [(3, None)] + [(c, "model.backbone_channels") for c in self.backbone_channels]
+            arrays += [(side, side, a, b) for a, b in zip(widths, widths[1:])]
+        if self.texts:  # the LSTM's W and U
+            gates = (4 * self.hidden_dim, "model.hidden_dim")
+            arrays += [((self.embedding_dim, "model.embedding_dim"), gates), (hidden, gates)]
+        if self.variant == "FCM":
+            fc_in = _sum([visual] * self.mask.image + texts)
+        else:
+            maps = [visual] if self.mask.image else []
+            if self.variant == "TKM" and self.mask.image:
+                counts = [(c, f"model.{name}_kernels") for name, c in self.texts.items()]
+                for count in counts:  # a generator's (hidden_dim, count * visual_dim) weight
+                    wide = max(count, visual, key=lambda p: p[0])[1]
+                    arrays.append((hidden, (count[0] * self.visual_dim, wide)))
+                maps = [_sum(counts)]
+            fusion = (self.fusion_channels, "model.fusion_channels")
+            arrays += [(side, side, _sum(maps + texts), fusion), (side, side, fusion, fusion)]
+            fc_in = fusion
+        widths = [fc_in] + [(w, "model.fc_plan") for w in self.fc_plan]
+        return arrays + list(zip(widths, widths[1:]))
 
     @property
     def visual_dim(self):

@@ -172,6 +172,14 @@ def primitive_checks(seed=0):
         t((3,)),
         t((2, 4)),
     )
+    case(
+        "conv_bn_relu_stride2_train",
+        lambda x, w, g, be: s_conv(ops.conv_bn_relu(x, w, g, be, BatchNormState(4), True, stride=2)),
+        t((2, 5, 5, 3)),
+        t((3, 3, 3, 4)),
+        t((4,)),
+        t((4,)),
+    )
     return checks
 
 

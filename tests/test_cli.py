@@ -957,6 +957,7 @@ TRAIN_KEYS = [
 ]
 SYNTH_KEYS = [name for name, key in KEYS.items() if "synth" in key.verbs]
 FUZZ_VALUES = ["", ",", "0", "-1", "0,2", "1,0", "nan", "inf", "x", "1.5"]
+EXA = 10**18
 
 CONFIG_FAULTS = {
     "empty_fc_plan": ["model.fc_plan="],
@@ -999,22 +1000,47 @@ class TestConfigFaults:
 
     # Each size makes a first array of about an exabyte, which no host can map, so
     # the allocation fails at once; a size that fits the address space but not
-    # memory could be overcommitted and then killed, and is not tried.
-    @pytest.mark.parametrize("pairs", [
-        ["model.hidden_dim=10000000000000000"],
-        ["model.embedding_dim=10000000000000000"],
-        ["model.backbone_channels=8,2000000000000000"],
-        ["model.fc_plan=2000000000000000,2"],
-        ["model.variant=SCM", "model.fusion_channels=1000000000000000"],
+    # memory could be overcommitted and then killed, and is not tried. The
+    # hidden_dim, embedding_dim and fusion_channels sizes also make a later
+    # array larger than any array can be, which ModelSpec refuses first.
+    @pytest.mark.parametrize("pairs,line", [
+        (["model.hidden_dim=10000000000000000"], "config error: model.hidden_dim makes a"),
+        (["model.embedding_dim=10000000000000000"], "config error: model.embedding_dim makes a"),
+        (["model.backbone_channels=8,2000000000000000"], "out of memory: Unable to allocate"),
+        (["model.fc_plan=2000000000000000,2"], "out of memory: Unable to allocate"),
+        (["model.variant=SCM", "model.fusion_channels=1000000000000000"],
+         "config error: model.fusion_channels makes a"),
     ], ids=["hidden_dim", "embedding_dim", "backbone_channels", "fc_plan", "fusion_channels"])
-    def test_train_too_large_to_allocate_exits_2_with_one_line(self, pairs, tiny_data):
+    def test_train_too_large_to_allocate_exits_2_with_one_line(self, pairs, line, tiny_data):
         data, root = tiny_data
         rc, err = run_main([
             "train", "--data", str(data), "--out", str(root / "huge"),
             *sets(["model.variant=FCM", "train.epochs=1", *pairs]),
         ])
         assert rc == EXIT_CONFIG
-        assert len(err) == 1 and err[0].startswith("out of memory: Unable to allocate"), err
+        assert len(err) == 1 and err[0].startswith(line), err
+
+    # 10^18 wide: before ModelSpec checked sizes, each ended in NumPy's
+    # "array is too big" ValueError with a traceback, exit 1
+    @pytest.mark.parametrize("pair,shape,size", [
+        (f"model.hidden_dim={EXA}", f"({EXA}, {4 * EXA})", 32 * EXA**2),
+        (f"model.embedding_dim={EXA}", f"({EXA}, 128)", 1024 * EXA),
+        (f"model.fusion_channels={EXA}", f"(3, 3, {EXA}, {EXA})", 72 * EXA**2),
+        (f"model.fc_plan={EXA},2", f"(16, {EXA})", 128 * EXA),
+        (f"model.backbone_channels=8,{EXA}", f"(3, 3, {EXA + 64}, 16)", 1152 * (EXA + 64)),
+    ], ids=["hidden_dim", "embedding_dim", "fusion_channels", "fc_plan", "backbone_channels"])
+    def test_weight_array_larger_than_any_array_exits_2(self, pair, shape, size, tiny_data):
+        data, root = tiny_data
+        rc, err = run_main([
+            "train", "--data", str(data), "--out", str(root / "wide_model"),
+            *sets(["model.variant=SCM", "train.epochs=1", pair]),
+        ])
+        key = pair.split("=")[0]
+        assert rc == EXIT_CONFIG
+        assert err == [
+            f"config error: {key} makes a {shape} weight array of {size} bytes, "
+            f"more than one array can hold ({sys.maxsize})"
+        ]
 
     def test_synth_too_large_to_allocate_exits_2_with_one_line(self, tiny_data):
         _, root = tiny_data

@@ -100,17 +100,21 @@ def test_const_matches_tiled_concat(x_requires_grad, training, stride, side, rng
         np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("with_const", [False, True])
-def test_eval_with_and_without_a_tape_is_bitwise_equal(with_const, rng):
+@pytest.mark.parametrize(
+    "with_const,stride",
+    [(False, 1), (True, 1), (False, 2), (True, 2)],
+    ids=["False", "True", "False-stride2", "True-stride2"],
+)
+def test_eval_with_and_without_a_tape_is_bitwise_equal(with_const, stride, rng):
     n, side, cin, cc, cout = 5, 6, 3, 2 if with_const else 0, 4
     x = Tensor(rng.standard_normal((n, side, side, cin)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 3, cin + cc, cout)), requires_grad=True)
     gamma, beta = (Tensor(rng.standard_normal(cout), requires_grad=True) for _ in range(2))
     const = Tensor(rng.standard_normal((n, cc)), requires_grad=True) if cc else None
     state = bn_state(rng, cout, training=False)
-    taped = ops.conv_bn_relu(x, w, gamma, beta, state, False, 1, const=const)
+    taped = ops.conv_bn_relu(x, w, gamma, beta, state, False, stride, const=const)
     with no_grad():
-        free = ops.conv_bn_relu(x, w, gamma, beta, state, False, 1, const=const)
+        free = ops.conv_bn_relu(x, w, gamma, beta, state, False, stride, const=const)
     assert taped.requires_grad and not free.requires_grad
     assert np.array_equal(taped.data, free.data)
 
