@@ -1020,8 +1020,8 @@ class TestConfigFaults:
         assert rc == EXIT_CONFIG
         assert len(err) == 1 and err[0].startswith(line), err
 
-    # 10^18 wide: before ModelSpec checked sizes, each ended in NumPy's
-    # "array is too big" ValueError with a traceback, exit 1
+    # each key at 10^18 makes a weight array larger than sys.maxsize bytes,
+    # which NumPy would refuse with a ValueError after the model began drawing
     @pytest.mark.parametrize("pair,shape,size", [
         (f"model.hidden_dim={EXA}", f"({EXA}, {4 * EXA})", 32 * EXA**2),
         (f"model.embedding_dim={EXA}", f"({EXA}, 128)", 1024 * EXA),
