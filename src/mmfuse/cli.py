@@ -30,7 +30,7 @@ from .autodiff import AutodiffError, CheckpointError, file_sha256, load_arrays, 
 from .config import ConfigError
 from .encoders import encode_texts
 from .encoders.text import Vocabulary
-from .fusion import ModelSpec, MultimodalModel
+from .fusion import ModelSpec, MultimodalModel, check_weight_size
 from .gradcheck_suite import run_suite
 from .training import ModelData, TrainConfig, score_dataset, train
 
@@ -112,7 +112,8 @@ def _model_spec(values):
     """The :class:`ModelSpec` of the typed ``values``: the ``model.*`` keys and ``train.mask``.
 
     The LSTM baseline is an FCM over tweet text with a linear head. Every
-    fault is a ConfigError, raised before any weight is drawn.
+    fault is a ConfigError, raised before any weight is drawn, an embedding
+    table of ``train.vocab_size`` rows too large for one array included.
     """
     mask = values["train.mask"]
     if values["model.variant"] == "LSTM":
@@ -124,7 +125,11 @@ def _model_spec(values):
                 f"model.variant=LSTM has a linear head: model.fc_plan must be 2, not {plan}"
             )
         values = {**values, "model.variant": "FCM"}
-    return _record(ModelSpec, values, "model", mask=mask)
+    spec = _record(ModelSpec, values, "model", mask=mask)
+    if spec.texts:
+        with _reraise(ConfigError):
+            check_weight_size("model.embedding_dim", (values["train.vocab_size"], spec.embedding_dim))
+    return spec
 
 
 def _build(values):
@@ -283,13 +288,9 @@ def cmd_prepare(args, cfg):
         examples, unlabelable = dataset.label_corpus(
             kept, min_duration=values["dataset.min_duration"]
         )
-    val_size, test_size = values["dataset.val_size"], values["dataset.test_size"]
-    if val_size or test_size:
-        with _reraise(DataError):
-            dataset.build_splits(examples, val_size, test_size, values["dataset.seed"])
-    else:
-        for ex in examples:
-            ex.split = "train"
+    sizes = values["dataset.val_size"], values["dataset.test_size"]
+    with _reraise(DataError):  # too few examples of a class
+        dataset.build_splits(examples, *sizes, values["dataset.seed"])
 
     dataset.export_corpus(kept, out / "filtered.jsonl")
     with open(out / "examples.csv", "w", newline="") as fh:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import difflib
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,10 +62,10 @@ def _int(text):
         raise ValueError(f"must be an integer, got {text!r}") from None
 
 
-def _at_least(least, what):
+def _at_least(least, what, step=1):
     def parse(text):
         value = _int(text)
-        if value < least:
+        if value < least or value % step:
             raise ValueError(f"must be {what}, got {value}")
         return value
 
@@ -73,9 +74,12 @@ def _at_least(least, what):
 
 def _float(text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _bool(text):
@@ -105,6 +109,7 @@ def _mask(text):
 
 
 _seed = _at_least(0, "a non-negative integer")
+_split_size = _at_least(0, "a non-negative even integer (half hate, half not-hate)", step=2)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +191,8 @@ KEYS = {
     "dataset.text_probability_threshold": Key(_float, "0.3", ("prepare",)),
     "dataset.min_duration": Key(_float, "3.0", ("prepare",)),
     "dataset.seed": Key(_seed, "0", ("prepare",)),
-    "dataset.val_size": Key(_int, "0", ("prepare",)),
-    "dataset.test_size": Key(_int, "0", ("prepare",)),
+    "dataset.val_size": Key(_split_size, "0", ("prepare",)),
+    "dataset.test_size": Key(_split_size, "0", ("prepare",)),
     "gradcheck.seed": Key(_seed, "0", ("gradcheck",)),
 }
 

@@ -243,8 +243,8 @@ def build_splits(examples, val_size, test_size, seed):
     Val and test each get exactly half hate / half not-hate, drawn without
     replacement from a seeded shuffle; deterministic given the seed.
     """
-    if val_size % 2 or test_size % 2:
-        raise ValueError("val_size and test_size must be even (balanced halves)")
+    if min(val_size, test_size) < 0 or val_size % 2 or test_size % 2:
+        raise ValueError(f"val and test sizes must be even and >= 0, got {val_size}, {test_size}")
     by_class = {True: [], False: []}
     for ex in examples:
         by_class[ex.hate].append(ex)

@@ -1,6 +1,7 @@
-"""Ranking and threshold metrics over scored examples, plus report emission.
+"""Ranking and threshold metrics over a scored split, plus report emission.
 
-Scores are the softmax probability of the hate class (higher = more hate).
+A scored split is ``training.score_dataset``'s record array of ``id``, ``score``
+and ``hate``; a score is the hate class's softmax probability (higher = more hate).
 Thresholding convention everywhere: predict hate iff score >= threshold.
 The table "F" column is the maximum F1 over thresholds and "ACC" is balanced
 accuracy (mean per-class recall), rendered as a percentage.
@@ -17,17 +18,6 @@ import numpy as np
 
 class MetricError(Exception):
     """A metric precondition failed (e.g. single-class input)."""
-
-
-@dataclass(frozen=True)
-class ScoredExample:
-    id: str
-    score: float
-    hate: bool
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [0, 1]")
 
 
 @dataclass
@@ -47,10 +37,12 @@ def _sweep(scored, name):
     One row per distinct score (ties grouped), prefixed by a +inf threshold
     where nothing is predicted positive. At each row, predicted positive means
     score >= threshold. ``name`` labels the MetricError raised when a class is
-    missing.
+    missing. A score outside [0, 1], NaN included, raises a ValueError.
     """
-    scores = np.array([ex.score for ex in scored], dtype=np.float64)
-    labels = np.array([ex.hate for ex in scored], dtype=bool)
+    scores, labels = scored["score"], scored["hate"]
+    outside = ~((scores >= 0.0) & (scores <= 1.0))
+    if outside.any():
+        raise ValueError(f"score {scores[np.argmax(outside)]} outside [0, 1]")
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if not n_pos or not n_neg:

@@ -66,6 +66,16 @@ def _sum(parts):
     return sum(e for e, _ in parts), max(parts, key=lambda p: p[0], default=(0, None))[1]
 
 
+def check_weight_size(key, shape):
+    """Raise a ValueError naming ``key`` when a float64 ``shape`` passes ``sys.maxsize`` bytes."""
+    size = 8 * math.prod(shape)
+    if size > sys.maxsize:
+        raise ValueError(
+            f"{key} makes a {shape} weight array of {size} bytes, "
+            f"more than one array can hold ({sys.maxsize})"
+        )
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A model's shape: the ``model.*`` keys without their prefix, and the input mask.
@@ -110,14 +120,7 @@ class ModelSpec:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
         dims = max(self._weight_dims(), key=lambda d: math.prod(e for e, _ in d))
-        size = 8 * math.prod(e for e, _ in dims)  # one float64 array
-        if size > sys.maxsize:
-            key = max(dims, key=lambda d: d[0])[1]
-            shape = tuple(e for e, _ in dims)
-            raise ValueError(
-                f"{key} makes a {shape} weight array of {size} bytes, "
-                f"more than one array can hold ({sys.maxsize})"
-            )
+        check_weight_size(max(dims, key=lambda d: d[0])[1], tuple(e for e, _ in dims))
 
     @classmethod
     def reference(cls, variant="TKM"):

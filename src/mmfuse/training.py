@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import AdamState, AutodiffError, NonFiniteGradient, adam_step, backward, no_grad, ops
 from .config import default
 from .encoders import pad_ids
-from .evaluation import MetricError, ScoredExample, auc_roc
+from .evaluation import MetricError, auc_roc
 
 HATE = 1  # class index of the hate label; index 0 is not-hate
 
@@ -77,17 +77,16 @@ class TrainHistory:
 
 @dataclass
 class ModelData:
-    """A split ready for batching: aligned images, token ids and labels."""
+    """A split ready for batching: aligned images, token ids, labels and example ids."""
 
     images: np.ndarray  # (N, S, S, 3); may be a zero-size array when unused
     tweet: tuple  # (ids (N, T) int64, lengths (N,)), padded once by pad_ids
     imgtext: tuple  # the image texts, likewise
     labels: np.ndarray  # int, 1 = hate
-    ids: list = None
+    ids: np.ndarray = None  # str; given as any sequence, or the row numbers "0".."N-1"
 
     def __post_init__(self):
-        if self.ids is None:
-            self.ids = [str(i) for i in range(len(self.labels))]
+        self.ids = np.asarray(range(len(self.labels)) if self.ids is None else self.ids, dtype=str)
 
     @classmethod
     def from_id_lists(cls, images, tweet_ids, imgtext_ids, labels, ids=None):
@@ -103,7 +102,6 @@ class ModelData:
         ``indices`` is an index array or a slice; a slice takes views, so no
         image is copied.
         """
-        names = self.ids[indices] if isinstance(indices, slice) else [self.ids[i] for i in indices]
 
         def take(text):
             ids, lengths = text
@@ -115,7 +113,7 @@ class ModelData:
             tweet=take(self.tweet),
             imgtext=take(self.imgtext),
             labels=self.labels[indices],
-            ids=names,
+            ids=self.ids[indices],
         )
 
 
@@ -133,20 +131,20 @@ def score_dataset(model, data):
     ``data`` that copies no image. A one-example tail joins the batch before
     it (see :func:`ops.example_blocks`), so no forward holds a lone example
     unless the split does. Raises NonFiniteScore when a score is NaN or
-    infinite.
+    infinite. Returns the scored split :mod:`evaluation` reads: a record array
+    whose row i holds example i's ``id`` (str), ``score`` (float64) and ``hate``.
     """
-    scored = []
+    scores = np.empty(len(data))
     for rows in ops.example_blocks(len(data), SCORE_BATCH):
         batch = data.subset(rows)
-        with no_grad(), np.errstate(over="ignore", invalid="ignore"):  # checked below
+        with no_grad(), np.errstate(over="ignore", invalid="ignore"):  # checked after the loop
             logits = model.forward(batch.images, batch.tweet, batch.imgtext, training=False)
-            probs = ops.softmax(logits, axis=1).data
-        finite = np.isfinite(probs[:, HATE])
-        if not finite.all():
-            raise NonFiniteScore(f"non-finite score for example {batch.ids[np.argmin(finite)]!r}")
-        for ident, p, label in zip(batch.ids, probs[:, HATE], batch.labels):
-            scored.append(ScoredExample(id=ident, score=float(p), hate=bool(label)))
-    return scored
+            scores[rows] = ops.softmax(logits, axis=1).data[:, HATE]
+    finite = np.isfinite(scores)
+    if not finite.all():
+        ident = str(data.ids[np.argmin(finite)])  # an np.str_'s repr names its type
+        raise NonFiniteScore(f"non-finite score for example {ident!r}")
+    return np.rec.fromarrays([data.ids, scores, data.labels.astype(bool)], names="id,score,hate")
 
 
 def train(model, train_data, val_data, config):

@@ -48,12 +48,12 @@ def oracle_balanced_accuracy(scores, labels, threshold=0.5):
 
 
 def make_scored(scores, labels):
-    from mmfuse.evaluation import ScoredExample
-
-    return [
-        ScoredExample(id=str(i), score=float(s), hate=bool(y))
-        for i, (s, y) in enumerate(zip(scores, labels))
-    ]
+    """The record array ``score_dataset`` returns, with ids "0".."N-1"."""
+    return np.rec.fromarrays(
+        [np.arange(len(scores)).astype(str), np.asarray(scores, dtype=np.float64),
+         np.asarray(labels, dtype=bool)],
+        names="id,score,hate",
+    )
 
 
 def random_instance(rng, n=None):

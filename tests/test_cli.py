@@ -856,6 +856,36 @@ class TestPrepareVerb:
         assert rows("discards.csv") == [["id", "reason"], ['rt,"1"', "retweet"]]
 
 
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        """A 16-record raw corpus, 8 of it hate."""
+        split = synth.generate(synth.SynthSpec(n_train=16, n_val=0, n_test=0, seed=2))["train"]
+        path = tmp_path / "raw.jsonl"
+        dataset.export_corpus(synth.to_records(split, "train", image_dir=str(tmp_path)), path)
+        return path
+
+    # an odd size exited 3 as a data error; a negative one wrote a short or no split
+    @pytest.mark.parametrize("pairs,refused", [
+        (["dataset.val_size=-2"], "dataset.val_size must be a non-negative even integer"),
+        (["dataset.val_size=-2", "dataset.test_size=4"],
+         "dataset.val_size must be a non-negative even integer"),
+        (["dataset.test_size=3"], "dataset.test_size must be a non-negative even integer"),
+    ], ids=["negative_val", "negative_val_with_test", "odd_test"])
+    def test_negative_or_odd_split_size_exits_2(self, pairs, refused, corpus, tmp_path):
+        rc, err = run_main(["prepare", "--corpus", str(corpus), "--out", str(tmp_path / "p"),
+                            *sets(pairs)])
+        got = pairs[0].split("=")[1]
+        assert rc == EXIT_CONFIG
+        assert err == [f"config error: {refused} (half hate, half not-hate), got {got}"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_min_duration_exits_2(self, value, corpus, tmp_path):
+        rc, err = run_main(["prepare", "--corpus", str(corpus), "--out", str(tmp_path / "p"),
+                            "--set", f"dataset.min_duration={value}"])
+        assert rc == EXIT_CONFIG
+        assert err == [f"config error: dataset.min_duration must be a finite number, got {value!r}"]
+
+
 def test_records_built_with_no_arguments_take_the_table_defaults():
     """A library caller and the CLI start a run from the same settings."""
     _, values = resolve({"train.vocab_size": "1"}, "train")
@@ -1040,6 +1070,20 @@ class TestConfigFaults:
         assert err == [
             f"config error: {key} makes a {shape} weight array of {size} bytes, "
             f"more than one array can hold ({sys.maxsize})"
+        ]
+
+    def test_embedding_table_larger_than_any_array_exits_2(self, tiny_data):
+        """The (vocabulary, embedding_dim) table, which ModelSpec cannot size, is checked too."""
+        data, root = tiny_data
+        rc, err = run_main([
+            "train", "--data", str(data), "--out", str(root / "wide_table"),
+            *sets(["model.variant=FCM", "model.hidden_dim=1", f"model.embedding_dim={EXA // 10}"]),
+        ])
+        vocab = len(synth.build_vocabulary())
+        assert rc == EXIT_CONFIG
+        assert err == [
+            f"config error: model.embedding_dim makes a ({vocab}, {EXA // 10}) weight array of "
+            f"{8 * vocab * EXA // 10} bytes, more than one array can hold ({sys.maxsize})"
         ]
 
     def test_synth_too_large_to_allocate_exits_2_with_one_line(self, tiny_data):

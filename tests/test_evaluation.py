@@ -16,7 +16,6 @@ from conftest import (
 )
 from mmfuse.evaluation import (
     MetricError,
-    ScoredExample,
     auc_roc,
     evaluate,
     results_table,
@@ -26,10 +25,11 @@ from mmfuse.evaluation import (
 
 class TestScoredExample:
     def test_score_range_enforced(self):
-        with pytest.raises(ValueError):
-            ScoredExample("a", 1.5, True)
-        with pytest.raises(ValueError):
-            ScoredExample("a", -0.1, False)
+        for metric in (evaluate, auc_roc):
+            with pytest.raises(ValueError):
+                metric(make_scored([1.5, 0.2], [True, False]))
+            with pytest.raises(ValueError):
+                metric(make_scored([0.3, -0.1], [True, False]))
 
 
 class TestAuc:

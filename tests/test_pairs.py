@@ -21,11 +21,11 @@ def load_pairs():
 pairs = load_pairs()
 
 
-def canned_output(workload, seed, metrics):
+def canned_output(workload, seed, metrics, attempted=3, failed=0):
     """Output shaped like run.py's with ``--trace 0``: env line, metric table, JSON line."""
     env = {"python": "3.x", "numpy": "2.x", "blas": "openblas", "git_revision": "abc",
            "workload": workload, "seed": seed, "seconds": 35.0, "trace": 0}
-    result = {"correct": True, "attempted": 3, "failed": 0,
+    result = {"correct": failed == 0, "attempted": attempted, "failed": failed,
               "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}
     table = "".join(f"  {k:<28} {v:>14.6g} u      (n=3)\n" for k, v in metrics.items())
     return (f"env {json.dumps(env, sort_keys=True)}\ncycles 3 (0 traced)\n{table}"
@@ -95,6 +95,21 @@ def test_summary_medians_quartiles_and_wins():
     assert set(summary) == set(BETTER)
 
 
+def test_failed_ops_are_summed_per_side():
+    counts = {"parent": [(3, 0), (5, 0)], "change": [(4, 1), (4, 0)]}  # (attempted, failed)
+
+    def run(side, workload, seed):
+        attempted, failed = counts[side][seed - 1]
+        return canned_output(workload, seed, {"score_ex_per_s": 1.0}, attempted, failed)
+
+    by_workload, _ = pairs.run_pairs(["train-wide"], [1, 2], run)
+    assert pairs.failed_ops(by_workload["train-wide"]) == {
+        "parent": {"attempted": 8, "failed": 0, "failed_share": 0.0},
+        "change": {"attempted": 8, "failed": 1, "failed_share": 0.125},
+    }
+    assert pairs.failed_ops([])["parent"] == {"attempted": 0, "failed": 0, "failed_share": None}
+
+
 def test_report_layout():
     written = []
     commits = {"parent": "p" * 40, "change": "c" * 40}
@@ -115,4 +130,5 @@ def test_report_layout():
     assert [p["first"] for p in wide["pairs"]] == ["parent", "change"]
     assert wide["pairs"][1]["change"]["metrics"] == {"score_ex_per_s": 103.0, "pipeline_s": 2.0}
     assert wide["summary"]["score_ex_per_s"]["pairs"] == 2
+    assert wide["ops"]["change"] == {"attempted": 6, "failed": 0, "failed_share": 0.0}
     assert len(written[0]["workloads"]["train-wide"]["pairs"]) == 1

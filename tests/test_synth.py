@@ -376,7 +376,8 @@ class TestProperties:
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.shape == b.shape
                     assert np.array_equal(a, b)
-            assert np.array_equal(data.labels, expected.labels) and data.ids == expected.ids
+            assert np.array_equal(data.labels, expected.labels)
+            assert np.array_equal(data.ids, expected.ids)
             records = synth.to_records(split, name)
             assert [r.tweet_text for r in records] == [" ".join(t) for t in texts_of(split.tweet)]
             assert [r.image_text for r in records] == [

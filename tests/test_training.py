@@ -117,7 +117,7 @@ class TestModelData:
         view = split.subset(slice(start, stop))
         copy = split.subset(np.arange(start, stop))
         assert view.images.base is split.images
-        assert view.ids == copy.ids == list("abcde")[start:stop]
+        assert view.ids.tolist() == copy.ids.tolist() == list("abcde")[start:stop]
         for got, want in [(view.images, copy.images), (view.labels, copy.labels),
                           *zip(view.tweet + view.imgtext, copy.tweet + copy.imgtext)]:
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -144,7 +144,7 @@ class TestScoreDataset:
     def test_empty_data(self):
         model = text_only_model()
         data = ModelData.from_id_lists(np.zeros((0,)), [], [], np.zeros(0, dtype=np.int64))
-        assert score_dataset(model, data) == []
+        assert len(score_dataset(model, data)) == 0
 
     def test_scores_are_probabilities(self):
         model = text_only_model()

@@ -12,8 +12,10 @@ ones, so a drift in host speed falls on both sides alike.
 The file holds both commits, the seeds, every pair's end-to-end metrics, and
 per workload and metric each side's median and quartiles, the change's gain
 over the parent's median (positive is better, in the direction
-``BENCHMARK.json`` gives) and the number of pairs the change won. It is
-rewritten after every pair, so an interrupted run keeps the pairs it finished.
+``BENCHMARK.json`` gives) and the number of pairs the change won, and per
+workload and side the operations attempted and failed and the failed share.
+It is rewritten after every pair, so an interrupted run keeps the pairs it
+finished.
 """
 
 from __future__ import annotations
@@ -78,6 +80,17 @@ def summarize(pairs, better):
     return summary
 
 
+def failed_ops(pairs):
+    """Per side: the operations its runs attempted and failed, and the failed share."""
+    ops = {}
+    for side in SIDES:
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        failed = sum(p[side]["failed"] for p in pairs)
+        share = failed / attempted if attempted else None
+        ops[side] = {"attempted": attempted, "failed": failed, "failed_share": share}
+    return ops
+
+
 def build_report(commits, seconds, seeds, pairs_by_workload, better, envs):
     """The BENCH file's content; ``pairs_by_workload`` maps a workload to its pairs so far."""
     return {
@@ -86,7 +99,7 @@ def build_report(commits, seconds, seeds, pairs_by_workload, better, envs):
         "seeds": list(seeds),
         "env": envs,
         "workloads": {
-            name: {"pairs": pairs, "summary": summarize(pairs, better)}
+            name: {"pairs": pairs, "summary": summarize(pairs, better), "ops": failed_ops(pairs)}
             for name, pairs in pairs_by_workload.items()
         },
     }
