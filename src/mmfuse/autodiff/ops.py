@@ -328,12 +328,16 @@ def _patches_adjoint(dpatches, x_shape, kernel, out_shape, stride):
     return padded[inner]
 
 
-def _conv_forward(x, weight, taps, out_shape, stride, const=None, shift=None, relu=False):
+def _conv_forward(
+    x, weight, taps, out_shape, stride, const=None, shift=None, relu=False, patches=None
+):
     """The same conv's output: ``shift`` (Cout,) is added to every pixel, ``relu`` clamps at 0.
 
-    A strided conv is one GEMM of its patch matrix (:func:`_patches`) with
+    A strided conv is one GEMM of its patch matrix P (:func:`_patches`) with
     ``weight[:, :, :Cin]`` over the whole batch, to which the ``const`` term,
-    the shift and the ReLU are then applied.
+    the shift and the ReLU are then applied. ``patches`` is P, built from
+    ``x`` when not given; the ops build it once and hand the same matrix to
+    :func:`_conv_backward`.
 
     A stride-1 conv runs per-tap GEMMs over the valid output windows, one
     block of examples at a time. A block holds at least two examples and as
@@ -349,7 +353,9 @@ def _conv_forward(x, weight, taps, out_shape, stride, const=None, shift=None, re
     kh, kw = weight.shape[:2]
     if stride > 1:
         w_in = weight[:, :, :cin].reshape(kh * kw * cin, cout)
-        data = (_patches(x, (kh, kw), out_shape, stride) @ w_in).reshape(out_shape)
+        if patches is None:
+            patches = _patches(x, (kh, kw), out_shape, stride)
+        data = (patches @ w_in).reshape(out_shape)
         if const is not None:
             data += _const_term(const, weight, taps, out_shape)
         if shift is not None:
@@ -372,14 +378,14 @@ def _conv_forward(x, weight, taps, out_shape, stride, const=None, shift=None, re
     return data
 
 
-def _conv_backward(grad, x, weight, taps, stride, need_dx, const=None):
+def _conv_backward(grad, x, weight, taps, stride, need_dx, const=None, patches=None):
     """Gradients (dx or None, dweight, dconst or None) of :func:`_conv_forward`.
 
-    A strided conv rebuilds its patch matrix P: ``dW = P.T @ dY``, and dx is
-    the adjoint of the patch copy applied to ``dY @ W.T``. A stride-1 conv
-    re-slices each tap's patch from ``x``. The constant channels' gradients
-    go through the (N, Cout) sums of the output gradient over each tap's
-    window.
+    A strided conv takes the forward's patch matrix P as ``patches`` (built
+    from ``x`` when not given): ``dW = P.T @ dY``, and dx is the adjoint of
+    the patch copy applied to ``dY @ W.T``. A stride-1 conv re-slices each
+    tap's patch from ``x``. The constant channels' gradients go through the
+    (N, Cout) sums of the output gradient over each tap's window.
     """
     n, out_h, out_w, cout = grad.shape
     cin = x.shape[3]
@@ -387,7 +393,8 @@ def _conv_backward(grad, x, weight, taps, stride, need_dx, const=None):
     dw = np.zeros_like(weight)
     if stride > 1:
         g2 = grad.reshape(n * out_h * out_w, cout)
-        patches = _patches(x, (kh, kw), grad.shape, stride)
+        if patches is None:
+            patches = _patches(x, (kh, kw), grad.shape, stride)
         dw[:, :, :cin] = (patches.T @ g2).reshape(kh, kw, cin, cout)
         dx = None
         if need_dx:
@@ -417,20 +424,25 @@ def conv2d(x, weight, stride=1):
     The stride picks one algorithm, with no setting to override it. A strided
     conv (the backbone's stride 2) copies its input once into a patch matrix
     of ``kh * kw / stride**2`` copies of it, 2.25 for a 3x3 kernel at stride
-    2, and runs one GEMM over the whole batch; its backward rebuilds the
-    patches rather than keeping them. At stride 1 (the 4x4 fusion maps) a
-    patch matrix would hold nine copies, about a third of them padding, so
-    each kernel tap (u, v) is one GEMM over the output window whose input
-    pixels lie inside the image: the zero padding is never stored or
-    multiplied, and backward re-slices each tap's patch from ``x``. Both skip
+    2, and runs one GEMM over the whole batch; its backward reuses that
+    matrix, which the backprop closure holds until it has run (under
+    ``no_grad`` no closure is kept, so nothing holds it). At stride 1 (the
+    4x4 fusion maps) a patch matrix would hold nine copies, about a third of
+    them padding, so each kernel tap (u, v) is one GEMM over the output
+    window whose input pixels lie inside the image: the zero padding is
+    never stored or multiplied, and backward re-slices each tap's patch from
+    ``x``. Both skip
     the input gradient when ``x`` needs none (the backbone's images).
     """
     x, weight = as_tensor(x), as_tensor(weight)
     out_shape, taps = _conv_setup("conv2d", x, weight, stride)
-    data = _conv_forward(x.data, weight.data, taps, out_shape, stride)
+    patches = _patches(x.data, weight.shape[:2], out_shape, stride) if stride > 1 else None
+    data = _conv_forward(x.data, weight.data, taps, out_shape, stride, patches=patches)
 
     def backprop(grad):
-        dx, dw, _ = _conv_backward(grad, x.data, weight.data, taps, stride, x.requires_grad)
+        dx, dw, _ = _conv_backward(
+            grad, x.data, weight.data, taps, stride, x.requires_grad, patches=patches
+        )
         accumulate_grad(x, dx)  # a no-op when x needs no gradient
         accumulate_grad(weight, dw)
 
@@ -500,6 +512,24 @@ def _check_affine(primitive, gamma, beta, channels):
         )
 
 
+def _channel_sum(a, b=None):
+    """Sum of ``a``, or of ``a * b``, over every axis but the last, with no temporary.
+
+    ``einsum`` over a C-contiguous (rows, C) view adds the rows in order, as
+    ``a.sum(axis=axes)`` and ``(a * b).sum(axis=axes)`` do there, and so gives
+    their bits. With one channel, or another layout, NumPy's own sum keeps
+    the bits: it runs pairwise along a contiguous reduction axis.
+    """
+    axes = tuple(range(a.ndim - 1))
+    contiguous = a.flags.c_contiguous and (b is None or b.flags.c_contiguous)
+    if a.shape[-1] == 1 or not contiguous:
+        return a.sum(axis=axes) if b is None else (a * b).sum(axis=axes)
+    shape = (math.prod(a.shape[:-1]), a.shape[-1])  # explicit: 0 channels have no -1
+    if b is None:
+        return np.einsum("ij->j", a.reshape(shape))
+    return np.einsum("ij,ij->j", a.reshape(shape), b.reshape(shape))
+
+
 def _normalize(x, state, training, out=None):
     """Normalize ``x`` over all axes but the last; returns (x_hat, inv_std, count).
 
@@ -509,9 +539,9 @@ def _normalize(x, state, training, out=None):
     axes = tuple(range(x.ndim - 1))
     count = int(np.prod([x.shape[a] for a in axes])) if axes else 1
     if training:
-        mean = x.mean(axis=axes)
+        mean = _channel_sum(x) / count  # np.mean's own arithmetic
         centered = np.subtract(x, mean, out=out)
-        var = (centered * centered).sum(axis=axes) / count  # np.var's own arithmetic
+        var = _channel_sum(centered, centered) / count  # np.var's own arithmetic
         if count > 1:  # one value per channel has no spread; it would pull running_var to 0
             m = state.momentum
             state.running_mean = m * state.running_mean + (1.0 - m) * mean
@@ -525,19 +555,22 @@ def _normalize(x, state, training, out=None):
     return x_hat, inv_std, count
 
 
-def _normalize_backward(grad, x_hat, gamma, inv_std, training, count):
-    """Gradients (dgamma, dbeta, dx) of ``gamma * x_hat + beta`` from :func:`_normalize`."""
-    axes = tuple(range(grad.ndim - 1))
-    gx_sum = (grad * x_hat).sum(axis=axes)
-    g_sum = grad.sum(axis=axes)
+def _normalize_backward(grad, x_hat, gamma, inv_std, training, count, out=None):
+    """Gradients (dgamma, dbeta, dx) of ``gamma * x_hat + beta`` from :func:`_normalize`.
+
+    Training overwrites ``x_hat``, and ``out=grad`` computes dx in grad's
+    buffer, with the same values as out of place: pass only arrays that the
+    caller owns and reads no more.
+    """
+    gx_sum = _channel_sum(grad, x_hat)
+    g_sum = _channel_sum(grad)
     if not training:
         dx = grad * gamma * inv_std
     elif count == 1:  # degenerate batch: normalization is constant in x
         dx = np.zeros_like(grad)
     else:  # sum / count is np.mean's own arithmetic
-        g_mean, gx_mean = g_sum / count, gx_sum / count
-        dx = grad - g_mean
-        dx -= x_hat * gx_mean
+        dx = np.subtract(grad, g_sum / count, out=out)
+        dx -= np.multiply(x_hat, gx_sum / count, out=x_hat)
         dx *= gamma * inv_std
     return gx_sum, g_sum, dx
 
@@ -569,10 +602,11 @@ def conv_bn_relu(x, weight, gamma, beta, state, training, stride=1, const=None):
     the batch mean, which cancels it, and ``beta`` plays its role.
 
     The conv is :func:`conv2d`'s: the stride picks the patch-matrix GEMM
-    (strided) or the per-tap GEMMs (stride 1). In training, batch norm runs
-    in the conv's output buffer and the ReLU in place; backward masks the
-    output gradient, runs the batch-norm backward and hands its result
-    straight to the conv backward. Without ``const`` every training value and
+    (strided), whose matrix the backward reuses, or the per-tap GEMMs
+    (stride 1). In training, batch norm runs in the conv's output buffer and
+    the ReLU in place; backward masks the output gradient, runs the
+    batch-norm backward in that mask's buffer and hands its result straight
+    to the conv backward. Without ``const`` every training value and
     gradient is bitwise the three-op chain's.
 
     In eval, batch norm is an affine map per channel, ``s * conv + t`` with
@@ -598,9 +632,12 @@ def conv_bn_relu(x, weight, gamma, beta, state, training, stride=1, const=None):
     out_shape, taps = _conv_setup("conv_bn_relu", x, weight, stride, const_channels)
     _check_affine("conv_bn_relu", gamma, beta, out_shape[3])
     const_data = None if const is None else const.data
+    patches = _patches(x.data, weight.shape[:2], out_shape, stride) if stride > 1 else None
 
     if training:
-        data = _conv_forward(x.data, weight.data, taps, out_shape, stride, const_data)
+        data = _conv_forward(
+            x.data, weight.data, taps, out_shape, stride, const_data, patches=patches
+        )
         x_hat, inv_std, count = _normalize(data, state, True, out=data)
         out = gamma.data * x_hat
         out += beta.data
@@ -613,19 +650,22 @@ def conv_bn_relu(x, weight, gamma, beta, state, training, stride=1, const=None):
         conv_weight = weight.data * scale
         shift = beta.data - mean * scale
         out = _conv_forward(
-            x.data, conv_weight, taps, out_shape, stride, const_data, shift, relu=True
+            x.data, conv_weight, taps, out_shape, stride, const_data, shift,
+            relu=True, patches=patches,
         )
 
     def backprop(grad):
         dy = grad * (out > 0.0)
-        if training:
-            dgamma, dbeta, dy = _normalize_backward(dy, x_hat, gamma.data, inv_std, True, count)
+        if training:  # dy and x_hat are this closure's own: the backward runs in them
+            dgamma, dbeta, dy = _normalize_backward(
+                dy, x_hat, gamma.data, inv_std, True, count, out=dy
+            )
         dx, dw, dconst = _conv_backward(
-            dy, x.data, conv_weight, taps, stride, x.requires_grad, const_data
+            dy, x.data, conv_weight, taps, stride, x.requires_grad, const_data, patches
         )
         if not training:  # dw is the gradient of the folded weight * scale
-            dbeta = dy.sum(axis=(0, 1, 2))
-            dgamma = inv_std * ((dw * weight.data).sum(axis=(0, 1, 2)) - mean * dbeta)
+            dbeta = _channel_sum(dy)
+            dgamma = inv_std * (_channel_sum(dw, weight.data) - mean * dbeta)
             dw *= scale
         accumulate_grad(gamma, dgamma)
         accumulate_grad(beta, dbeta)

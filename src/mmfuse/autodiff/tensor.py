@@ -126,7 +126,9 @@ def backward(loss):
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
     ``loss`` must be scalar. A tape may only be walked once; running backward
-    again without a fresh forward raises.
+    again without a fresh forward raises. Each op node drops its backprop
+    closure, and the arrays that closure saved, and its own gradient as soon
+    as the closure has run: only the leaves keep a ``grad``.
     """
     if loss.size != 1:
         raise ShapeMismatch("backward", f"loss must be scalar, got shape {loss.shape}")
@@ -138,8 +140,10 @@ def backward(loss):
         node._done = True
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backprop is not None and node.grad is not None:
-            node._backprop(node.grad)
+        if node._backprop is not None:
+            if node.grad is not None:
+                node._backprop(node.grad)
+            node._backprop = node.grad = None
     for node in order:
-        if node.requires_grad and node.grad is None:
+        if node.requires_grad and node.grad is None and not node._parents:
             node.grad = np.zeros_like(node.data)
