@@ -23,7 +23,8 @@ class Tensor:
     """A dense n-dimensional float64 value, optionally tracked on a tape.
 
     Results of primitive applications keep references to their parents and a
-    backprop closure; calling :func:`backward` on a scalar walks that tape.
+    backprop closure; calling :func:`backward` on a scalar walks that tape
+    and drops each closure once it has run.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backprop", "_done")

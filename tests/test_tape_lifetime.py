@@ -17,18 +17,15 @@ from mmfuse.training import ModelData
 
 
 def strided_stack(rng, layers=2, n=4, side=8, widths=(3, 4, 6, 5)):
-    """A scalar loss over ``layers`` stride-2 ``conv_bn_relu`` blocks, and its parameters."""
-    x = Tensor(rng.standard_normal((n, side, side, widths[0])))
-    params = []
-    h = x
+    """A scalar loss over ``layers`` stride-2 ``conv_bn_relu`` blocks."""
+    h = Tensor(rng.standard_normal((n, side, side, widths[0])))
     for cin, cout in zip(widths[:layers], widths[1 : layers + 1]):
         w = Tensor(rng.standard_normal((3, 3, cin, cout)), requires_grad=True)
         g = Tensor(rng.uniform(0.5, 1.5, cout), requires_grad=True)
         b = Tensor(rng.standard_normal(cout), requires_grad=True)
-        params += [w, g, b]
         h = ops.conv_bn_relu(h, w, g, b, BatchNormState(cout), True, stride=2)
     probe = Tensor(rng.standard_normal(h.shape))
-    return ops.sum_(ops.mul(h, probe)), params
+    return ops.sum_(ops.mul(h, probe))
 
 
 @pytest.fixture
@@ -46,7 +43,7 @@ def patch_calls(monkeypatch):
 
 
 def test_one_patch_matrix_per_strided_layer(patch_calls, rng):
-    loss, _ = strided_stack(rng, layers=3)
+    loss = strided_stack(rng, layers=3)
     assert len(patch_calls) == 3
     backward(loss)
     assert len(patch_calls) == 3  # the backward builds none
@@ -86,7 +83,7 @@ def test_kept_patch_matrix_gives_the_rebuilt_dw_bitwise(monkeypatch, rng):
         return got
 
     monkeypatch.setattr(ops, "_conv_backward", compare)
-    loss, _ = strided_stack(rng, layers=2)
+    loss = strided_stack(rng, layers=2)
     backward(loss)
     x = Tensor(rng.standard_normal((3, 7, 5, 2)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 3, 2, 4)), requires_grad=True)
@@ -104,7 +101,7 @@ def test_patch_matrix_dies_once_backward_passes_its_node(monkeypatch, patch_call
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ops, "_conv_backward", watching)
-    loss, _ = strided_stack(rng, layers=2)
+    loss = strided_stack(rng, layers=2)
     assert all(ref() is not None for ref in patch_calls)  # held by the tape until backward
     backward(loss)
     # the last layer runs first, with both matrices alive; then the first, with its own only
