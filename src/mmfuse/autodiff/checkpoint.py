@@ -38,13 +38,12 @@ class CheckpointError(Exception):
 
 
 def save_arrays(path, arrays):
-    """Write name -> ndarray mappings; Tensors may be passed (data is taken)."""
+    """Write a name -> ndarray mapping."""
     header, payload, offset = [], [], 0
     for name in sorted(arrays):
         if not name or any(ch.isspace() for ch in name):
             raise CheckpointError(f"invalid parameter name {name!r}")
-        value = arrays[name]
-        arr = np.asarray(getattr(value, "data", value), dtype=_FLOAT)
+        arr = np.asarray(arrays[name], dtype=_FLOAT)
         header.append({"name": name, "shape": list(arr.shape), "offset": offset})
         payload.append(arr.tobytes())
         offset += arr.nbytes

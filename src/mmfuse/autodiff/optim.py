@@ -16,7 +16,7 @@ class NonFiniteGradient(AutodiffError):
 
 
 class AdamState:
-    """Hyperparameters, step counter and the flat buffers of one parameter set.
+    """Learning rate, step counter and the flat buffers of one parameter set.
 
     Making the state binds ``params`` (name -> Tensor): their values are
     copied once into the contiguous float64 vector ``values``, in dict order,
@@ -26,11 +26,12 @@ class AdamState:
     views; a parameter whose ``.data`` is replaced is no longer updated.
     """
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-8
+
+    def __init__(self, params, lr=1e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.params = params
         stops = np.cumsum([p.data.size for p in params.values()]).tolist()

@@ -25,6 +25,10 @@ class NonFiniteScore(AutodiffError):
     """A model scored an example NaN or infinite, as overflowing weights do."""
 
 
+class _Diverged(Exception):
+    """Training met a non-finite value; the message is ``TrainHistory.diverged``."""
+
+
 def class_weights(label_counts):
     """Inverse-frequency weights: w_c = N / (C * count_c); mean weight is 1."""
     counts = np.asarray(label_counts, dtype=np.float64)
@@ -150,14 +154,15 @@ def score_dataset(model, data):
 def train(model, train_data, val_data, config):
     """Run the training loop; returns (best_arrays, history).
 
-    The model is left holding the best-validation-AUC parameters. Training
-    aborts on a non-finite loss or gradient, before ADAM applies it, on a
-    non-finite running statistic, or on a non-finite validation score, and
-    returns the last finite checkpoint; ``history.diverged`` then names the
-    cause: for a gradient, the first parameter whose gradient was non-finite,
-    and for a running statistic, the first such statistic. The running
-    statistics are checked where they are read: before each validation and
-    before the final parameters are returned.
+    The model is left holding the best-validation-AUC parameters, or the
+    final ones when validation gives no AUC. Every non-finite value raises to
+    one handler, which returns the last finite checkpoint with
+    ``history.diverged`` naming the cause: the loss, a gradient (the first
+    parameter's, before ADAM applies it), a running statistic (the first one;
+    they are checked before each validation and before returning) or a
+    validation score. A step drops its batch, logits and loss right after
+    ``backward``, so no node of its tape is alive during ADAM, validation or
+    the next step's forward.
     """
     if len(train_data) == 0:
         raise ValueError("train split is empty")
@@ -176,68 +181,57 @@ def train(model, train_data, val_data, config):
     adam = AdamState(params, lr=config.learning_rate)
     history = TrainHistory()
     best = model.state_dict()
-    best_auc = -np.inf
     step = 0
 
-    def diverge():
-        model.load_state_dict(best)
-        return best, history
-
     def evaluate_now():
-        """Record the validation AUC; True, with history.diverged set, on a non-finite value."""
-        nonlocal best, best_auc
+        """Record the validation AUC and keep the best state; raise _Diverged if non-finite."""
+        nonlocal best
         for name, value in model.state_arrays().items():
             if not np.isfinite(value).all():
-                history.diverged = f"non-finite running statistic {name!r}"
-                return True
+                raise _Diverged(f"non-finite running statistic {name!r}")
         if len(val_data) == 0 or (history.evals and history.evals[-1][0] == step):
             return
         try:
             auc = auc_roc(score_dataset(model, val_data))
         except NonFiniteScore:
-            history.diverged = "non-finite validation score"
-            return True
+            raise _Diverged("non-finite validation score") from None
         except MetricError:
             return
         history.evals.append((step, auc))
-        if auc > best_auc:
-            best_auc = auc
-            history.best_step = step
-            history.best_val_auc = auc
+        if history.best_step < 0 or auc > history.best_val_auc:
+            history.best_step, history.best_val_auc = step, auc
             best = model.state_dict()
 
-    for _ in range(config.epochs):
-        order = rng.permutation(len(train_data))
-        for start in range(0, len(order), config.batch_size):
-            batch = train_data.subset(order[start : start + config.batch_size])
-            # an overflow shows up in the loss or the running statistics, both checked
-            with np.errstate(over="ignore", invalid="ignore"):
-                logits = model.forward(
-                    batch.images, batch.tweet, batch.imgtext, training=True, rng=dropout_rng
-                )
-                loss = ops.softmax_cross_entropy(logits, batch.labels, weights)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                history.diverged = "non-finite loss"
-                return diverge()
-            step += 1
-            history.steps.append((step, loss_value))
-            for p in params.values():  # a parameter this step does not reach gets no update
-                p.grad = None
-            backward(loss)
-            grads = {name: p.grad for name, p in params.items() if p.grad is not None}
-            try:
-                adam_step(grads, adam)
-            except NonFiniteGradient as err:
-                history.diverged = str(err)
-                return diverge()
-            if config.eval_every and step % config.eval_every == 0 and evaluate_now():
-                return diverge()
-        if not config.eval_every and evaluate_now():
-            return diverge()
-    if evaluate_now():
-        return diverge()
-    if best_auc == -np.inf:  # no usable validation signal: keep final params
-        return model.state_dict(), history
+    try:
+        for _ in range(config.epochs):
+            order = rng.permutation(len(train_data))
+            for start in range(0, len(order), config.batch_size):
+                batch = train_data.subset(order[start : start + config.batch_size])
+                # an overflow shows up in the loss or the running statistics, both checked
+                with np.errstate(over="ignore", invalid="ignore"):
+                    logits = model.forward(
+                        batch.images, batch.tweet, batch.imgtext, training=True, rng=dropout_rng
+                    )
+                    loss = ops.softmax_cross_entropy(logits, batch.labels, weights)
+                loss_value = loss.item()
+                if not np.isfinite(loss_value):
+                    raise _Diverged("non-finite loss")
+                step += 1
+                history.steps.append((step, loss_value))
+                for p in params.values():  # a parameter this step does not reach gets no update
+                    p.grad = None
+                backward(loss)
+                del batch, logits, loss  # the step's tape dies here, before ADAM
+                adam_step({name: p.grad for name, p in params.items() if p.grad is not None}, adam)
+                if config.eval_every and step % config.eval_every == 0:
+                    evaluate_now()
+            if not config.eval_every:
+                evaluate_now()
+        evaluate_now()
+    except (_Diverged, NonFiniteGradient) as err:
+        history.diverged = str(err)
+    else:
+        if history.best_step < 0:  # no usable validation signal: keep the final parameters
+            best = model.state_dict()
     model.load_state_dict(best)
     return best, history

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import build_model
 from mmfuse import synth, training
 from mmfuse.autodiff import Tensor, ops, save_arrays
+from mmfuse.autodiff.tensor import _toposort
 from mmfuse.config import KEYS
 from mmfuse.encoders import TextEncoder, pad_ids, preprocess_tweet_text
 from mmfuse.evaluation import auc_roc
@@ -321,6 +323,77 @@ class TestTrainLoop:
         for name, value in model.state_dict().items():  # the last finite checkpoint
             assert np.array_equal(value, initial[name]), name
             assert np.array_equal(best[name], initial[name]), name
+
+    def test_nonfinite_loss_diverges(self, monkeypatch):
+        """A weight that overflows to inf after step 3 makes step 4's loss NaN."""
+        train_data, val_data = synth_data(n=64, seed=8)
+        config = TrainConfig(epochs=2, batch_size=32, learning_rate=1e-2, seed=9)
+        first_epoch, _ = train(text_only_model(seed=2), train_data, val_data,
+                               dataclasses.replace(config, epochs=1))
+        model = text_only_model(seed=2)
+        real_adam_step = training.adam_step
+        steps = []
+
+        def overflow_after_third_step(grads, state):
+            real_adam_step(grads, state)
+            steps.append(state.t)
+            if state.t == 3:
+                model.head.fc.final.bias.data[1] = np.inf
+
+        monkeypatch.setattr(training, "adam_step", overflow_after_third_step)
+        best, history = train(model, train_data, val_data, config)
+        assert history.diverged == "non-finite loss"
+        assert len(history.steps) == 3 and steps == [1, 2, 3]
+        assert [step for step, _ in history.evals] == [2] and history.best_step == 2
+        for name, value in model.state_dict().items():  # the checkpoint of the first epoch
+            assert np.array_equal(value, first_epoch[name]), name
+            assert np.array_equal(best[name], first_epoch[name]), name
+
+    def test_nonfinite_running_statistic_diverges(self, monkeypatch):
+        """A huge but finite pixel in step 4's batch overflows a batch variance, not the loss."""
+        train_data, val_data = synth_data(mode="crossmodal_xor", n=64, seed=3, image_side=8)
+        config = TrainConfig(epochs=1, batch_size=16, learning_rate=1e-2, eval_every=2, seed=1)
+        order = np.random.default_rng(config.seed).permutation(len(train_data))
+        train_data.images[order[50], 3, 4, 1] = 1e300
+        model = small_fcm()
+        real_adam_step = training.adam_step
+        snapshots = []
+
+        def recording_step(grads, state):
+            real_adam_step(grads, state)
+            snapshots.append(model.state_dict())
+
+        monkeypatch.setattr(training, "adam_step", recording_step)
+        best, history = train(model, train_data, val_data, config)
+        bad = "backbone.stage0.bn.running_var"
+        assert history.diverged == f"non-finite running statistic {bad!r}"
+        assert len(history.steps) == 4 and len(snapshots) == 4
+        assert [step for step, _ in history.evals] == [2] and history.best_step == 2
+        for name, value in model.state_dict().items():  # the state validated at step 2
+            assert np.array_equal(value, snapshots[1][name]), name
+            assert np.array_equal(best[name], snapshots[1][name]), name
+
+    def test_a_step_tape_is_gone_before_adam(self, monkeypatch):
+        """No op node of a step is alive when that step's ADAM update runs."""
+        real_loss, real_adam_step = ops.softmax_cross_entropy, training.adam_step
+        tapes, alive = [], []
+
+        def recording_loss(*args):
+            loss = real_loss(*args)
+            tapes.append([weakref.ref(node.data) for node in _toposort(loss) if node._parents])
+            return loss
+
+        def checking_step(grads, state):
+            alive.append(sum(ref() is not None for ref in tapes[-1]))
+            real_adam_step(grads, state)
+
+        monkeypatch.setattr(ops, "softmax_cross_entropy", recording_loss)
+        monkeypatch.setattr(training, "adam_step", checking_step)
+        train_data, val_data = synth_data(mode="crossmodal_xor", n=64, seed=3, image_side=8)
+        train(build_model("SCM", vocab_size=len(synth.build_vocabulary())), train_data, val_data,
+              TrainConfig(epochs=1, batch_size=16, seed=1))
+        assert len(tapes) == 4 and all(len(tape) > 10 for tape in tapes)
+        assert alive == [0, 0, 0, 0]
 
     def test_model_mask_rules_training_and_scoring(self):
         """A model without the image has no backbone, and scores as it validated."""
