@@ -72,7 +72,7 @@ def write_manifest(out_dir, verb, cfg, artifact_paths):
         },
     }
     path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return manifest
 
 
@@ -293,17 +293,17 @@ def cmd_prepare(args, cfg):
         dataset.build_splits(examples, *sizes, values["dataset.seed"])
 
     dataset.export_corpus(kept, out / "filtered.jsonl")
-    with open(out / "examples.csv", "w", newline="") as fh:
+    with open(out / "examples.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "label", "category", "split", "binary_tie"])
         for ex in examples:
             label = "hate" if ex.hate else "not_hate"
             writer.writerow([ex.id, label, ex.category, ex.split, int(ex.binary_tie)])
-    with open(out / "discards.csv", "w", newline="") as fh:
+    with open(out / "discards.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "reason"])
         writer.writerows(filter_log)
-    with open(out / "import_errors.txt", "w") as fh:
+    with open(out / "import_errors.txt", "w", encoding="utf-8") as fh:
         for _, message in diagnostics:
             fh.write(message + "\n")
         for ident in unlabelable:
@@ -461,7 +461,7 @@ def _evaluate(out, checkpoint, data_dir, split, cfg):
         raise DataError(f"{data_dir}: {split} split: {exc}") from None
     row = (values["eval.name"], model.mask.label(), report.f1_at_half, report.max_f1,
            report.auc, report.balanced_accuracy)
-    with open(out / "report.csv", "w", newline="") as fh:
+    with open(out / "report.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "inputs", *REPORT_METRICS])
         writer.writerow([*row[:2], *map(repr, row[2:])])
@@ -518,8 +518,8 @@ def _write_results(rows, out):
         (name if names.count(name) == 1 else f"{name} ({inputs})", inputs, max_f1, auc, bacc)
         for name, inputs, _, max_f1, auc, bacc in rows
     )
-    (Path(out) / "results.csv").write_text(csv_text)
-    (Path(out) / "results.txt").write_text(aligned)
+    (Path(out) / "results.csv").write_text(csv_text, encoding="utf-8")
+    (Path(out) / "results.txt").write_text(aligned, encoding="utf-8")
     print(aligned, end="")
 
 
@@ -565,7 +565,7 @@ def cmd_gradcheck(args, cfg):
         failures += not ok
     print(f"gradcheck: {len(results) - failures}/{len(results)} checks passed")
     if out:
-        with open(out / "gradcheck.csv", "w") as fh:
+        with open(out / "gradcheck.csv", "w", encoding="utf-8") as fh:
             fh.write("check,max_rel_error,passed\n")
             for name, err, ok in results:
                 fh.write(f"{name},{err!r},{int(ok)}\n")

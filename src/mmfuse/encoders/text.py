@@ -7,7 +7,9 @@ Both tweet text and image text run through the same encoder.
 
 from __future__ import annotations
 
+import itertools
 import re
+
 import numpy as np
 
 from ..autodiff import Tensor, ops
@@ -99,7 +101,7 @@ class Vocabulary:
         return token in self._index
 
     def save(self, path):
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for tok, _ in sorted(self._index.items(), key=lambda kv: kv[1]):
                 fh.write(tok + "\n")
 
@@ -128,8 +130,10 @@ def pad_ids(id_lists):
     """
     lengths = np.array([len(ids) for ids in id_lists], dtype=np.int64)
     ids = np.zeros((len(id_lists), int(lengths.max(initial=0))), dtype=np.int64)
-    for row, seq in enumerate(id_lists):
-        ids[row, : len(seq)] = seq
+    # a boolean mask assigns in row-major order, so the rows' ids go in concatenated
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(id_lists), dtype=np.int64, count=int(lengths.sum())
+    )
     return ids, lengths
 
 

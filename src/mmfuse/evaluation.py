@@ -104,7 +104,7 @@ def evaluate(scored):
 def write_curve_csv(points, path):
     """Emit curve points as 'threshold,x,y' rows, the bytes csv.writer gives, in one write."""
     rows = "".join(f"{t!r},{x!r},{y!r}\r\n" for t, x, y in points)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("threshold,x,y\r\n" + rows)
 
 

@@ -71,7 +71,7 @@ class TrainHistory:
 
     def write_csv(self, path):
         evals = dict(self.evals)
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "loss", "val_auc"])
             for step, loss in self.steps:

@@ -5,8 +5,10 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -855,6 +857,30 @@ class TestPrepareVerb:
         assert [row[0] for row in examples] == ["id", "comma,id", "train-000002", "train-000003"]
         assert rows("discards.csv") == [["id", "reason"], ['rt,"1"', "retweet"]]
 
+
+    def test_outputs_are_utf8_under_a_c_locale(self, tmp_path):
+        spec = synth.SynthSpec(n_train=12, n_val=0, n_test=0, seed=2)
+        records = synth.to_records(synth.generate(spec)["train"], "train", image_dir=str(tmp_path))
+        records = [dataclasses.replace(r, id=f"é-{i}") for i, r in enumerate(records)]
+        records[0] = dataclasses.replace(records[0], is_retweet=True)
+        corpus = tmp_path / "raw.jsonl"
+        dataset.export_corpus(records, corpus)
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write(records[1].to_json() + "\n")  # a duplicate id, for import_errors.txt
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONPATH": str(src)}
+        env.pop("PYTHONIOENCODING", None)
+        argv = ["prepare", "--corpus", str(corpus)]
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "mmfuse.cli", *argv, "--out", str(tmp_path / "c")],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr.decode(errors="replace")
+        assert run_main([*argv, "--out", str(tmp_path / "utf8")])[0] == EXIT_OK
+        for name in ("examples.csv", "discards.csv", "import_errors.txt"):
+            written = (tmp_path / "c" / name).read_bytes()
+            assert "é-".encode("utf-8") in written, name
+            assert written == (tmp_path / "utf8" / name).read_bytes(), name
 
     @pytest.fixture
     def corpus(self, tmp_path):

@@ -79,6 +79,56 @@ class TestImportExport:
         assert diagnostics == []
         assert loaded == records
 
+    def test_diagnostics_and_records_of_a_faulty_corpus(self, tmp_path):
+        votes = (b'[{"worker_id": "w0", "category": "Racist", "duration_seconds": 10.0}, '
+                 b'{"worker_id": "w1", "category": "NotHate", "duration_seconds": 10.0}]')
+
+        def line(ident, annotations=votes):
+            return (b'{"id": "%s", "tweet_text": "tweet %s", "image_ref": "%s.npy#0", '
+                    b'"annotations": %s}' % (ident, ident, ident, annotations))
+
+        def vote(worker, category, duration):
+            return b'[{"worker_id": %s, "category": "%s", "duration_seconds": %s}]' % (
+                worker, category, duration)
+
+        path = tmp_path / "faulty.jsonl"
+        path.write_bytes(b"\n".join([
+            line(b"a"),
+            b'{"id": "b", "tweet_text": ',
+            b"\xff" + line(b"c")[1:],
+            b"",
+            line(b"d", vote(b'"w0"', b"Spam", b"10.0")),
+            line(b"e", vote(b'"w0"', b"Racist", b"-1.0")),
+            line(b"f", vote(b'"w0"', b"Racist", b'"10"')),
+            line(b"g", vote(b'["w", 0]', b"NotHate", b"4.0")[:-1] + b", " + votes[1:]),
+            b'{"tweet_text": "no id", "annotations": []}',
+            line(b"a", votes),
+            b"   ",
+            line(b"h"),  # the last line, without a newline
+        ]))
+        records, diagnostics = import_corpus(path)
+        assert diagnostics == [
+            (2, "line 2: Expecting value: line 2 column 1 (char 27)"),
+            (3, "line 3: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (5, "line 5: unknown category 'Spam'"),
+            (6, "line 6: duration_seconds must be non-negative"),
+            (9, "line 9: 'id'"),
+            (10, "line 10: duplicate id 'a'"),
+        ]
+        pair = [WorkerAnnotation("w0", "Racist", 10.0), WorkerAnnotation("w1", "NotHate", 10.0)]
+
+        def record(ident, annotations):
+            return TweetRecord(ident, f"tweet {ident}", image_ref=f"{ident}.npy#0",
+                               annotations=annotations)
+
+        assert records == [
+            record("a", pair),
+            record("f", [WorkerAnnotation("w0", "Racist", 10.0)]),
+            record("g", [WorkerAnnotation(["w", 0], "NotHate", 4.0), *pair]),
+            record("h", pair),
+        ]
+        assert type(records[1].annotations[0].duration_seconds) is float  # read from "10"
+
     def test_missing_file_raises(self, tmp_path):
         from mmfuse.dataset import CorpusError
 
@@ -108,6 +158,60 @@ record_lists = st.lists(
 )
 
 
+awkward_text = st.text(
+    alphabet=st.sampled_from(["a", " ", "é", "字", '"', "\\", "\x00", "\n", "\x7f", "\U0001f600"])
+    | st.characters(),
+    max_size=10,
+)
+
+
+@st.composite
+def shared_vote_records(draw):
+    """Records whose vote lists come from a small pool, so lists and votes repeat.
+
+    A record takes a pool list itself or a copy holding the same vote objects.
+    Durations and worker ids include values that ``==`` merges but JSON does
+    not: 0.0 and -0.0, 1 and 1.0, 1, 1.0, true and "1".
+    """
+    vote = st.builds(
+        WorkerAnnotation,
+        st.sampled_from([1, 1.0, True, "1"]) | awkward_text,
+        st.sampled_from(["NotHate", "Racist"]),
+        st.sampled_from([0.0, -0.0, 1, 1.0]),
+    )
+    pool = draw(st.lists(st.lists(vote, max_size=2), min_size=2, max_size=4))
+    records = []
+    for ident in draw(st.lists(awkward_text.filter(bool), min_size=2, max_size=8, unique=True)):
+        annotations = pool[draw(st.integers(0, len(pool) - 1))]
+        records.append(TweetRecord(
+            id=ident,
+            tweet_text=draw(awkward_text),
+            is_retweet=draw(st.booleans()),
+            image_ref=draw(st.none() | awkward_text),
+            image_text=draw(awkward_text),
+            image_text_probability=draw(st.sampled_from([None, 0.0, 0, 1]) | st.floats(0, 1)),
+            annotations=annotations if draw(st.booleans()) else list(annotations),
+        ))
+    return records
+
+
+def json_lines(records, duration=lambda d: d):
+    """``json.dumps(..., sort_keys=True)`` of each record's fields, one line each, as UTF-8."""
+    return "".join(
+        json.dumps({
+            "id": r.id, "tweet_text": r.tweet_text, "is_retweet": r.is_retweet,
+            "image_ref": r.image_ref, "image_text": r.image_text,
+            "image_text_probability": r.image_text_probability,
+            "annotations": [
+                {"worker_id": a.worker_id, "category": a.category,
+                 "duration_seconds": duration(a.duration_seconds)}
+                for a in r.annotations
+            ],
+        }, sort_keys=True) + "\n"
+        for r in records
+    ).encode("utf-8")
+
+
 class TestJsonLines:
     @given(record_lists)
     @settings(max_examples=100, deadline=None)
@@ -134,6 +238,40 @@ class TestJsonLines:
         assert diagnostics == [] and loaded == batch
         export_corpus(loaded, folder / "b.jsonl")
         assert (folder / "b.jsonl").read_bytes() == (folder / "a.jsonl").read_bytes()
+
+    @given(shared_vote_records())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_round_trip_bytes_with_shared_and_signed_votes(self, tmp_path_factory, batch):
+        folder = tmp_path_factory.mktemp("shared")
+        export_corpus(batch, folder / "a.jsonl")
+        assert (folder / "a.jsonl").read_bytes() == json_lines(batch)
+        loaded, diagnostics = import_corpus(folder / "a.jsonl")
+        assert diagnostics == []
+        export_corpus(loaded, folder / "b.jsonl")
+        # an import reads every duration as a float, so 1 comes back as 1.0
+        assert (folder / "b.jsonl").read_bytes() == json_lines(batch, duration=float)
+        again, _ = import_corpus(folder / "b.jsonl")
+        export_corpus(again, folder / "c.jsonl")
+        assert (folder / "c.jsonl").read_bytes() == (folder / "b.jsonl").read_bytes()
+
+    def test_import_shares_only_votes_written_alike(self, tmp_path):
+        def vote(worker, duration):
+            return {"worker_id": worker, "category": "Racist", "duration_seconds": duration}
+
+        written = [vote("w", 10.0), vote("w", 10.0), vote(1, 10.0), vote(1.0, 10.0),
+                   vote(True, 10.0), vote("1", 10.0), vote("w", 0.0), vote("w", -0.0),
+                   vote(["w"], 10.0), vote(["w"], 10.0)]
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(
+            make_record(f"r{i}").to_json().replace('"annotations": []', '"annotations": '
+                                                   + json.dumps([v], sort_keys=True)) + "\n"
+            for i, v in enumerate(written)
+        ))
+        votes = [r.annotations[0] for r in import_corpus(path)[0]]
+        assert votes[0] is votes[1]
+        assert len({id(v) for v in votes}) == len(votes) - 1
+        export_corpus(import_corpus(path)[0], tmp_path / "out.jsonl")
+        assert (tmp_path / "out.jsonl").read_bytes() == path.read_bytes()
 
     def test_fixture_corpus_round_trips_byte_for_byte(self, tmp_path):
         loaded, diagnostics = import_corpus(FIXTURES / "corpus.jsonl")
@@ -285,6 +423,18 @@ class TestAggregation:
         assert [list(ex.vote_counts.items()) for ex in got[0]] == [
             list(ex.vote_counts.items()) for ex in want[0]
         ]
+
+
+    @given(st.lists(votes, min_size=1, max_size=3), st.lists(st.integers(0, 2), max_size=8),
+           st.sampled_from([3.0, 0.0, 10.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_vote_lists_label_as_when_apart(self, pool, picks, min_duration):
+        records = [make_record(f"r{i}", annotations=pool[p % len(pool)])
+                   for i, p in enumerate(picks)]
+        got = label_corpus(records, min_duration)
+        assert got == two_pass_label_corpus(records, min_duration)
+        counts = [ex.vote_counts for ex in got[0]]
+        assert len({id(c) for c in counts}) == len(counts)  # each example owns its dict
 
 
 class TestSplits:

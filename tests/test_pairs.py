@@ -121,8 +121,8 @@ def test_report_layout():
     pairs.run_pairs(["train-wide"], [1, 2], fake_run([]), on_pair=write)
     assert len(written) == 2  # rewritten after every pair
     report = written[-1]
-    assert set(report) == {"commits", "seconds", "seeds", "env", "workloads"}
-    assert report["commits"] == commits and report["seeds"] == [1, 2]
+    assert set(report) == {"commits", "seconds", "seeds", "trace", "env", "workloads"}
+    assert report["commits"] == commits and report["seeds"] == [1, 2] and report["trace"] == 0
     assert report["env"]["parent"] == {"python": "3.x", "numpy": "2.x", "blas": "openblas",
                                        "git_revision": "abc"}
     wide = report["workloads"]["train-wide"]
@@ -132,3 +132,40 @@ def test_report_layout():
     assert wide["summary"]["score_ex_per_s"]["pairs"] == 2
     assert wide["ops"]["change"] == {"attempted": 6, "failed": 0, "failed_share": 0.0}
     assert len(written[0]["workloads"]["train-wide"]["pairs"]) == 1
+
+
+def test_trace_reaches_run_py_and_picks_the_metric_list():
+    assert pairs.parse_args(["--parent", "p", "--change", "c", "--workload", "cli-pipeline",
+                             "--seeds", "1", "--out", "b.json"]).trace == 0
+    args = pairs.parse_args(["--parent", "p", "--change", "c", "--workload", "cli-pipeline",
+                             "--seeds", "1", "2", "--trace", "1", "--out", "b.json"])
+    assert args.trace == 1 and args.seeds == [1, 2]
+    assert pairs.run_argv("cli-pipeline", 7, 35.0, args.trace)[1:] == [
+        "perfbench/run.py", "--workload", "cli-pipeline", "--seed", "7", "--seconds", "35.0",
+        "--trace", "1",
+    ]
+    with pytest.raises(SystemExit):
+        pairs.parse_args(["--parent", "p", "--change", "c", "--workload", "w", "--seeds", "1",
+                          "--trace", "2", "--out", "b.json"])
+    benchmark = json.loads((PAIRS.parent.parent / "BENCHMARK.json").read_text())
+    assert pairs.metric_directions(benchmark, 0)["pipeline_s"] == "lower"
+    per_layer = pairs.metric_directions(benchmark, 1)
+    assert per_layer["dataset.import_ms"] == "lower" and "pipeline_s" not in per_layer
+
+
+def test_traced_runs_summarize_per_layer_metrics():
+    better = {"dataset.import_ms": "lower", "cli.load_split_ms": "lower"}
+    values = {"parent": (30.0, 60.0), "change": (12.0, 35.0)}
+
+    def run(side, workload, seed):
+        imported, loaded = values[side]
+        return canned_output(workload, seed, {"dataset.import_ms": imported + seed,
+                                              "cli.load_split_ms": loaded + seed,
+                                              "trace.slowdown": 1.2})
+
+    by_workload, _ = pairs.run_pairs(["cli-pipeline"], [1, 2, 3], run)
+    summary = pairs.summarize(by_workload["cli-pipeline"], better)
+    assert set(summary) == set(better)  # trace.slowdown has no direction here
+    assert summary["dataset.import_ms"]["parent"]["median"] == 32.0
+    assert summary["dataset.import_ms"]["gain"] == pytest.approx(18.0)
+    assert summary["cli.load_split_ms"]["change_wins"] == 3

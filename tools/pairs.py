@@ -1,19 +1,21 @@
 """Alternating parent/change pairs of perfbench runs, written as one BENCH file.
 
     python3 tools/pairs.py --parent REV --change REV --workload NAME [--workload NAME ...]
-        --seeds N [N ...] [--seconds 35] --out BENCH_<n>.json
+        --seeds N [N ...] [--seconds 35] [--trace 0|1] --out BENCH_<n>.json
 
-Run from inside the repository. Both revisions are checked out into two
-``git worktree``s under a temporary directory, and for every workload and
-seed ``perfbench/run.py --trace 0`` runs once from each checkout, in a fresh
+Run from inside the repository. Both revisions are exported with
+``git archive`` into a temporary directory, and for every workload and seed
+``perfbench/run.py --trace T`` runs once from each export, in a fresh
 process. The parent goes first in even-numbered pairs and the change in odd
 ones, so a drift in host speed falls on both sides alike.
 
-The file holds both commits, the seeds, every pair's end-to-end metrics, and
-per workload and metric each side's median and quartiles, the change's gain
+The file holds both commits, the seeds, every pair's metrics, and per
+workload and metric each side's median and quartiles, the change's gain
 over the parent's median (positive is better, in the direction
 ``BENCHMARK.json`` gives) and the number of pairs the change won, and per
 workload and side the operations attempted and failed and the failed share.
+With ``--trace 0`` (the default) the metrics are the end-to-end ones; with
+``--trace 1`` they are the per-layer ones of traced cycles.
 It is rewritten after every pair, so an interrupted run keeps the pairs it
 finished.
 """
@@ -91,12 +93,13 @@ def failed_ops(pairs):
     return ops
 
 
-def build_report(commits, seconds, seeds, pairs_by_workload, better, envs):
+def build_report(commits, seconds, seeds, pairs_by_workload, better, envs, trace=0):
     """The BENCH file's content; ``pairs_by_workload`` maps a workload to its pairs so far."""
     return {
         "commits": commits,
         "seconds": seconds,
         "seeds": list(seeds),
+        "trace": trace,
         "env": envs,
         "workloads": {
             name: {"pairs": pairs, "summary": summarize(pairs, better), "ops": failed_ops(pairs)}
@@ -127,6 +130,17 @@ def run_pairs(workloads, seeds, run, on_pair=None):
     return pairs_by_workload, envs
 
 
+def metric_directions(benchmark, trace):
+    """Metric name -> "higher" or "lower", from ``BENCHMARK.json``'s end-to-end or per-layer list."""
+    return {m["name"]: m["better"] for m in benchmark["per_layer" if trace else "end_to_end"]}
+
+
+def run_argv(workload, seed, seconds, trace):
+    """The ``perfbench/run.py`` command line of one run."""
+    return [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+
+
 def git(*args, cwd=None):
     return subprocess.run(
         ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
@@ -140,6 +154,8 @@ def parse_args(argv=None):
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: compare the per-layer metrics of traced cycles")
     parser.add_argument("--out", type=Path, required=True)
     return parser.parse_args(argv)
 
@@ -148,35 +164,31 @@ def main(argv=None):
     args = parse_args(argv)
     root = Path(git("rev-parse", "--show-toplevel"))
     commits = {side: git("rev-parse", getattr(args, side), cwd=root) for side in SIDES}
-    better = {
-        m["name"]: m["better"]
-        for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
-    }
+    better = metric_directions(json.loads((root / "BENCHMARK.json").read_text()), args.trace)
     out = args.out.resolve()
 
     def write(pairs_by_workload, envs):
-        report = build_report(commits, args.seconds, args.seeds, pairs_by_workload, better, envs)
+        report = build_report(
+            commits, args.seconds, args.seeds, pairs_by_workload, better, envs, args.trace
+        )
         out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
 
         def run(side, workload, seed):
-            argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-                    "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+            argv = run_argv(workload, seed, args.seconds, args.trace)
             print(f"pairs: {side} {workload} seed {seed}", file=sys.stderr, flush=True)
             return subprocess.run(
                 argv, cwd=checkouts[side], check=True, capture_output=True, text=True
             ).stdout
 
-        try:
-            for side, path in checkouts.items():
-                git("worktree", "add", "--detach", str(path), commits[side], cwd=root)
-            run_pairs(args.workload, args.seeds, run, on_pair=write)
-        finally:
-            for path in checkouts.values():
-                if path.exists():
-                    git("worktree", "remove", "--force", str(path), cwd=root)
+        for side, path in checkouts.items():
+            path.mkdir()
+            archive = Path(tmp) / f"{side}.tar"
+            git("archive", "--output", str(archive), commits[side], cwd=root)
+            subprocess.run(["tar", "-xf", str(archive), "-C", str(path)], check=True)
+        run_pairs(args.workload, args.seeds, run, on_pair=write)
     return 0
 
 
