@@ -255,18 +255,11 @@ class TestJsonLines:
         assert (folder / "c.jsonl").read_bytes() == (folder / "b.jsonl").read_bytes()
 
     def test_import_shares_only_votes_written_alike(self, tmp_path):
-        def vote(worker, duration):
-            return {"worker_id": worker, "category": "Racist", "duration_seconds": duration}
-
-        written = [vote("w", 10.0), vote("w", 10.0), vote(1, 10.0), vote(1.0, 10.0),
-                   vote(True, 10.0), vote("1", 10.0), vote("w", 0.0), vote("w", -0.0),
-                   vote(["w"], 10.0), vote(["w"], 10.0)]
+        written = [("w", 10.0), ("w", 10.0), (1, 10.0), (1.0, 10.0), (True, 10.0), ("1", 10.0),
+                   ("w", 0.0), ("w", -0.0), (["w"], 10.0), (["w"], 10.0)]
         path = tmp_path / "c.jsonl"
-        path.write_text("".join(
-            make_record(f"r{i}").to_json().replace('"annotations": []', '"annotations": '
-                                                   + json.dumps([v], sort_keys=True)) + "\n"
-            for i, v in enumerate(written)
-        ))
+        export_corpus([make_record(f"r{i}", annotations=[WorkerAnnotation(w, "Racist", d)])
+                       for i, (w, d) in enumerate(written)], path)
         votes = [r.annotations[0] for r in import_corpus(path)[0]]
         assert votes[0] is votes[1]
         assert len({id(v) for v in votes}) == len(votes) - 1
