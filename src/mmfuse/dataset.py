@@ -10,6 +10,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import is_
 
 import numpy as np
 
@@ -53,37 +54,52 @@ class TweetRecord:
         if p is not None and not 0.0 <= p <= 1.0:
             raise ValueError(f"image_text_probability {p} outside [0, 1]")
 
-    def to_json(self, votes=None):
+    def to_json(self, recent=None):
         """The record's corpus line: ``json.dumps`` of its fields with sorted keys.
 
-        ``votes``, a dict that lives for one export, holds the JSON of each
-        distinct list of vote objects, so a list shared by many records is
-        encoded once.
+        ``recent``, a dict that lives for one export, maps each category to
+        the last vote list whose first vote has it. A record whose votes are
+        the very objects of that list reuses the list's JSON, encoded when
+        the second such record comes; any other record is encoded whole, as
+        without ``recent``, and becomes the category's last list.
         """
-        annotations = _by_votes({} if votes is None else votes, self.annotations, _encode_votes)
-        # sorting six keys costs little, and it also sorts a field that holds a JSON object
-        rest = _JSON_ENCODER.encode(
-            {
-                "id": self.id,
-                "tweet_text": self.tweet_text,
-                "is_retweet": self.is_retweet,
-                "image_ref": self.image_ref,
-                "image_text": self.image_text,
-                "image_text_probability": self.image_text_probability,
-            }
-        )
-        # "annotations" sorts before every other key
-        return '{"annotations": ' + annotations + ", " + rest[1:]
+        fields = {
+            "id": self.id,
+            "tweet_text": self.tweet_text,
+            "is_retweet": self.is_retweet,
+            "image_ref": self.image_ref,
+            "image_text": self.image_text,
+            "image_text_probability": self.image_text_probability,
+        }
+        votes = self.annotations
+        if recent is not None and votes:
+            last = recent.get(votes[0].category)
+            # by identity: == would merge 0.0 with -0.0, which write different bytes
+            if (
+                last is not None
+                and last[0][0] is votes[0]
+                and len(last[0]) == len(votes)
+                and all(map(is_, last[0], votes))
+            ):
+                if last[1] is None:
+                    last[1] = _JSON_ENCODER.encode(_vote_objects(votes))
+                # "annotations" sorts before every other key; sort_keys still sorts
+                # a field that holds a JSON object
+                return '{"annotations": ' + last[1] + ", " + _JSON_ENCODER.encode(fields)[1:]
+            recent[votes[0].category] = [votes, None]
+        fields["annotations"] = _vote_objects(votes)
+        return _JSON_ENCODER.encode(fields)
 
     @classmethod
-    def from_json(cls, text, votes=None):
+    def from_json(cls, text, recent=None):
         """The record the JSON line ``text`` holds.
 
-        ``votes``, a dict that lives for one import, holds each distinct vote
-        by its fields as written, so equal votes share one WorkerAnnotation.
+        ``recent``, a dict that lives for one import, maps each category to
+        the last vote list read whose first vote has it, as written and as
+        built. A record whose list is written alike shares those
+        WorkerAnnotations; any other record builds its own.
         """
         obj = json.loads(text)
-        votes = {} if votes is None else votes
         return cls(
             id=obj["id"],
             tweet_text=obj["tweet_text"],
@@ -91,51 +107,41 @@ class TweetRecord:
             image_ref=obj.get("image_ref"),
             image_text=obj.get("image_text", ""),
             image_text_probability=obj.get("image_text_probability"),
-            annotations=[_read_vote(a, votes) for a in obj.get("annotations", [])],
+            annotations=_read_votes(obj.get("annotations", []), {} if recent is None else recent),
         )
 
 
-def _read_vote(a, votes):
-    """The WorkerAnnotation of the JSON object ``a``, shared through ``votes`` when exact.
+def _vote_objects(votes):
+    return [
+        {"worker_id": a.worker_id, "category": a.category, "duration_seconds": a.duration_seconds}
+        for a in votes
+    ]
 
-    The key holds each field's type, since ``==`` merges 1, 1.0 and true,
-    which write different bytes. Zeros are never shared, since ``0.0 == -0.0``.
-    A field that cannot be hashed, such as a list, builds its own vote.
+
+def _read_votes(written, recent):
+    """The WorkerAnnotations of the JSON list ``written``, shared through ``recent`` when exact.
+
+    Lists written alike build equal votes, but ``==`` also merges 1, 1.0 and
+    true, and 0.0 with -0.0, which write different bytes. So a list is shared
+    only when its worker ids are strings and its durations are not zero.
     """
-    worker_id, category, duration = a["worker_id"], a["category"], a["duration_seconds"]
-    key = (type(worker_id), worker_id, category, type(duration), duration)
     try:
-        vote = votes.get(key)
-    except TypeError:  # an unhashable field
-        return WorkerAnnotation(worker_id, category, float(duration))
-    if vote is None:
-        vote = WorkerAnnotation(worker_id, category, float(duration))
-        if worker_id != 0 and duration != 0:
-            votes[key] = vote
-    return vote
-
-
-def _by_votes(cache, annotations, make):
-    """``make(annotations)``, computed once per distinct list of vote objects in ``cache``.
-
-    The key is the votes' identities, never their values, since
-    ``0.0 == -0.0``. Each entry keeps its votes alive, so no id in a key is
-    reused while ``cache`` lives.
-    """
-    key = tuple(map(id, annotations))
-    entry = cache.get(key)
-    if entry is None:
-        entry = cache[key] = (make(annotations), tuple(annotations))
-    return entry[0]
-
-
-def _encode_votes(annotations):
-    return _JSON_ENCODER.encode(
-        [
-            {"worker_id": a.worker_id, "category": a.category, "duration_seconds": a.duration_seconds}
-            for a in annotations
-        ]
-    )
+        last = recent.get(written[0]["category"])
+    except (LookupError, TypeError):  # no first vote, or one whose faults the build reports
+        last = None
+    if (
+        last is not None
+        and written == last[0]
+        and all(type(a.worker_id) is str and a.duration_seconds for a in last[1])
+    ):
+        return list(last[1])
+    votes = [
+        WorkerAnnotation(a["worker_id"], a["category"], float(a["duration_seconds"]))
+        for a in written
+    ]
+    if votes:
+        recent[votes[0].category] = (written, votes)
+    return votes
 
 
 @dataclass
@@ -189,7 +195,7 @@ def import_corpus(path):
     """
     records, diagnostics = [], []
     seen = set()
-    votes = {}
+    recent = {}
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -199,7 +205,7 @@ def import_corpus(path):
             if not line.strip():
                 continue
             try:
-                record = TweetRecord.from_json(line.decode("utf-8"), votes)
+                record = TweetRecord.from_json(line.decode("utf-8"), recent)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 diagnostics.append((lineno, f"line {lineno}: {exc}"))
                 continue
@@ -213,10 +219,10 @@ def import_corpus(path):
 
 def export_corpus(records, path):
     """Write ``records`` as a JSON-lines corpus, one :meth:`TweetRecord.to_json` line each."""
-    votes = {}
+    recent = {}
     with open(path, "w", encoding="utf-8") as fh:
         # line by line: one joined write raised cli-pipeline's peak RSS by 3.5 MB
-        fh.writelines(record.to_json(votes) + "\n" for record in records)
+        fh.writelines(record.to_json(recent) + "\n" for record in records)
 
 
 # ---------------------------------------------------------------------------
@@ -252,48 +258,37 @@ def gate_image_by_text_probability(record, threshold):
 def label_corpus(records, min_duration=default("dataset.min_duration")):
     """Majority-vote every record's annotations; returns (examples, unlabelable_ids).
 
-    One pass per distinct list of vote objects counts the votes that took at
-    least ``min_duration`` seconds; faster hits are dropped. The binary label
-    is the majority over hate vs NotHate among those votes (binary ties
-    resolve to not-hate, flagged); the category is the plurality hate
-    category, ties broken by the order of ``HATE_CATEGORIES``. A record whose
-    every vote was a fast hit is unlabelable; a record without annotations is
-    a ValueError. Each example gets its own ``vote_counts`` dict.
+    One pass per record counts the votes that took at least ``min_duration``
+    seconds; faster hits are dropped. The binary label is the majority over
+    hate vs NotHate among those votes (binary ties resolve to not-hate,
+    flagged); the category is the plurality hate category, ties broken by the
+    order of ``HATE_CATEGORIES``. A record whose every vote was a fast hit is
+    unlabelable; a record without annotations is a ValueError.
     """
-
-    def tally(annotations):
+    examples, unlabelable = [], []
+    for record in records:
+        if not record.annotations:
+            raise ValueError("need at least one annotation")
         counts = dict.fromkeys(CATEGORIES, 0)
         retained = 0
-        for a in annotations:
+        for a in record.annotations:
             if a.duration_seconds >= min_duration:
                 counts[a.category] += 1
                 retained += 1
         if not retained:
-            return None
-        not_hate = counts["NotHate"]
-        hate = retained - not_hate > not_hate
-        # max keeps the first of equal counts, so the earlier category wins a tie
-        category = max(HATE_CATEGORIES, key=counts.__getitem__) if hate else "NotHate"
-        return hate, category, counts, retained == 2 * not_hate
-
-    examples, unlabelable = [], []
-    tallies = {}
-    for record in records:
-        if not record.annotations:
-            raise ValueError("need at least one annotation")
-        label = _by_votes(tallies, record.annotations, tally)
-        if label is None:
             unlabelable.append(record.id)
             continue
-        hate, category, counts, binary_tie = label
+        not_hate = counts["NotHate"]
+        hate = retained - not_hate > not_hate
         examples.append(
             LabeledExample(
                 id=record.id,
                 tweet_text=record.tweet_text,
                 hate=hate,
-                category=category,
-                vote_counts=counts.copy(),
-                binary_tie=binary_tie,
+                # max keeps the first of equal counts, so the earlier category wins a tie
+                category=max(HATE_CATEGORIES, key=counts.__getitem__) if hate else "NotHate",
+                vote_counts=counts,
+                binary_tie=retained == 2 * not_hate,
             )
         )
     return examples, unlabelable

@@ -418,18 +418,6 @@ class TestAggregation:
         ]
 
 
-    @given(st.lists(votes, min_size=1, max_size=3), st.lists(st.integers(0, 2), max_size=8),
-           st.sampled_from([3.0, 0.0, 10.0]))
-    @settings(max_examples=100, deadline=None)
-    def test_shared_vote_lists_label_as_when_apart(self, pool, picks, min_duration):
-        records = [make_record(f"r{i}", annotations=pool[p % len(pool)])
-                   for i, p in enumerate(picks)]
-        got = label_corpus(records, min_duration)
-        assert got == two_pass_label_corpus(records, min_duration)
-        counts = [ex.vote_counts for ex in got[0]]
-        assert len({id(c) for c in counts}) == len(counts)  # each example owns its dict
-
-
 class TestSplits:
     def test_balanced_split_arithmetic(self):
         examples = [make_example(f"h{i}", True) for i in range(100)]

@@ -3,9 +3,9 @@
     python3 tools/pairs.py --parent REV --change REV --workload NAME [--workload NAME ...]
         --seeds N [N ...] [--seconds 35] [--trace 0|1] --out BENCH_<n>.json
 
-Run from inside the repository. Both revisions are exported with
-``git archive`` into a temporary directory, and for every workload and seed
-``perfbench/run.py --trace T`` runs once from each export, in a fresh
+Run from inside the repository. Both revisions are checked out into two
+``git worktree``s under a temporary directory, and for every workload and
+seed ``perfbench/run.py --trace T`` runs once from each checkout, in a fresh
 process. The parent goes first in even-numbered pairs and the change in odd
 ones, so a drift in host speed falls on both sides alike.
 
@@ -183,12 +183,14 @@ def main(argv=None):
                 argv, cwd=checkouts[side], check=True, capture_output=True, text=True
             ).stdout
 
-        for side, path in checkouts.items():
-            path.mkdir()
-            archive = Path(tmp) / f"{side}.tar"
-            git("archive", "--output", str(archive), commits[side], cwd=root)
-            subprocess.run(["tar", "-xf", str(archive), "-C", str(path)], check=True)
-        run_pairs(args.workload, args.seeds, run, on_pair=write)
+        try:
+            for side, path in checkouts.items():
+                git("worktree", "add", "--detach", str(path), commits[side], cwd=root)
+            run_pairs(args.workload, args.seeds, run, on_pair=write)
+        finally:
+            for path in checkouts.values():
+                if path.exists():
+                    git("worktree", "remove", "--force", str(path), cwd=root)
     return 0
 
 
