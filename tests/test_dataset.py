@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import operator
 from pathlib import Path
 
 import pytest
@@ -258,12 +259,33 @@ class TestJsonLines:
         written = [("w", 10.0), ("w", 10.0), (1, 10.0), (1.0, 10.0), (True, 10.0), ("1", 10.0),
                    ("w", 0.0), ("w", -0.0), (["w"], 10.0), (["w"], 10.0)]
         path = tmp_path / "c.jsonl"
-        export_corpus([make_record(f"r{i}", annotations=[WorkerAnnotation(w, "Racist", d)])
-                       for i, (w, d) in enumerate(written)], path)
+        records = [make_record(f"r{i}", annotations=[WorkerAnnotation(w, "Racist", d)])
+                   for i, (w, d) in enumerate(written)]
+        export_corpus(records, path)
+        assert path.read_bytes() == json_lines(records)
         votes = [r.annotations[0] for r in import_corpus(path)[0]]
         assert votes[0] is votes[1]
         assert len({id(v) for v in votes}) == len(votes) - 1
         export_corpus(import_corpus(path)[0], tmp_path / "out.jsonl")
+        assert (tmp_path / "out.jsonl").read_bytes() == path.read_bytes()
+
+    def test_alternating_vote_lists_share_per_first_category(self, tmp_path):
+        # as synth writes a split: one list per label, records in random label order
+        lists = {"NotHate": [WorkerAnnotation(f"s{w}", "NotHate", 10.0) for w in range(3)],
+                 "Racist": [WorkerAnnotation(f"s{w}", "Racist", 10.0) for w in range(3)],
+                 "other": [WorkerAnnotation("s0", "Racist", 9.5)]}
+        order = ["NotHate", "Racist", "Racist", "NotHate", "other", "Racist", "NotHate"]
+        path = tmp_path / "c.jsonl"
+        export_corpus([make_record(f"r{i}", annotations=list(lists[k]))
+                       for i, k in enumerate(order)], path)
+        loaded = import_corpus(path)[0]
+        first = {}
+        for key, record in zip(order, loaded):
+            assert record.annotations == lists[key]
+            shared = first.setdefault(key, record.annotations)
+            # "other" takes Racist's slot, so r5 builds its votes again
+            assert all(map(operator.is_, shared, record.annotations)) == (record.id != "r5")
+        export_corpus(loaded, tmp_path / "out.jsonl")
         assert (tmp_path / "out.jsonl").read_bytes() == path.read_bytes()
 
     def test_fixture_corpus_round_trips_byte_for_byte(self, tmp_path):
